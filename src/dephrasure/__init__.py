@@ -63,7 +63,7 @@ from .private_info import (
     private_lower_bound,
     random_ensemble_search,
 )
-from .pso import PsoConfig, PsoResult, optimize_code_ci, pso_minimize
+from .pso import PsoConfig, PsoResult, optimize_code_ci, pso_minimize, rowwise
 from .qinfo import (
     KrausSet,
     apply_kraus,

@@ -155,34 +155,46 @@ def cmd_regions(args):
 _CODE_RE = re.compile(r"^rep([1-9])$")
 
 
+def _diagonal_columns(names, seed):
+    """One per-letter rate function (p, q) -> value per ``--codes`` name.
+
+    Raises ValueError on an unknown name, before any column is computed.
+    """
+    named = {
+        "single_ci": lambda p, q: channel.single_letter_ci(p, q)[0],
+        "private_lb": lambda p, q: private_info.private_lower_bound(p, q)[0],
+        "theta4": lambda p, q: codes.optimize_zdiag(p, q, 4, seed=seed)[0] / 4,
+        "chi3": lambda p, q: codes.optimize_chi3(p, q, seed=seed)[0] / 3,
+    }
+    columns = []
+    for name in names:
+        rep = _CODE_RE.match(name)
+        if rep:
+            n = int(rep.group(1))
+            columns.append(lambda p, q, n=n: codes.repetition_ci_opt(p, q, n)[0] / n)
+        elif name in named:
+            columns.append(named[name])
+        else:
+            raise ValueError(
+                f"unknown code {name!r} (expected rep1..rep9, "
+                + ", ".join(named) + ")"
+            )
+    return columns
+
+
 def cmd_diagonal(args):
     slope = args.diagonal_slope
-    if slope <= 0:
-        raise SystemExit(2)
+    if not slope > 0:
+        raise ValueError(f"--diagonal-slope must be positive, got {slope}")
     names = [c.strip() for c in args.codes.split(",") if c.strip()]
+    columns = _diagonal_columns(names, args.seed)
     header = ["p", "q"] + names
     rows = []
     for p in args.p_range:
         q = slope * p
         if q > 0.5 + 1e-12:
             continue
-        row = [p, q]
-        for name in names:
-            rep = _CODE_RE.match(name)
-            if rep:
-                n = int(rep.group(1))
-                row.append(codes.repetition_ci_opt(p, q, n)[0] / n)
-            elif name == "single_ci":
-                row.append(channel.single_letter_ci(p, q)[0])
-            elif name == "private_lb":
-                row.append(private_info.private_lower_bound(p, q)[0])
-            elif name == "theta4":
-                row.append(codes.optimize_zdiag(p, q, 4, seed=args.seed)[0] / 4)
-            elif name == "chi3":
-                row.append(codes.optimize_chi3(p, q, seed=args.seed)[0] / 3)
-            else:
-                raise SystemExit(2)
-        rows.append(row)
+        rows.append([p, q] + [column(p, q) for column in columns])
     _emit(args.out, args.format, header, rows, _provenance(args, args.seed))
     return 0
 

@@ -9,6 +9,7 @@ information and is therefore omitted analytically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -181,22 +182,21 @@ def chi3_code(c1, d1, c2, d2):
     psi_i = c_i|0> + d_i|1>; the three right-most qubits are the channel
     inputs, the two left-most qubits the reference (dimension 4).
     """
-    psi1 = np.array([c1, d1], dtype=complex)
-    psi2 = np.array([c2, d2], dtype=complex)
-    xpsi2 = psi2[::-1]
-    amps = np.zeros(4 * 8, dtype=complex)
+    coeffs = np.array([c1, d1, c2, d2], dtype=complex)
+    return normalized_code(3, 4, coeffs @ _chi3_map())
 
-    def put(bits, psi):
-        # bits: the four leading qubits; the fifth qubit carries psi
-        idx = int("".join(map(str, bits)), 2)
-        amps[2 * idx] += psi[0]
-        amps[2 * idx + 1] += psi[1]
 
-    put((0, 0, 0, 0), psi1)
-    put((1, 1, 1, 1), psi1)
-    put((0, 1, 0, 1), psi2)
-    put((1, 0, 1, 0), xpsi2)
-    return normalized_code(3, 4, amps)
+@functools.cache
+def _chi3_map():
+    """The linear map (c1, d1, c2, d2) -> chi_3 amplitudes, a 4 x 32 array."""
+    out = np.zeros((4, 32))
+    # the four leading qubits index pairs of amplitudes; the fifth qubit
+    # carries psi1 = (c1, d1), psi2 = (c2, d2) or X psi2 = (d2, c2)
+    for lead, (row0, row1) in ((0b0000, (0, 1)), (0b1111, (0, 1)),
+                               (0b0101, (2, 3)), (0b1010, (3, 2))):
+        out[row0, 2 * lead] = out[row1, 2 * lead + 1] = 1.0
+    out.setflags(write=False)
+    return out
 
 
 def _dephasing_mask(p, m):
@@ -208,35 +208,134 @@ def _dephasing_mask(p, m):
     return (1.0 - 2.0 * p) ** dist
 
 
+@dataclass(frozen=True)
+class _PatternGroup:
+    """The erasure patterns of one plan that erase ``erased`` uses."""
+
+    erased: int
+    patterns: tuple  # pattern strings, '1' marks an erased position
+    # indices into the amplitude vector: gather[c] is pattern c's
+    # (ref_dim * 2^(n - erased), 2^erased) matrix, rows ordered
+    # (reference, survivors), columns the erased qubits
+    gather: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _block_plan(n, ref_dim):
+    """The erasure-pattern structure of (n, ref_dim) codes, by erased count.
+
+    Depends on neither p nor q, so one plan serves every evaluation of
+    codes of this shape.
+    """
+    flat = np.arange(ref_dim * 2**n).reshape([ref_dim] + [2] * n)
+    by_erased = {}
+    for bits in product((0, 1), repeat=n):
+        erased = [j + 1 for j, b in enumerate(bits) if b]
+        survivors = [j + 1 for j, b in enumerate(bits) if not b]
+        gather = np.transpose(flat, [0] + survivors + erased).reshape(
+            ref_dim * 2 ** len(survivors), 2 ** len(erased)
+        )
+        by_erased.setdefault(len(erased), []).append(
+            ("".join(map(str, bits)), gather)
+        )
+    plan = []
+    for k, members in sorted(by_erased.items()):
+        gather = np.stack([g for _, g in members])
+        gather.setflags(write=False)
+        plan.append(_PatternGroup(k, tuple(pat for pat, _ in members), gather))
+    return tuple(plan)
+
+
+def _weighted_groups(n, ref_dim, p, q):
+    """(group, classical weight, dephasing mask) for every plan group.
+
+    The weight of a pattern erasing k uses is q^k (1-q)^(n-k); the mask
+    scales each block entry by (1-2p)^(Hamming distance of survivors)
+    and leaves the reference untouched.
+    """
+    p = _check_prob(p, "p")
+    q = _check_prob(q, "q")
+    return [
+        (
+            group,
+            q**group.erased * (1 - q) ** (n - group.erased),
+            np.kron(
+                np.ones((ref_dim, ref_dim)), _dephasing_mask(p, n - group.erased)
+            ),
+        )
+        for group in _block_plan(n, ref_dim)
+    ]
+
+
+def _group_blocks(amps, group, mask):
+    """The dephased blocks of every pattern in ``group`` for each code.
+
+    ``amps`` is (..., ref_dim 2^n); the result is (..., patterns, d, d).
+    """
+    mats = amps[..., group.gather]
+    return (mats @ mats.conj().swapaxes(-1, -2)) * mask
+
+
 def pattern_decompose(code, p, q):
     """All 2^n erasure-pattern blocks of the n-use channel output.
 
     For pattern s the erased input qubits are traced out, dephasing acts
     on every survivor, and the classical weight is q^|s| (1-q)^(n-|s|).
-    The reference stays untouched.
+    The reference stays untouched.  Blocks come in lexicographic
+    pattern order.
     """
-    p = _check_prob(p, "p")
-    q = _check_prob(q, "q")
-    n = code.n_uses
-    psi = code.amplitudes.reshape([code.ref_dim] + [2] * n)
     blocks = []
-    for bits in product((0, 1), repeat=n):
-        erased = [j + 1 for j, b in enumerate(bits) if b]
-        survivors = [j + 1 for j, b in enumerate(bits) if not b]
-        weight = q ** len(erased) * (1 - q) ** len(survivors)
-        perm = [0] + survivors + erased
-        mat = np.transpose(psi, perm).reshape(
-            code.ref_dim * 2 ** len(survivors), 2 ** len(erased)
-        )
-        rho = mat @ mat.conj().T
-        mask = np.kron(
-            np.ones((code.ref_dim, code.ref_dim)),
-            _dephasing_mask(p, len(survivors)),
-        )
-        blocks.append(
-            ErasurePatternBlock("".join(map(str, bits)), weight, rho * mask)
-        )
-    return blocks
+    for group, weight, mask in _weighted_groups(code.n_uses, code.ref_dim, p, q):
+        stack = _group_blocks(code.amplitudes, group, mask)
+        blocks += [
+            ErasurePatternBlock(pattern, weight, block)
+            for pattern, block in zip(group.patterns, stack)
+        ]
+    return sorted(blocks, key=lambda blk: blk.pattern)
+
+
+# cap on the size of one stack of the largest (no-erasure) blocks: the
+# stacked work is one LAPACK call per matrix, so larger stacks gain no
+# speed, while their temporaries raise the process's peak memory
+_STACK_BYTES = 1 << 17
+
+
+def _ci_evaluator(n, ref_dim, p, q):
+    """Batched coherent information of (n, ref_dim) codes at fixed (p, q).
+
+    Returns ``evaluate(amps)`` mapping unit-norm amplitude rows (B,
+    ref_dim 2^n) to B values.  Per group of patterns it makes one stacked
+    matmul and two stacked entropy calls, for the blocks and for their
+    reference-traced input parts, over as many rows as fit in
+    _STACK_BYTES; zero-weight groups are skipped.
+    """
+    terms = [
+        (group, weight, mask)
+        for group, weight, mask in _weighted_groups(n, ref_dim, p, q)
+        if weight != 0.0
+    ]
+    # a no-erasure block is (ref_dim 2^n)^2 complex entries of 16 bytes
+    rows = max(1, _STACK_BYTES // (16 * (ref_dim * 2**n) ** 2))
+
+    def evaluate(amps):
+        total = np.zeros(len(amps))
+        for start in range(0, len(amps), rows):
+            chunk = amps[start : start + rows]
+            for group, weight, mask in terms:
+                blocks = _group_blocks(chunk, group, mask)
+                m = blocks.shape[-1] // ref_dim
+                inputs = np.trace(
+                    blocks.reshape(*blocks.shape[:-2], ref_dim, m, ref_dim, m),
+                    axis1=-4,
+                    axis2=-2,
+                )
+                total[start : start + rows] += weight * np.sum(
+                    von_neumann_entropy(inputs) - von_neumann_entropy(blocks),
+                    axis=-1,
+                )
+        return total
+
+    return evaluate
 
 
 def multiletter_ci(code, p, q, n_limit=DEFAULT_N_LIMIT):
@@ -248,18 +347,37 @@ def multiletter_ci(code, p, q, n_limit=DEFAULT_N_LIMIT):
     """
     if code.n_uses > n_limit:
         raise ValueError(f"n = {code.n_uses} exceeds the limit {n_limit}")
-    total = 0.0
-    for blk in pattern_decompose(code, p, q):
-        if blk.weight == 0.0:
-            continue
-        m = blk.block.shape[0] // code.ref_dim
-        input_part = np.trace(
-            blk.block.reshape(code.ref_dim, m, code.ref_dim, m), axis1=0, axis2=2
-        )
-        total += blk.weight * (
-            von_neumann_entropy(input_part) - von_neumann_entropy(blk.block)
-        )
-    return total
+    evaluate = _ci_evaluator(code.n_uses, code.ref_dim, p, q)
+    return float(evaluate(code.amplitudes[None])[0])
+
+
+def _code_objective(n, ref_dim, p, q, amplitudes):
+    """Swarm objective: rows of real parameters -> minus coherent information.
+
+    ``amplitudes`` maps an (m, dim) parameter array to m amplitude rows
+    of (n, ref_dim) codes, which are normalized before evaluation; a row
+    whose amplitudes are all zero is an infeasible sentinel and maps to
+    inf.
+    """
+    evaluate = _ci_evaluator(n, ref_dim, p, q)
+
+    def objective(x):
+        amps = amplitudes(np.asarray(x, dtype=float))
+        norms = np.linalg.norm(amps, axis=-1)
+        out = np.full(len(amps), np.inf)
+        ok = norms != 0.0
+        if ok.any():
+            out[ok] = -evaluate(amps[ok] / norms[ok, None])
+        return out
+
+    return objective
+
+
+def _chi3_objective(p, q):
+    """Swarm objective over the 8 real parameters (Re, Im of c1, d1, c2, d2)."""
+    return _code_objective(
+        3, 4, p, q, lambda x: (x[:, 0::2] + 1j * x[:, 1::2]) @ _chi3_map()
+    )
 
 
 def brute_force_ci(code, p, q):
@@ -281,36 +399,47 @@ def brute_force_ci(code, p, q):
     return von_neumann_entropy(out) - von_neumann_entropy(joint)
 
 
-def _zdiag_ci_fast(coeffs, p, q, n):
-    """Coherent information of a Z-diagonal code on its 2^n-dim support.
+def _zdiag_evaluator(p, q, n):
+    """Coherent information of Z-diagonal n-use codes at fixed (p, q).
 
     For code sum_s c_s |s>|s> every pattern block is supported on the
     orthonormal set {|s>_ref (x) |s_surv>}, so its matrix in that basis
     is c_s c_s' [s_erased == s'_erased] (1-2p)^d(s_surv, s'_surv) and
-    the eigenproblem is only 2^n-dimensional.
+    the eigenproblem is only 2^n-dimensional.  The masks of all
+    nonzero-weight patterns are built here, once; ``evaluate(coeffs)``
+    then makes one stacked eigvalsh call and one matmul for the
+    reference-traced diagonals.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    probs = coeffs**2
-    idx = np.arange(2**n)
-    outer = np.outer(coeffs, coeffs)
-    total = 0.0
-    for bits in product((0, 1), repeat=n):
-        erased_mask = sum(1 << (n - 1 - j) for j, b in enumerate(bits) if b)
-        surv_mask = (2**n - 1) ^ erased_mask
-        k = bin(erased_mask).count("1")
-        weight = q**k * (1 - q) ** (n - k)
-        if weight == 0.0:
-            continue
-        same_erased = (idx[:, None] & erased_mask) == (idx[None, :] & erased_mask)
-        dist = np.bitwise_count((idx[:, None] ^ idx[None, :]) & surv_mask)
-        block = outer * same_erased * (1.0 - 2.0 * p) ** dist
-        # reference traced out: diagonal state grouped by surviving bits
-        grouped = np.bincount(idx & surv_mask, weights=probs, minlength=2**n)
-        total += weight * (
-            shannon_entropy(grouped)
-            - shannon_entropy(np.clip(np.linalg.eigvalsh(block), 0.0, None))
+    dim = 2**n
+    erased = np.arange(dim)  # erased-position bit masks, in pattern order
+    k = np.bitwise_count(erased)
+    weights = q**k * (1 - q) ** (n - k)
+    keep = weights != 0.0
+    erased, weights = erased[keep, None, None], weights[keep]
+    idx = np.arange(dim)
+    diff = idx[:, None] ^ idx[None, :]
+    surv = (dim - 1) ^ erased
+    masks = ((diff & erased) == 0) * (1.0 - 2.0 * p) ** np.bitwise_count(diff & surv)
+    # grouping[s, t, i] = [i & surv_s == t]: reference traced out, the
+    # diagonal state is grouped by the surviving bits
+    grouping = ((idx[None, None, :] & surv) == idx[None, :, None]).astype(float)
+    grouping = grouping.reshape(-1, dim)
+
+    def evaluate(coeffs):
+        coeffs = np.asarray(coeffs, dtype=float)
+        evals = np.linalg.eigvalsh(np.outer(coeffs, coeffs) * masks)
+        grouped = (grouping @ coeffs**2).reshape(len(weights), dim)
+        return float(
+            weights
+            @ (shannon_entropy(grouped) - shannon_entropy(np.maximum(evals, 0.0)))
         )
-    return total
+
+    return evaluate
+
+
+def _zdiag_ci_fast(coeffs, p, q, n):
+    """Coherent information of a Z-diagonal code on its 2^n-dim support."""
+    return _zdiag_evaluator(p, q, n)(coeffs)
 
 
 def optimize_zdiag(p, q, n, seed=0, n_starts=32, n_limit=DEFAULT_N_LIMIT):
@@ -327,12 +456,13 @@ def optimize_zdiag(p, q, n, seed=0, n_starts=32, n_limit=DEFAULT_N_LIMIT):
     if n > n_limit:
         raise ValueError(f"n = {n} exceeds the limit {n_limit}")
     dim = 2**n
+    evaluate = _zdiag_evaluator(p, q, n)
 
     def objective(w):
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return np.inf
-        return -_zdiag_ci_fast(np.abs(w) / norm, p, q, n)
+        return -evaluate(np.abs(w) / norm)
 
     rep_val, rep_lam = repetition_ci_opt(p, q, n)
     warm = np.zeros(dim)
@@ -366,13 +496,7 @@ def optimize_chi3(p, q, seed=0, config=None):
     p = _check_prob(p, "p", hi=0.5)
     q = _check_prob(q, "q", hi=0.5)
 
-    def objective(x):
-        vec = x[0::2] + 1j * x[1::2]
-        if np.linalg.norm(vec) == 0.0:
-            return np.inf
-        code = chi3_code(*vec)
-        return -multiletter_ci(code, p, q)
-
+    objective = _chi3_objective(p, q)
     if config is None:
         config = PsoConfig(
             bounds=((-1.0, 1.0),) * 8, seed=seed, max_iterations=200
@@ -386,11 +510,12 @@ def optimize_chi3(p, q, seed=0, config=None):
         warms.append(np.array([eps, 0.0, eps, 0.0, 1.0, 0.0, 0.0, 0.0]))
     result = pso_minimize(objective, 8, config, warm_starts=warms)
 
-    # deterministic local polish from the swarm best and each warm start
+    # deterministic local polish from the swarm best and each warm start,
+    # on the same objective one row at a time
     best_val, best_x = result.best_value, result.best_position
     for start in [result.best_position] + warms:
         res = minimize(
-            objective, start, method="Powell",
+            lambda x: objective(x[None])[0], start, method="Powell",
             options={"maxiter": 100, "xtol": 1e-10, "ftol": 1e-12},
         )
         if res.fun < best_val:

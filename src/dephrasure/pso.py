@@ -8,7 +8,7 @@ Identical seeds give bit-identical trajectories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,9 +24,6 @@ class PsoConfig:
     seed: int = 0
     stall_tolerance: float = 1e-9
     stall_iterations: int = 50
-    # the update rule as printed in some references repels from the
-    # incumbents; the standard attractive signs are the default
-    literal_signs: bool = False
     per_dimension_draws: bool = False
 
     def __post_init__(self):
@@ -49,13 +46,24 @@ class PsoResult:
     evaluations: int
 
 
+def rowwise(f):
+    """Adapt a scalar objective ``f(x) -> float`` to ``pso_minimize``.
+
+    The adapter calls ``f`` once per row of the swarm's positions.
+    """
+    return lambda positions: np.array([f(x) for x in positions], dtype=float)
+
+
 def pso_minimize(objective, dim, config, warm_starts=()):
     """Minimize ``objective`` over the bounded box in ``config.bounds``.
 
-    Positions are clipped to the box after every step.  ``warm_starts``
-    replace the first particles' initial positions (clipped to bounds).
-    Terminates at max_iterations or when the incumbent improves by less
-    than stall_tolerance over stall_iterations consecutive iterations.
+    ``objective`` is evaluated on the whole swarm at once: it maps an
+    (m, dim) array of positions to m values (wrap a scalar function in
+    ``rowwise``).  Positions are clipped to the box after every step.
+    ``warm_starts`` replace the first particles' initial positions
+    (clipped to bounds).  Terminates at max_iterations or when the
+    incumbent improves by less than stall_tolerance over
+    stall_iterations consecutive iterations.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -67,12 +75,20 @@ def pso_minimize(objective, dim, config, warm_starts=()):
     rng = np.random.default_rng(config.seed)
     npart = config.n_particles
 
+    def evaluate(positions):
+        values = np.asarray(objective(positions), dtype=float)
+        if values.shape != (npart,):
+            raise ValueError(
+                f"objective returned shape {values.shape}, expected ({npart},)"
+            )
+        return values
+
     pos = lo + rng.uniform(size=(npart, dim)) * span
     vel = rng.uniform(-1.0, 1.0, size=(npart, dim)) * span
     for i, w in enumerate(warm_starts[: npart]):
         pos[i] = np.clip(np.asarray(w, dtype=float), lo, hi)
 
-    values = np.array([objective(x) for x in pos])
+    values = evaluate(pos)
     evaluations = npart
     pbest_pos = pos.copy()
     pbest_val = values.copy()
@@ -88,19 +104,13 @@ def pso_minimize(objective, dim, config, warm_starts=()):
         draw_shape = (npart, dim) if config.per_dimension_draws else (npart, 1)
         u_self = rng.uniform(size=draw_shape)
         u_soc = rng.uniform(size=draw_shape)
-        if config.literal_signs:
-            attract_self = pos - pbest_pos
-            attract_soc = pos - gbest_pos
-        else:
-            attract_self = pbest_pos - pos
-            attract_soc = gbest_pos - pos
         vel = (
             config.c_inertia * vel
-            + config.c_self * u_self * attract_self
-            + config.c_social * u_soc * attract_soc
+            + config.c_self * u_self * (pbest_pos - pos)
+            + config.c_social * u_soc * (gbest_pos - pos)
         )
         pos = np.clip(pos + vel, lo, hi)
-        values = np.array([objective(x) for x in pos])
+        values = evaluate(pos)
         evaluations += npart
 
         improved = values < pbest_val
@@ -132,7 +142,6 @@ def optimize_code_ci(p, q, n, parametrization="full", config=None):
     """
     from .codes import (
         chi3_code,
-        multiletter_ci,
         normalized_code,
         optimize_chi3,
         optimize_zdiag,
@@ -155,27 +164,12 @@ def optimize_code_ci(p, q, n, parametrization="full", config=None):
     ref_dim = 2**n
     amp_len = ref_dim * 2**n
     dim = 2 * amp_len
-
-    def objective(x):
-        vec = x[:amp_len] + 1j * x[amp_len:]
-        if np.linalg.norm(vec) == 0.0:
-            return np.inf
-        return -multiletter_ci(normalized_code(n, ref_dim, vec), p, q)
+    objective = _full_objective(p, q, n)
 
     if config is None:
         config = PsoConfig(bounds=((-1.0, 1.0),) * dim, max_iterations=150)
     if len(config.bounds) != dim:
-        config = PsoConfig(
-            n_particles=config.n_particles,
-            c_inertia=config.c_inertia,
-            c_self=config.c_self,
-            c_social=config.c_social,
-            max_iterations=config.max_iterations,
-            bounds=((-1.0, 1.0),) * dim,
-            seed=config.seed,
-            stall_tolerance=config.stall_tolerance,
-            stall_iterations=config.stall_iterations,
-        )
+        config = replace(config, bounds=((-1.0, 1.0),) * dim)
 
     # good feasible points matter: every pure product input is a local
     # extremum with zero coherent information
@@ -202,3 +196,14 @@ def _embed_code(code, ref_dim, n):
     amps[: code.ref_dim] = small
     amps = amps.reshape(-1)
     return np.concatenate([amps.real, amps.imag])
+
+
+def _full_objective(p, q, n):
+    """Swarm objective over all real and imaginary amplitude components
+    of a reference-dimension 2^n code."""
+    from .codes import _code_objective
+
+    amp_len = 4**n
+    return _code_objective(
+        n, 2**n, p, q, lambda x: x[:, :amp_len] + 1j * x[:, amp_len:]
+    )

@@ -50,10 +50,14 @@ def check_density_matrix(rho, *, trace_tol=TRACE_TOL):
 
 
 def shannon_entropy(probs):
-    """Shannon entropy in bits of a nonnegative weight vector."""
+    """Shannon entropy in bits of a nonnegative weight vector.
+
+    A stack of vectors (..., d) gives an array of one entropy per vector;
+    nonpositive entries contribute nothing.
+    """
     probs = np.asarray(probs, dtype=float)
-    pos = probs[probs > 0]
-    return float(-np.sum(pos * np.log2(pos)))
+    out = -(probs * np.log2(np.where(probs > 0, probs, 1.0))).sum(axis=-1)
+    return float(out) if probs.ndim == 1 else out
 
 
 def binary_entropy(x):
@@ -76,17 +80,23 @@ def binary_entropy(x):
 def von_neumann_entropy(rho):
     """S(rho) = -tr(rho log2 rho) via Hermitian eigendecomposition.
 
-    Eigenvalues in [-1e-10, 0) are clamped to zero; anything below
-    -1e-8 is rejected as an invalid state.
+    ``rho`` may also be a stack (..., d, d) of matrices, evaluated with
+    one stacked eigendecomposition; the result is then an array of one
+    entropy per matrix, and every matrix is validated.  Eigenvalues in
+    [-1e-8, 0) are clamped to zero; anything below -1e-8 is rejected as
+    an invalid state.
     """
-    rho = _as_square(rho)
-    asym = np.max(np.abs(rho - rho.conj().T))
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {rho.shape}")
+    herm = rho.conj().swapaxes(-1, -2)
+    asym = np.abs(rho - herm).max()
     if asym > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3g})")
-    evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+    evals = np.linalg.eigvalsh((rho + herm) / 2)
     if evals.min() < EIGENVALUE_FLOOR:
         raise ValueError(f"negative eigenvalue {evals.min():.3g}")
-    return shannon_entropy(np.clip(evals, 0.0, None))
+    return shannon_entropy(np.maximum(evals, 0.0))
 
 
 @dataclass(frozen=True)

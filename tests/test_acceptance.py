@@ -27,7 +27,7 @@ from dephrasure.codes import (
 from dephrasure.antideg import verify_antidegradable
 from dephrasure.compci import positivity_witness
 from dephrasure.private_info import private_lower_bound
-from dephrasure.pso import PsoConfig, optimize_code_ci, pso_minimize
+from dephrasure.pso import PsoConfig, optimize_code_ci, pso_minimize, rowwise
 from dephrasure.qinfo import binary_entropy, coherent_information
 from dephrasure.channel import dephrasure_kraus
 
@@ -167,7 +167,7 @@ def test_criterion_08_complementary_positivity_grid():
 def test_criterion_09_pso_sanity_and_code_recovery():
     """Sphere convergence, n=2 recovery, and chi3 >= repetition per letter."""
     sphere = pso_minimize(
-        lambda x: float(np.sum(x**2)),
+        rowwise(lambda x: float(np.sum(x**2))),
         4,
         PsoConfig(bounds=((-5.0, 5.0),) * 4, seed=1),
     )

@@ -121,3 +121,25 @@ def test_deterministic_output(tmp_path):
     main(args + ["--out", str(b)])
     # provenance lines differ only by flag text (identical here)
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--codes", "rep2,foo"],
+        ["--codes", "rep2", "--diagonal-slope", "0"],
+        ["--codes", "rep2", "--diagonal-slope", "-1"],
+    ],
+)
+def test_diagonal_bad_arguments_fail_before_work(tmp_path, capsys, monkeypatch, extra):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a column was computed before validation")
+
+    monkeypatch.setattr("dephrasure.codes.repetition_ci_opt", no_work)
+    out = tmp_path / "diag.csv"
+    rc = main(["diagonal", "--p-range", "0.1:0.12:3", *extra, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()

@@ -132,7 +132,7 @@ def test_zdiag_fast_path_agrees_with_general():
     rng = np.random.default_rng(23)
     from dephrasure.codes import _zdiag_ci_fast
 
-    for n in (2, 3):
+    for n in (2, 3, 1, 4):
         coeffs = np.abs(rng.standard_normal(2**n))
         coeffs /= np.linalg.norm(coeffs)
         p, q = rng.uniform(0.05, 0.5, 2)
@@ -175,3 +175,86 @@ def test_superadditivity_on_diagonal():
     single, _ = single_letter_ci(p, q)
     assert rep2 / 2 > single
     assert single < 1e-3
+
+
+# (p, q) points of the batched-engine tests; q = 0 and q = 1 leave groups
+# of patterns with zero weight, p = 1/2 dephases completely
+ENGINE_POINTS = [(0.11, 0.33), (0.2, 0.0), (0.3, 1.0), (0.5, 0.25)]
+
+
+@pytest.mark.parametrize("p, q", ENGINE_POINTS)
+def test_batched_engine_matches_single_rows_and_oracle(p, q):
+    from dephrasure.codes import _ci_evaluator
+
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3):
+        for ref_dim in (1, 2, 2**n):
+            amps = rng.standard_normal((5, ref_dim * 2**n)) + 1j * rng.standard_normal(
+                (5, ref_dim * 2**n)
+            )
+            amps /= np.linalg.norm(amps, axis=1)[:, None]
+            batch = _ci_evaluator(n, ref_dim, p, q)(amps)
+            assert batch.shape == (5,)
+            for row, value in zip(amps, batch):
+                code = CodeState(n, ref_dim, row)
+                assert value == pytest.approx(multiletter_ci(code, p, q), abs=1e-12)
+                assert value == pytest.approx(brute_force_ci(code, p, q), abs=1e-9)
+
+
+@pytest.mark.parametrize("p, q", ENGINE_POINTS)
+def test_batched_engine_matches_repetition_closed_form(p, q):
+    from dephrasure.codes import _ci_evaluator
+
+    lams = np.array([0.0, 0.05, 0.3, 0.5, 0.9])
+    for n in range(1, 7):
+        amps = np.array([repetition_code_state(n, lam).amplitudes for lam in lams])
+        batch = _ci_evaluator(n, 2, p, q)(amps)
+        for lam, row, value in zip(lams, amps, batch):
+            assert value == pytest.approx(repetition_ci(p, q, n, lam), abs=1e-10)
+            single = multiletter_ci(CodeState(n, 2, row), p, q)
+            assert value == pytest.approx(single, abs=1e-12)
+
+
+def test_pattern_decompose_block_layout():
+    # pattern '01' of a two-use code erases the second use: the block is
+    # the reference (x) first-use state, first-use coherences dephased
+    rng = np.random.default_rng(5)
+    code = _random_code(rng, 2, ref_dim=2)
+    p, q = 0.1, 0.2
+    blocks = pattern_decompose(code, p, q)
+    assert [b.pattern for b in blocks] == ["00", "01", "10", "11"]
+    psi = code.amplitudes.reshape(2, 2, 2)
+    mat = psi.reshape(4, 2)  # rows (ref, use 1), columns use 2
+    expect = (mat @ mat.conj().T) * np.kron(np.ones((2, 2)), [[1, 0.8], [0.8, 1]])
+    assert np.allclose(blocks[1].block, expect, atol=1e-15)
+    mat = np.transpose(psi, (0, 2, 1)).reshape(4, 2)  # rows (ref, use 2)
+    expect = (mat @ mat.conj().T) * np.kron(np.ones((2, 2)), [[1, 0.8], [0.8, 1]])
+    assert np.allclose(blocks[2].block, expect, atol=1e-15)
+
+
+def test_swarm_objectives_map_zero_rows_to_inf():
+    from dephrasure.codes import _chi3_objective
+    from dephrasure.pso import _full_objective
+
+    rng = np.random.default_rng(9)
+    p, q = 0.11, 0.33
+
+    def chi3_row(x):
+        return chi3_code(*(x[0::2] + 1j * x[1::2]))
+
+    def full_row(x):
+        return normalized_code(2, 4, x[:16] + 1j * x[16:])
+
+    for objective, dim, code_of in (
+        (_chi3_objective(p, q), 8, chi3_row),
+        (_full_objective(p, q, 2), 32, full_row),
+    ):
+        x = rng.uniform(-1.0, 1.0, (4, dim))
+        x[2] = 0.0
+        values = objective(x)
+        assert values[2] == np.inf
+        for i in (0, 1, 3):
+            assert values[i] == pytest.approx(
+                -multiletter_ci(code_of(x[i]), p, q), abs=1e-12
+            )
+        assert np.all(objective(np.zeros((3, dim))) == np.inf)

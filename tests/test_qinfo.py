@@ -160,3 +160,37 @@ def test_coherent_information_phase_flip():
     # phase flip: I_c(pi) = 1 - h(p)
     value = coherent_information(_phase_flip(0.1), np.eye(2) / 2)
     assert value == pytest.approx(1 - binary_entropy(0.1), abs=1e-11)
+
+
+def _random_states(rng, count, dim):
+    mats = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal(
+        (count, dim, dim)
+    )
+    rhos = mats @ mats.conj().swapaxes(-1, -2)
+    return rhos / np.trace(rhos, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def test_von_neumann_entropy_of_a_stack():
+    rng = np.random.default_rng(3)
+    rhos = _random_states(rng, 5, 8).reshape(5, 1, 8, 8)
+    rhos[2, 0] = np.diag([0.5, 0.5, 0, 0, 0, 0, 0, 0])  # rank deficient
+    stacked = von_neumann_entropy(rhos)
+    assert stacked.shape == (5, 1)
+    for rho, value in zip(rhos[:, 0], stacked[:, 0]):
+        assert value == pytest.approx(von_neumann_entropy(rho), abs=1e-13)
+    assert stacked[2, 0] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_von_neumann_entropy_validates_every_matrix_of_a_stack():
+    rng = np.random.default_rng(4)
+    rhos = _random_states(rng, 4, 4)
+    nonhermitian = rhos.copy()
+    nonhermitian[3, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="Hermitian"):
+        von_neumann_entropy(nonhermitian)
+    negative = rhos.copy()
+    negative[1] = np.diag([0.7, 0.4, 0.0, -0.1])
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        von_neumann_entropy(negative)
+    with pytest.raises(ValueError):
+        von_neumann_entropy(np.ones((3, 2, 4)))
