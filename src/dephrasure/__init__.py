@@ -46,6 +46,7 @@ from .codes import (
     repetition_ci,
     repetition_ci_opt,
     repetition_code_state,
+    schmidt_form,
     zdiag_code,
 )
 from .compci import (

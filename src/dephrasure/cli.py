@@ -225,6 +225,7 @@ def cmd_optimize(args):
         args.p, args.q, args.n, parametrization=args.parametrization,
         config=config,
     )
+    code = codes.schmidt_form(code)
     payload = {
         "provenance": _provenance(args, args.seed),
         "p": args.p,

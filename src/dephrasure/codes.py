@@ -18,6 +18,7 @@ from scipy.optimize import minimize
 
 from .channel import _check_prob, dephrasure_kraus, maximize_over_weights
 from .qinfo import (
+    _hermitian_eigh,
     binary_entropy,
     shannon_entropy,
     tensor_power_kraus,
@@ -66,6 +67,25 @@ def normalized_code(n_uses, ref_dim, amplitudes):
     if norm == 0.0:
         raise ValueError("amplitude vector is zero")
     return CodeState(n_uses, ref_dim, amps / norm)
+
+
+def schmidt_form(code):
+    """The same code with its reference rotated into the Schmidt basis.
+
+    Coherent information is invariant under unitaries on the reference,
+    so a searched code is fixed only up to one; this form is not.  With
+    U S V^dagger the SVD of the (ref_dim, 2^n) amplitude matrix, row i
+    becomes s_i v_i^dagger (Schmidt coefficients descending, rows past
+    the rank zero), rotated so that its largest-magnitude entry is real
+    and positive.  Rows are unique when the coefficients are distinct.
+    """
+    mat = code.amplitudes.reshape(code.ref_dim, 2**code.n_uses)
+    _, coeffs, vh = np.linalg.svd(mat, full_matrices=False)
+    rows = np.zeros_like(mat)
+    rows[: len(coeffs)] = coeffs[:, None] * vh
+    lead = rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)]
+    rows *= np.exp(-1j * np.angle(lead))[:, None]
+    return normalized_code(code.n_uses, code.ref_dim, rows)
 
 
 @dataclass(frozen=True)
@@ -267,13 +287,35 @@ def _weighted_groups(n, ref_dim, p, q):
     ]
 
 
-def _group_blocks(amps, group, mask):
-    """The dephased blocks of every pattern in ``group`` for each code.
+def _group_blocks(mats, mask):
+    """The dephased blocks rho = (M M^dagger) o mask of gathered matrices.
 
-    ``amps`` is (..., ref_dim 2^n); the result is (..., patterns, d, d).
+    ``mats`` is ``amps[..., group.gather]``, (..., patterns, d, e); the
+    result is (..., patterns, d, d).
     """
-    mats = amps[..., group.gather]
     return (mats @ mats.conj().swapaxes(-1, -2)) * mask
+
+
+def _reference_traced(blocks, ref_dim):
+    """The input parts tr_ref(rho) of a stack (..., d, d) of blocks."""
+    m = blocks.shape[-1] // ref_dim
+    return np.trace(
+        blocks.reshape(*blocks.shape[:-2], ref_dim, m, ref_dim, m),
+        axis1=-4,
+        axis2=-2,
+    )
+
+
+def _log2_matrix(evals, vecs):
+    """log2 of Hermitian matrices from their eigendecomposition.
+
+    Taken as 0 on the kernel.  The gradients below multiply it into the
+    columns of M for rho = (M M^dagger) o K, and range(M) lies in
+    range(rho): for p <= 1/2 the dephasing keeps its identity Kraus
+    term with weight (1-p)^m > 0.
+    """
+    logs = np.log2(np.where(evals > 0, evals, 1.0))
+    return (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def pattern_decompose(code, p, q):
@@ -286,7 +328,7 @@ def pattern_decompose(code, p, q):
     """
     blocks = []
     for group, weight, mask in _weighted_groups(code.n_uses, code.ref_dim, p, q):
-        stack = _group_blocks(code.amplitudes, group, mask)
+        stack = _group_blocks(code.amplitudes[group.gather], mask)
         blocks += [
             ErasurePatternBlock(pattern, weight, block)
             for pattern, block in zip(group.patterns, stack)
@@ -300,6 +342,11 @@ def pattern_decompose(code, p, q):
 _STACK_BYTES = 1 << 17
 
 
+def _nonzero_groups(n, ref_dim, p, q):
+    """The (group, weight, mask) terms of ``_weighted_groups`` with weight > 0."""
+    return [term for term in _weighted_groups(n, ref_dim, p, q) if term[1] != 0.0]
+
+
 def _ci_evaluator(n, ref_dim, p, q):
     """Batched coherent information of (n, ref_dim) codes at fixed (p, q).
 
@@ -309,11 +356,7 @@ def _ci_evaluator(n, ref_dim, p, q):
     reference-traced input parts, over as many rows as fit in
     _STACK_BYTES; zero-weight groups are skipped.
     """
-    terms = [
-        (group, weight, mask)
-        for group, weight, mask in _weighted_groups(n, ref_dim, p, q)
-        if weight != 0.0
-    ]
+    terms = _nonzero_groups(n, ref_dim, p, q)
     # a no-erasure block is (ref_dim 2^n)^2 complex entries of 16 bytes
     rows = max(1, _STACK_BYTES // (16 * (ref_dim * 2**n) ** 2))
 
@@ -322,13 +365,8 @@ def _ci_evaluator(n, ref_dim, p, q):
         for start in range(0, len(amps), rows):
             chunk = amps[start : start + rows]
             for group, weight, mask in terms:
-                blocks = _group_blocks(chunk, group, mask)
-                m = blocks.shape[-1] // ref_dim
-                inputs = np.trace(
-                    blocks.reshape(*blocks.shape[:-2], ref_dim, m, ref_dim, m),
-                    axis1=-4,
-                    axis2=-2,
-                )
+                blocks = _group_blocks(chunk[..., group.gather], mask)
+                inputs = _reference_traced(blocks, ref_dim)
                 total[start : start + rows] += weight * np.sum(
                     von_neumann_entropy(inputs) - von_neumann_entropy(blocks),
                     axis=-1,
@@ -336,6 +374,46 @@ def _ci_evaluator(n, ref_dim, p, q):
         return total
 
     return evaluate
+
+
+def _ci_gradient(n, ref_dim, p, q):
+    """Coherent information of one (n, ref_dim) code and its exact gradient.
+
+    Returns ``value_and_grad(amps)`` for a unit-norm amplitude vector a;
+    the gradient is df/d(Re a) + i df/d(Im a), taken from the same
+    eigendecompositions as the value.  For a block rho = (M M^dagger) o K
+    with input part rho_in = tr_ref(rho) and K = 1_ref (x) D,
+
+        grad_M [S(rho_in) - S(rho)]
+            = 2 ((log2 rho) o K) M - 2 (I_ref (x) ((log2 rho_in) o D)) M,
+
+    the 1/ln 2 terms of dS = -tr[(log2 rho + 1/ln 2) d rho] cancelling
+    because tr rho = tr rho_in.  Each pattern's term is scattered back
+    into the amplitude vector through its gather indices.
+    """
+    terms = _nonzero_groups(n, ref_dim, p, q)
+
+    def value_and_grad(amps):
+        value, grad = 0.0, np.zeros(amps.shape, dtype=complex)
+        for group, weight, mask in terms:
+            mats = amps[group.gather]
+            blocks = _group_blocks(mats, mask)
+            inputs = _reference_traced(blocks, ref_dim)
+            evals, vecs = _hermitian_eigh(blocks)
+            in_evals, in_vecs = _hermitian_eigh(inputs)
+            value += weight * float(
+                np.sum(shannon_entropy(in_evals) - shannon_entropy(evals))
+            )
+            m = inputs.shape[-1]
+            log_in = _log2_matrix(in_evals, in_vecs) * mask[:m, :m]
+            split = mats.reshape(len(mats), ref_dim, m, -1)
+            part = (_log2_matrix(evals, vecs) * mask) @ mats - (
+                log_in[:, None] @ split
+            ).reshape(mats.shape)
+            np.add.at(grad, group.gather, 2.0 * weight * part)
+        return value, grad
+
+    return value_and_grad
 
 
 def multiletter_ci(code, p, q, n_limit=DEFAULT_N_LIMIT):
@@ -380,6 +458,28 @@ def _chi3_objective(p, q):
     )
 
 
+def _chi3_polish_objective(p, q):
+    """Minus the chi_3 coherent information of one 8-parameter row, with
+    its exact gradient through the fixed map ``_chi3_map()``."""
+    value_and_grad = _ci_gradient(3, 4, p, q)
+    chi3 = _chi3_map()
+
+    def objective(x):
+        raw = (x[0::2] + 1j * x[1::2]) @ chi3
+        norm = np.linalg.norm(raw)
+        if norm == 0.0:
+            return np.inf, np.zeros(8)
+        amps = raw / norm
+        value, grad = value_and_grad(amps)
+        # through the normalization, then the linear map
+        grad = chi3 @ ((grad - amps * np.vdot(amps, grad).real) / norm)
+        out = np.empty(8)
+        out[0::2], out[1::2] = grad.real, grad.imag
+        return -value, -out
+
+    return objective
+
+
 def brute_force_ci(code, p, q):
     """Independent oracle: explicit n-fold Kraus map on the 3^n output.
 
@@ -404,11 +504,17 @@ def _zdiag_evaluator(p, q, n):
 
     For code sum_s c_s |s>|s> every pattern block is supported on the
     orthonormal set {|s>_ref (x) |s_surv>}, so its matrix in that basis
-    is c_s c_s' [s_erased == s'_erased] (1-2p)^d(s_surv, s'_surv) and
-    the eigenproblem is only 2^n-dimensional.  The masks of all
-    nonzero-weight patterns are built here, once; ``evaluate(coeffs)``
-    then makes one stacked eigvalsh call and one matmul for the
-    reference-traced diagonals.
+    is B_s = (c c^T) o K_s with K_s[s, s'] = [s_erased == s'_erased]
+    (1-2p)^d(s_surv, s'_surv), and the eigenproblem is only
+    2^n-dimensional.  The masks of all nonzero-weight patterns are built
+    here, once; ``value_and_grad(coeffs)`` then makes one stacked eigh
+    call and one matmul for the reference-traced diagonals
+    g_s = G_s c^2, and returns the value with its exact gradient
+
+        dS(B_s)/dc = -2 ((log2 B_s) o K_s) c,
+        dH(g_s)/dc_i = -2 c_i sum_t G_s[t, i] log2 g_s[t],
+
+    whose 1/ln 2 terms cancel between the two entropies.
     """
     dim = 2**n
     erased = np.arange(dim)  # erased-position bit masks, in pattern order
@@ -425,31 +531,40 @@ def _zdiag_evaluator(p, q, n):
     grouping = ((idx[None, None, :] & surv) == idx[None, :, None]).astype(float)
     grouping = grouping.reshape(-1, dim)
 
-    def evaluate(coeffs):
+    def value_and_grad(coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
-        evals = np.linalg.eigvalsh(np.outer(coeffs, coeffs) * masks)
+        evals, vecs = _hermitian_eigh(np.outer(coeffs, coeffs) * masks)
         grouped = (grouping @ coeffs**2).reshape(len(weights), dim)
-        return float(
-            weights
-            @ (shannon_entropy(grouped) - shannon_entropy(np.maximum(evals, 0.0)))
+        value = float(weights @ (shannon_entropy(grouped) - shannon_entropy(evals)))
+        log_grouped = np.log2(np.where(grouped > 0, grouped, 1.0))
+        grad = 2.0 * (
+            weights @ ((_log2_matrix(evals, vecs) * masks) @ coeffs)
+            - coeffs * ((weights[:, None] * log_grouped).reshape(-1) @ grouping)
         )
+        return value, grad
 
-    return evaluate
+    return value_and_grad
 
 
 def _zdiag_ci_fast(coeffs, p, q, n):
     """Coherent information of a Z-diagonal code on its 2^n-dim support."""
-    return _zdiag_evaluator(p, q, n)(coeffs)
+    return _zdiag_evaluator(p, q, n)(coeffs)[0]
+
+
+# local polish of every code search; L-BFGS-B's ftol is relative to
+# max(|f|, 1), so absolute for the sub-bit values near the thresholds
+_LBFGS_OPTIONS = {"maxiter": 200, "ftol": 1e-15, "gtol": 1e-10}
 
 
 def optimize_zdiag(p, q, n, seed=0, n_starts=32, n_limit=DEFAULT_N_LIMIT):
     """Optimize the Schmidt coefficients of the Z-diagonal n-use code.
 
-    Multi-start derivative-free local search (Powell) over the
-    normalized coefficient vector, warm started from the optimal
-    weighted repetition code.  Deterministic per seed.  Returns
-    (value, coefficients) with coefficients in lexicographic pattern
-    order.
+    Multi-start L-BFGS-B with the exact gradient over w, the code
+    being c = w / |w|, warm started from the optimal weighted repetition
+    code.  The value is invariant under sign flips of any c_s, so w
+    needs no sign constraint and |c| is returned.  Deterministic per
+    seed.  Returns (value, coefficients) with coefficients in
+    lexicographic pattern order.
     """
     p = _check_prob(p, "p", hi=0.5)
     q = _check_prob(q, "q", hi=0.5)
@@ -461,8 +576,11 @@ def optimize_zdiag(p, q, n, seed=0, n_starts=32, n_limit=DEFAULT_N_LIMIT):
     def objective(w):
         norm = np.linalg.norm(w)
         if norm == 0.0:
-            return np.inf
-        return -evaluate(np.abs(w) / norm)
+            return np.inf, np.zeros(dim)
+        coeffs = w / norm
+        value, grad = evaluate(coeffs)
+        # minus the gradient, projected onto the sphere's tangent at c
+        return -value, (coeffs * (coeffs @ grad) - grad) / norm
 
     rep_val, rep_lam = repetition_ci_opt(p, q, n)
     warm = np.zeros(dim)
@@ -473,8 +591,7 @@ def optimize_zdiag(p, q, n, seed=0, n_starts=32, n_limit=DEFAULT_N_LIMIT):
     best_val, best_coeffs = -np.inf, warm
     for start in starts:
         res = minimize(
-            objective, start, method="Powell",
-            options={"maxiter": 30, "xtol": 1e-8, "ftol": 1e-10},
+            objective, start, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS
         )
         val = -res.fun
         if val > best_val:
@@ -510,13 +627,12 @@ def optimize_chi3(p, q, seed=0, config=None):
         warms.append(np.array([eps, 0.0, eps, 0.0, 1.0, 0.0, 0.0, 0.0]))
     result = pso_minimize(objective, 8, config, warm_starts=warms)
 
-    # deterministic local polish from the swarm best and each warm start,
-    # on the same objective one row at a time
+    # deterministic local polish from the swarm best and each warm start
+    polish = _chi3_polish_objective(p, q)
     best_val, best_x = result.best_value, result.best_position
     for start in [result.best_position] + warms:
         res = minimize(
-            lambda x: objective(x[None])[0], start, method="Powell",
-            options={"maxiter": 100, "xtol": 1e-10, "ftol": 1e-12},
+            polish, start, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS
         )
         if res.fun < best_val:
             best_val, best_x = res.fun, res.x

@@ -77,6 +77,32 @@ def binary_entropy(x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
+def _hermitian_eigh(rho, vectors=True):
+    """Validated eigendecomposition of a stack (..., d, d) of Hermitian matrices.
+
+    Raises ``ValueError`` unless every matrix is square, Hermitian to
+    HERMITICITY_TOL and has no eigenvalue below EIGENVALUE_FLOOR.
+    Returns the eigenvalues clamped at zero and, with ``vectors``, the
+    eigenvectors.  Real input stays real.
+    """
+    rho = np.asarray(rho)
+    rho = rho.astype(np.result_type(rho, float), copy=False)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {rho.shape}")
+    herm = rho.conj().swapaxes(-1, -2)
+    asym = np.abs(rho - herm).max()
+    if asym > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3g})")
+    if vectors:
+        evals, vecs = np.linalg.eigh((rho + herm) / 2)
+    else:
+        evals = np.linalg.eigvalsh((rho + herm) / 2)
+    if evals.min() < EIGENVALUE_FLOOR:
+        raise ValueError(f"negative eigenvalue {evals.min():.3g}")
+    evals = np.maximum(evals, 0.0)
+    return (evals, vecs) if vectors else evals
+
+
 def von_neumann_entropy(rho):
     """S(rho) = -tr(rho log2 rho) via Hermitian eigendecomposition.
 
@@ -86,17 +112,9 @@ def von_neumann_entropy(rho):
     [-1e-8, 0) are clamped to zero; anything below -1e-8 is rejected as
     an invalid state.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {rho.shape}")
-    herm = rho.conj().swapaxes(-1, -2)
-    asym = np.abs(rho - herm).max()
-    if asym > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3g})")
-    evals = np.linalg.eigvalsh((rho + herm) / 2)
-    if evals.min() < EIGENVALUE_FLOOR:
-        raise ValueError(f"negative eigenvalue {evals.min():.3g}")
-    return shannon_entropy(np.maximum(evals, 0.0))
+    return shannon_entropy(
+        _hermitian_eigh(np.asarray(rho, dtype=complex), vectors=False)
+    )
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from dephrasure import cli
 from dephrasure.cli import main
+from dephrasure.codes import CodeState, brute_force_ci, normalized_code
 
 
 def _read_csv(path):
@@ -99,6 +102,11 @@ def test_optimize_subcommand(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["value"] > 0.0
     assert len(payload["amplitudes_real"]) == 16
+    # the written code has the written value
+    amps = np.array(payload["amplitudes_real"]) + 1j * np.array(payload["amplitudes_imag"])
+    assert brute_force_ci(normalized_code(2, 4, amps), 0.11, 0.33) == pytest.approx(
+        payload["value"], abs=1e-12
+    )
 
 
 def test_bad_quantity_exit_code():
@@ -143,3 +151,38 @@ def test_diagonal_bad_arguments_fail_before_work(tmp_path, capsys, monkeypatch, 
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_diagonal_theta4_column(tmp_path):
+    # the second point has q = 1.5 > 1/2 and is skipped: one theta4 search
+    out = tmp_path / "diag.csv"
+    rc = main([
+        "diagonal", "--p-range", "0.11:0.5:2", "--codes", "rep4,theta4",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    _, header, rows = _read_csv(out)
+    assert header == ["p", "q", "rep4", "theta4"]
+    assert len(rows) == 1
+    rep4, theta4 = float(rows[0][2]), float(rows[0][3])
+    assert rep4 < theta4 == pytest.approx(0.01253, abs=1e-5)
+
+
+def test_optimize_writes_the_schmidt_form(tmp_path, monkeypatch):
+    # two codes that differ by a unitary on the reference are written alike
+    rng = np.random.default_rng(47)
+    code = normalized_code(2, 4, rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    unitary = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    rotated = CodeState(2, 4, (unitary @ code.amplitudes.reshape(4, 4)).reshape(-1))
+    value = brute_force_ci(code, 0.11, 0.33)
+    written = []
+    for found in (code, rotated):
+        monkeypatch.setattr(cli, "optimize_code_ci", lambda *a, found=found, **k: (value, found))
+        out = tmp_path / "opt.json"
+        assert main(["optimize", "--p", "0.11", "--q", "0.33", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        written.append(np.array(payload["amplitudes_real"]) + 1j * np.array(payload["amplitudes_imag"]))
+    assert np.abs(written[0] - written[1]).max() <= 1e-12
+    assert brute_force_ci(normalized_code(2, 4, written[0]), 0.11, 0.33) == pytest.approx(
+        value, abs=1e-12
+    )

@@ -258,3 +258,99 @@ def test_swarm_objectives_map_zero_rows_to_inf():
                 -multiletter_ci(code_of(x[i]), p, q), abs=1e-12
             )
         assert np.all(objective(np.zeros((3, dim))) == np.inf)
+
+
+# (p, q) corners and interior points of the gradient tests
+GRADIENT_POINTS = [(p, q) for p in (0.0, 0.11, 0.5) for q in (0.0, 0.33, 1.0)]
+
+
+def _central_differences(f, x, h=1e-6):
+    steps = np.eye(len(x)) * h
+    return np.array([(f(x + e) - f(x - e)) / (2 * h) for e in steps])
+
+
+@pytest.mark.parametrize("p, q", GRADIENT_POINTS)
+def test_block_gradient_matches_finite_differences(p, q):
+    from dephrasure.codes import _chi3_objective, _chi3_polish_objective, _ci_gradient
+
+    rng = np.random.default_rng(31)
+    for n, ref_dim in ((1, 2), (2, 4), (3, 2)):
+        size = ref_dim * 2**n
+        amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        amps /= np.linalg.norm(amps)
+        value_and_grad = _ci_gradient(n, ref_dim, p, q)
+        value, grad = value_and_grad(amps)
+        assert value == pytest.approx(
+            multiletter_ci(CodeState(n, ref_dim, amps), p, q), abs=1e-12
+        )
+        # real parameters (Re a, Im a) against Re and Im of the gradient
+        x = np.concatenate([amps.real, amps.imag])
+        fd = _central_differences(
+            lambda y: value_and_grad(y[:size] + 1j * y[size:])[0], x
+        )
+        assert np.abs(fd - np.concatenate([grad.real, grad.imag])).max() <= 1e-6
+
+    # the chi_3 polish objective, through the normalization and the map
+    polish = _chi3_polish_objective(p, q)
+    x = rng.uniform(-1.0, 1.0, 8)
+    value, grad = polish(x)
+    assert value == pytest.approx(_chi3_objective(p, q)(x[None])[0], abs=1e-12)
+    assert np.abs(_central_differences(lambda y: polish(y)[0], x) - grad).max() <= 1e-6
+
+
+@pytest.mark.parametrize("p, q", GRADIENT_POINTS)
+def test_zdiag_gradient_matches_finite_differences(p, q):
+    from dephrasure.codes import _zdiag_evaluator
+
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 3, 4):
+        coeffs = rng.standard_normal(2**n)
+        coeffs /= np.linalg.norm(coeffs)
+        value_and_grad = _zdiag_evaluator(p, q, n)
+        value, grad = value_and_grad(coeffs)
+        assert value == pytest.approx(
+            multiletter_ci(zdiag_code(np.abs(coeffs)), p, q), abs=1e-10
+        )
+        fd = _central_differences(lambda c: value_and_grad(c)[0], coeffs)
+        assert np.abs(fd - grad).max() <= 1e-6
+
+
+def test_theta_n_rates_rise_with_n_inside_the_bounds():
+    # the paper's theta_n per-letter rates at (0.11, 0.33): about
+    # 0.01100 < 0.01190 < 0.01253 for n = 2, 3, 4
+    from dephrasure.qinfo import binary_entropy
+
+    p, q = 0.11, 0.33
+    upper = min(1 - 2 * q, 1 - binary_entropy(p))
+    rates = []
+    for n in (2, 3, 4):
+        value, coeffs = optimize_zdiag(p, q, n, seed=0)
+        rate = value / n
+        assert repetition_ci_opt(p, q, n)[0] / n <= rate <= upper
+        assert multiletter_ci(zdiag_code(coeffs), p, q) == pytest.approx(value, abs=1e-10)
+        rates.append(rate)
+    assert rates[0] < rates[1] < rates[2]
+    assert rates == pytest.approx([0.01100, 0.01190, 0.01253], abs=1e-5)
+
+
+def _reference_unitary(rng, dim):
+    mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.linalg.qr(mat)[0]
+
+
+def test_schmidt_form_removes_reference_unitaries():
+    from dephrasure.codes import schmidt_form
+
+    rng = np.random.default_rng(43)
+    for n, ref_dim in ((2, 4), (3, 4), (2, 2)):
+        code = _random_code(rng, n, ref_dim)
+        mat = code.amplitudes.reshape(ref_dim, 2**n)
+        assert len(set(np.round(np.linalg.svd(mat, compute_uv=False), 6))) == ref_dim
+        canonical = schmidt_form(code).amplitudes
+        rotated = CodeState(
+            n, ref_dim, (_reference_unitary(rng, ref_dim) @ mat).reshape(-1)
+        )
+        assert np.abs(schmidt_form(rotated).amplitudes - canonical).max() <= 1e-12
+        assert multiletter_ci(CodeState(n, ref_dim, canonical), 0.11, 0.33) == (
+            pytest.approx(multiletter_ci(code, 0.11, 0.33), abs=1e-12)
+        )

@@ -194,3 +194,27 @@ def test_von_neumann_entropy_validates_every_matrix_of_a_stack():
         von_neumann_entropy(negative)
     with pytest.raises(ValueError):
         von_neumann_entropy(np.ones((3, 2, 4)))
+
+
+def test_hermitian_eigh_validates_as_von_neumann_entropy_does():
+    from dephrasure.qinfo import _hermitian_eigh
+
+    rng = np.random.default_rng(6)
+    rhos = _random_states(rng, 3, 4)
+    nonhermitian = rhos.copy()
+    nonhermitian[2, 0, 1] += 1e-3
+    negative = rhos.copy()
+    negative[0] = np.diag([0.7, 0.4, 0.0, -0.1])
+    for bad in (nonhermitian, negative, np.ones((3, 2, 4))):
+        with pytest.raises(ValueError) as expected:
+            von_neumann_entropy(bad)
+        with pytest.raises(ValueError) as raised:
+            _hermitian_eigh(bad)
+        assert str(raised.value) == str(expected.value)
+
+    evals, vecs = _hermitian_eigh(rhos)
+    assert np.allclose((vecs * evals[..., None, :]) @ vecs.conj().swapaxes(-1, -2), rhos)
+    assert np.allclose(shannon_entropy(evals), von_neumann_entropy(rhos), atol=1e-13)
+    # the real part of a state is a real state, and stays real
+    evals, vecs = _hermitian_eigh(rhos.real)
+    assert vecs.dtype == np.float64
