@@ -15,16 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    _EMBED,
     KET_E,
+    _Z,
     _check_prob,
     complementary_kraus,
     dephrasure_kraus,
     region_k,
 )
-from .qinfo import KrausSet, choi_of
+from .qinfo import KrausSet, _choi_of_terms, choi_of
 
-_EMBED = np.array([[1, 0], [0, 1], [0, 0]], dtype=complex)
-_ZMAT = np.diag([1.0, -1.0]).astype(complex)
 _OUT = [np.eye(3, dtype=complex)[:, i] for i in range(3)]
 
 
@@ -70,7 +70,7 @@ def _erasure_terms(x, block, dephase=0.0):
     """Weighted terms of [dephasing then] erasure-x on one input block."""
     sel = _block_selector(block)
     terms = []
-    for w, core in ((1.0 - dephase, np.eye(2)), (dephase, _ZMAT)):
+    for w, core in ((1.0 - dephase, np.eye(2)), (dephase, _Z)):
         if w == 0.0:
             continue
         terms.append((w * (1.0 - x), _EMBED @ core @ sel))
@@ -133,15 +133,6 @@ def antidegrading_map(p, q):
     _, x, terms = _map_terms(p, q)
     ops = [np.sqrt(w) * K for w, K in terms if w > 0.0]
     return KrausSet(4, 3, tuple(ops))
-
-
-def _choi_of_terms(terms, in_dim, out_dim):
-    d = in_dim * out_dim
-    choi = np.zeros((d, d), dtype=complex)
-    for w, K in terms:
-        vec = K.T.reshape(-1)
-        choi += w * np.outer(vec, vec.conj())
-    return choi
 
 
 def verify_antidegradable(p, q, tol=1e-10):

@@ -36,19 +36,18 @@ def _parse_range(text):
         raise argparse.ArgumentTypeError(f"range {text!r} outside [0, 1]")
     return np.linspace(lo, hi, steps)
 
+
 _QUANTITY_RE = re.compile(r"^([a-z_0-9]+?)(?:\((\d+)\))?$")
 
-_QUANTITIES = {
-    "single_ci",
-    "repetition_gap",
-    "repetition_rate",
-    "zdiag_rate",
-    "chi3_rate",
-    "private_lb",
-    "separation",
-    "regions",
-    "antideg",
-    "comp_witness",
+# sweep quantity -> its value columns
+_QUANTITIES = dict.fromkeys(
+    ["single_ci", "repetition_gap", "repetition_rate", "zdiag_rate", "chi3_rate",
+     "private_lb", "separation"],
+    ["value"],
+) | {
+    "regions": ["g", "j", "k"],  # a function of p alone
+    "antideg": ["antidegradable", "residual", "cp_min_eig"],
+    "comp_witness": ["ci_value", "epsilon"],
 }
 
 
@@ -61,13 +60,22 @@ def _parse_quantity(text, default_n):
     return name, n
 
 
-def _provenance(args, seed):
-    flags = " ".join(sys.argv[1:]) if sys.argv[1:] else args.command
-    return {"version": __version__, "flags": flags, "seed": seed}
+def _write(path, text):
+    """Write ``text`` to ``path``, or to stdout for None or "-"."""
+    if path in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as handle:
+            handle.write(text)
 
 
-def _emit(path, fmt, header, rows, provenance):
-    if fmt == "json":
+def _provenance(args):
+    return {"version": __version__, "flags": args.flags, "seed": args.seed}
+
+
+def _emit(args, header, rows):
+    provenance = _provenance(args)
+    if args.format == "json":
         payload = {
             "provenance": provenance,
             "columns": header,
@@ -82,102 +90,91 @@ def _emit(path, fmt, header, rows, provenance):
         ]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as handle:
-            handle.write(text)
+    _write(args.out, text)
+    return 0
 
 
-def _point_value(name, n, p, q, seed):
+def _values(name, n, P, Q, seed):
+    """Quantity ``name`` at the points (P, Q), in one call where it batches."""
     if name == "single_ci":
-        return [channel.single_letter_ci(p, q)[0]]
+        return channel.single_letter_ci(P, Q)[0]
     if name == "repetition_rate":
-        return [codes.repetition_ci_opt(p, q, n)[0] / n]
+        return codes.repetition_ci_opt(P, Q, n)[0] / n
     if name == "repetition_gap":
-        rate = codes.repetition_ci_opt(p, q, n)[0] / n
-        return [rate - channel.single_letter_ci(p, q)[0]]
-    if name == "zdiag_rate":
-        return [codes.optimize_zdiag(p, q, n, seed=seed)[0] / n]
-    if name == "chi3_rate":
-        return [codes.optimize_chi3(p, q, seed=seed)[0] / 3]
+        # single-letter first: its checks (p, then q <= 1/2, point by point)
+        # raise the error that a loop over the points raised
+        single = channel.single_letter_ci(P, Q)[0]
+        return codes.repetition_ci_opt(P, Q, n)[0] / n - single
     if name == "private_lb":
-        return [private_info.private_lower_bound(p, q)[0]]
+        return private_info.private_lower_bound(P, Q)[0]
     if name == "separation":
-        return [
-            private_info.private_lower_bound(p, q)[0]
-            - channel.single_letter_ci(p, q)[0]
-        ]
+        return (
+            private_info.private_lower_bound(P, Q)[0]
+            - channel.single_letter_ci(P, Q)[0]
+        )
+    points = zip(P, Q)
+    if name == "zdiag_rate":
+        return [codes.optimize_zdiag(p, q, n, seed=seed)[0] / n for p, q in points]
+    if name == "chi3_rate":
+        return [codes.optimize_chi3(p, q, seed=seed)[0] / 3 for p, q in points]
     if name == "antideg":
-        report = antideg.verify_antidegradable(p, q)
+        reports = (antideg.verify_antidegradable(p, q) for p, q in points)
         return [
-            1.0 if report.antidegradable else 0.0,
-            report.composition_residual,
-            report.cp_min_eigenvalue,
+            [float(r.antidegradable), r.composition_residual, r.cp_min_eigenvalue]
+            for r in reports
         ]
     if name == "comp_witness":
-        witness = compci.positivity_witness(p, q)
-        return [witness.ci_value, witness.epsilon]
+        witnesses = (compci.positivity_witness(p, q) for p, q in points)
+        return [[w.ci_value, w.epsilon] for w in witnesses]
     raise ValueError(name)
 
 
-_EXTRA_COLUMNS = {
-    "antideg": ["antidegradable", "residual", "cp_min_eig"],
-    "comp_witness": ["ci_value", "epsilon"],
-}
+def _table(columns, P, Q, seed):
+    """p-major rows (p, q, values...) of the (quantity, n) ``columns``."""
+    table = [P, Q]
+    for name, n in columns:
+        values = _values(name, n, P, Q, seed)
+        table.append(np.reshape(values, (len(P), len(_QUANTITIES[name]))))
+    return np.column_stack(table)
 
 
 def cmd_sweep(args):
     name, n = _parse_quantity(args.quantity, args.n)
-    p_grid = args.p_range
-    q_grid = args.q_range
-    rows = []
     if name == "regions":
-        header = ["p", "g", "j", "k"]
-        for p in p_grid:
-            rows.append([p, *channel.region_curves(p)])
-    else:
-        header = ["p", "q"] + _EXTRA_COLUMNS.get(name, ["value"])
-        for p in p_grid:
-            for q in q_grid:
-                rows.append([p, q, *_point_value(name, n, p, q, args.seed)])
-    _emit(args.out, args.format, header, rows, _provenance(args, args.seed))
-    return 0
-
-
-def cmd_regions(args):
-    header = ["p", "g", "j", "k"]
-    rows = [[p, *channel.region_curves(p)] for p in args.p_range]
-    _emit(args.out, args.format, header, rows, _provenance(args, args.seed))
-    return 0
+        rows = [[p, *channel.region_curves(p)] for p in args.p_range]
+        return _emit(args, ["p", *_QUANTITIES[name]], rows)
+    P = np.repeat(args.p_range, len(args.q_range))
+    Q = np.tile(args.q_range, len(args.p_range))
+    rows = _table([(name, n)], P, Q, args.seed)
+    return _emit(args, ["p", "q", *_QUANTITIES[name]], rows)
 
 
 _CODE_RE = re.compile(r"^rep([1-9])$")
+# --codes name -> the sweep quantity, with its n, of the per-letter rate
+_CODES = {
+    "single_ci": ("single_ci", None),
+    "private_lb": ("private_lb", None),
+    "theta4": ("zdiag_rate", 4),
+    "chi3": ("chi3_rate", 3),
+}
 
 
-def _diagonal_columns(names, seed):
-    """One per-letter rate function (p, q) -> value per ``--codes`` name.
+def _diagonal_columns(names):
+    """The (quantity, n) of each ``--codes`` name.
 
     Raises ValueError on an unknown name, before any column is computed.
     """
-    named = {
-        "single_ci": lambda p, q: channel.single_letter_ci(p, q)[0],
-        "private_lb": lambda p, q: private_info.private_lower_bound(p, q)[0],
-        "theta4": lambda p, q: codes.optimize_zdiag(p, q, 4, seed=seed)[0] / 4,
-        "chi3": lambda p, q: codes.optimize_chi3(p, q, seed=seed)[0] / 3,
-    }
     columns = []
     for name in names:
         rep = _CODE_RE.match(name)
         if rep:
-            n = int(rep.group(1))
-            columns.append(lambda p, q, n=n: codes.repetition_ci_opt(p, q, n)[0] / n)
-        elif name in named:
-            columns.append(named[name])
+            columns.append(("repetition_rate", int(rep.group(1))))
+        elif name in _CODES:
+            columns.append(_CODES[name])
         else:
             raise ValueError(
                 f"unknown code {name!r} (expected rep1..rep9, "
-                + ", ".join(named) + ")"
+                + ", ".join(_CODES) + ")"
             )
     return columns
 
@@ -187,16 +184,9 @@ def cmd_diagonal(args):
     if not slope > 0:
         raise ValueError(f"--diagonal-slope must be positive, got {slope}")
     names = [c.strip() for c in args.codes.split(",") if c.strip()]
-    columns = _diagonal_columns(names, args.seed)
-    header = ["p", "q"] + names
-    rows = []
-    for p in args.p_range:
-        q = slope * p
-        if q > 0.5 + 1e-12:
-            continue
-        rows.append([p, q] + [column(p, q) for column in columns])
-    _emit(args.out, args.format, header, rows, _provenance(args, args.seed))
-    return 0
+    columns = _diagonal_columns(names)
+    P = args.p_range[slope * args.p_range <= 0.5 + 1e-12]
+    return _emit(args, ["p", "q", *names], _table(columns, P, slope * P, args.seed))
 
 
 def cmd_verify(args):
@@ -204,12 +194,7 @@ def cmd_verify(args):
     if args.tol is not None and args.suite in ("antideg", "oracle", "compci"):
         kwargs["tol"] = args.tol
     report = verify.run_suite(args.suite, **kwargs)
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+    _write(args.out, json.dumps(report, indent=2) + "\n")
     return 0 if report["passed"] else 1
 
 
@@ -227,7 +212,7 @@ def cmd_optimize(args):
     )
     code = codes.schmidt_form(code)
     payload = {
-        "provenance": _provenance(args, args.seed),
+        "provenance": _provenance(args),
         "p": args.p,
         "q": args.q,
         "n": args.n,
@@ -245,12 +230,7 @@ def cmd_optimize(args):
         "amplitudes_real": [float(x) for x in code.amplitudes.real],
         "amplitudes_imag": [float(x) for x in code.amplitudes.imag],
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+    _write(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -282,7 +262,7 @@ def build_parser():
 
     regions = sub.add_parser("regions", help="the boundary curves g, j, k")
     common(regions)
-    regions.set_defaults(func=cmd_regions)
+    regions.set_defaults(func=cmd_sweep, quantity="regions", n=None)
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("suite", choices=sorted(verify.SUITES))
@@ -307,6 +287,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the provenance records the flags this call was given
+    args.flags = " ".join(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ValueError, OSError, argparse.ArgumentTypeError) as exc:

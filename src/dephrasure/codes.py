@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 from scipy.optimize import minimize
 
-from .channel import _check_prob, dephrasure_kraus, maximize_over_weights
+from .channel import _check_prob, _shaped, dephrasure_kraus, maximize_over_weights
 from .qinfo import (
     _hermitian_eigh,
     binary_entropy,
@@ -115,9 +115,8 @@ def _c_value(p, n):
     return -np.expm1(2 * n * np.log1p(-2 * p))
 
 
-def _rep_small_eig(lam, p, n):
-    """(1-u)/2 = 2 lam (1-lam) c / (1+u), stable for tiny lam."""
-    c = _c_value(p, n)
+def _rep_small_eig(lam, c):
+    """(1-u)/2 = 2 lam (1-lam) c / (1+u), stable for tiny lam; c = _c_value(p, n)."""
     w = 4 * lam * (1 - lam) * c
     u = np.sqrt(np.clip(1.0 - w, 0.0, None))
     return w / (2 * (1 + u))
@@ -136,11 +135,15 @@ def repetition_ci(p, q, n, lam):
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0) or np.any(lam > 1):
         raise ValueError("lambda outside [0, 1]")
-    s = _rep_small_eig(lam, p, n)
-    out = ((1 - q) ** n - q**n) * binary_entropy(lam) - (
-        1 - q
-    ) ** n * binary_entropy(s)
+    out = _repetition_closed_form(lam, _c_value(p, n), (1 - q) ** n, q**n)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _repetition_closed_form(lam, c, kept, erased):
+    """repetition_ci from c = _c_value(p, n), kept = (1-q)^n, erased = q^n."""
+    return (kept - erased) * binary_entropy(lam) - kept * binary_entropy(
+        _rep_small_eig(lam, c)
+    )
 
 
 def repetition_ci_opt(p, q, n):
@@ -149,11 +152,29 @@ def repetition_ci_opt(p, q, n):
     Returns (value, lambda_star).  The scan grid mixes a linear 1e-4
     grid with log-spaced points down to 1e-300: close to the g(p)
     threshold the positive window lives at exponentially small lambda.
+    p, q and n broadcast: arrays give arrays of the broadcast shape from
+    one batched scan, scalars give Python floats.  Each point is checked
+    as repetition_ci checks it, in C order.
     """
-    value, lam = maximize_over_weights(
-        lambda lam: repetition_ci(p, q, n, lam), 1e-4, 1e-12
+    p, q, n = np.broadcast_arrays(
+        np.asarray(p, dtype=float), np.asarray(q, dtype=float), np.asarray(n)
     )
-    return value, lam
+    shape = p.shape
+    terms = []
+    for pi, qi, ni in zip(p.flat, q.flat, n.flat):
+        pi = _check_prob(pi, "p", hi=0.5)
+        qi = _check_prob(qi, "q")
+        ni = ni.item()
+        if ni < 1:
+            raise ValueError("n must be >= 1")
+        # Python float powers: numpy's array power differs from libm pow
+        # in the last bit for some arguments
+        terms.append((_c_value(pi, ni), (1 - qi) ** ni, qi**ni))
+    c, kept, erased = np.array(terms, dtype=float).reshape(-1, 3).T[..., None]
+    value, lam = maximize_over_weights(
+        lambda lam: _repetition_closed_form(lam, c, kept, erased), 1e-4, 1e-12
+    )
+    return _shaped(shape, value, lam)
 
 
 def threshold_f(p, lam, n):
@@ -167,7 +188,8 @@ def threshold_f(p, lam, n):
     p = _check_prob(p, "p", hi=0.5)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return float(binary_entropy(_rep_small_eig(lam, p, n)) / binary_entropy(lam))
+    small = _rep_small_eig(lam, _c_value(p, n))
+    return float(binary_entropy(small) / binary_entropy(lam))
 
 
 def repetition_code_state(n, lam):

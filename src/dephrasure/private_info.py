@@ -13,6 +13,8 @@ import numpy as np
 
 from .channel import (
     _check_prob,
+    _points,
+    _shaped,
     complementary_apply,
     dephrasure_kraus,
     maximize_over_weights,
@@ -82,6 +84,11 @@ def plusminus_ensemble(lam):
     return [(0.5, rho1), (0.5, rho2)]
 
 
+def _plusminus_closed_form(lam, p, q):
+    mix = p + (1 - lam) * (1 - 2 * p)
+    return (1 - q) * (1 - binary_entropy(mix)) - q * (1 - binary_entropy(lam))
+
+
 def plusminus_private_info(lam, p, q):
     """Closed form of the +/- family private information.
 
@@ -94,8 +101,7 @@ def plusminus_private_info(lam, p, q):
         raise ValueError("lambda outside [0, 1]")
     p = _check_prob(p, "p")
     q = _check_prob(q, "q")
-    mix = p + (1 - lam) * (1 - 2 * p)
-    out = (1 - q) * (1 - binary_entropy(mix)) - q * (1 - binary_entropy(lam))
+    out = _plusminus_closed_form(lam, p, q)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -104,17 +110,16 @@ def private_lower_bound(p, q):
 
     Returns (value, lambda_star) with lambda_star in [1/2, 1] by the
     lam <-> 1-lam symmetry.  Uses the closed form, which matches the
-    Holevo-form evaluation of plusminus_ensemble to within 1e-10.
+    Holevo-form evaluation of plusminus_ensemble to within 1e-10.  p and
+    q broadcast as in single_letter_ci: arrays give arrays from one
+    batched scan, scalars give Python floats.
     """
-    p = _check_prob(p, "p", hi=0.5)
-    q = _check_prob(q, "q", hi=0.5)
+    shape, p, q = _points(p, q)
     # scan mu = 1 - lam over [0, 1/2]
     value, mu = maximize_over_weights(
-        lambda m: plusminus_private_info(1.0 - np.asarray(m, dtype=float), p, q),
-        1e-3,
-        1e-10,
+        lambda m: _plusminus_closed_form(1.0 - m, p, q), 1e-3, 1e-10
     )
-    return value, 1.0 - mu
+    return _shaped(shape, value, 1.0 - mu)
 
 
 def _ensemble_from_state(psi):

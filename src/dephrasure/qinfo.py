@@ -227,11 +227,22 @@ def choi_of(kraus):
     trace over the output block gives the identity for trace-preserving
     maps.
     """
-    d = kraus.in_dim * kraus.out_dim
+    return _choi_of_terms(
+        [(1.0, K) for K in kraus.operators], kraus.in_dim, kraus.out_dim
+    )
+
+
+def _choi_of_terms(terms, in_dim, out_dim):
+    """Choi matrix of rho -> sum_i w_i K_i rho K_i^dag, in choi_of's ordering.
+
+    The weights may be negative, so maps that are not completely positive
+    are representable.
+    """
+    d = in_dim * out_dim
     choi = np.zeros((d, d), dtype=complex)
-    for K in kraus.operators:
-        w = K.T.reshape(-1)
-        choi += np.outer(w, w.conj())
+    for w, K in terms:
+        vec = K.T.reshape(-1)
+        choi += w * np.outer(vec, vec.conj())
     return choi
 
 

@@ -48,8 +48,8 @@ def antideg_suite(grid=20, tol=1e-10):
     """Composition identity and CP of the degrading maps on {q >= k(p)}."""
     worst_res = 0.0
     worst_cp = 0.0
-    worst_ci = -np.inf
     ok = True
+    points = []
     for p in np.linspace(0.0, 0.5, grid):
         k = channel.region_k(p)
         for q in np.linspace(max(k, 1e-6), 0.5, grid):
@@ -57,7 +57,8 @@ def antideg_suite(grid=20, tol=1e-10):
             worst_res = max(worst_res, report.composition_residual)
             worst_cp = min(worst_cp, report.cp_min_eigenvalue)
             ok = ok and report.antidegradable
-            worst_ci = max(worst_ci, channel.single_letter_ci(p, q)[0])
+            points.append((p, q))
+    worst_ci = float(np.max(channel.single_letter_ci(*np.transpose(points))[0]))
     checks = [
         _check("composition_residual", worst_res <= tol, worst_res),
         _check("cp_min_eigenvalue", worst_cp >= -tol, worst_cp),
@@ -73,15 +74,17 @@ def antideg_suite(grid=20, tol=1e-10):
 def thresholds_suite(dq=1e-3):
     """Sign structure of the repetition and maximally-mixed thresholds."""
     checks = []
-    worst_below = np.inf
-    worst_above = -np.inf
-    for n in range(1, 6):
-        for p in (0.05, 0.15, 0.25, 0.35):
-            g = channel.region_g(p)
-            below, _ = codes.repetition_ci_opt(p, g - dq, n)
-            above, _ = codes.repetition_ci_opt(p, min(g + dq, 0.5), n)
-            worst_below = min(worst_below, below)
-            worst_above = max(worst_above, above)
+    # (n, p, q) at q = g(p) -/+ dq, one batched repetition scan for all
+    points = [
+        (n, p, q)
+        for n in range(1, 6)
+        for p in (0.05, 0.15, 0.25, 0.35)
+        for q in (channel.region_g(p) - dq, min(channel.region_g(p) + dq, 0.5))
+    ]
+    n, p, q = np.transpose(points)
+    values = codes.repetition_ci_opt(p, q, n.astype(int))[0]
+    worst_below = float(values[0::2].min())
+    worst_above = float(values[1::2].max())
     checks.append(_check("repetition_positive_below_g", worst_below > 0.0, worst_below))
     checks.append(_check("repetition_zero_above_g", worst_above <= 1e-12, worst_above))
 

@@ -119,16 +119,19 @@ def test_bad_range_exit_code():
     assert err.value.code == 2
 
 
-def test_deterministic_output(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+def test_deterministic_output(tmp_path, monkeypatch):
     args = [
         "sweep", "--quantity", "private_lb",
         "--p-range", "0.08:0.12:3", "--q-range", "0.24:0.36:3",
+        "--out", "out.csv",
     ]
-    main(args + ["--out", str(a)])
-    main(args + ["--out", str(b)])
-    # provenance lines differ only by flag text (identical here)
-    assert a.read_text() == b.read_text()
+    # the same flags, --out included, in two directories
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        main(args)
+    a, b = ((tmp_path / run / "out.csv").read_text() for run in ("a", "b"))
+    assert a == b
 
 
 @pytest.mark.parametrize(
@@ -186,3 +189,51 @@ def test_optimize_writes_the_schmidt_form(tmp_path, monkeypatch):
     assert brute_force_ci(normalized_code(2, 4, written[0]), 0.11, 0.33) == pytest.approx(
         value, abs=1e-12
     )
+
+
+def test_provenance_records_the_flags_main_was_given(tmp_path, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["x", "--verbose", "x"])
+    out = tmp_path / "regions.csv"
+    argv = ["regions", "--p-range", "0:0.5:2", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text().splitlines()[0] == (
+        "# dephrasure 0.1.0 | " + " ".join(argv) + " | seed=0"
+    )
+
+    code = normalized_code(2, 4, np.eye(16)[0])
+    monkeypatch.setattr(cli, "optimize_code_ci", lambda *a, **k: (0.0, code))
+    out = tmp_path / "opt.json"
+    argv = ["optimize", "--p", "0.11", "--q", "0.33", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["provenance"]["flags"] == " ".join(argv)
+
+
+def test_provenance_falls_back_to_the_process_arguments(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["dephrasure", "regions", "--p-range", "0:0.5:2"])
+    assert main() == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "# dephrasure 0.1.0 | regions --p-range 0:0.5:2 | seed=0"
+
+
+@pytest.mark.parametrize(
+    "quantity,message",
+    [
+        # the first bad point in p-major order, p checked before q
+        ("single_ci", "q = 0.75 outside [0, 0.5]"),
+        ("private_lb", "q = 0.75 outside [0, 0.5]"),
+        ("separation", "q = 0.75 outside [0, 0.5]"),
+        ("repetition_gap(2)", "q = 0.75 outside [0, 0.5]"),
+        # repetition codes accept q up to 1
+        ("repetition_rate(3)", "p = 0.75 outside [0, 0.5]"),
+        ("repetition_rate(0)", "n must be >= 1"),
+    ],
+)
+def test_out_of_domain_sweep_point_is_a_one_line_error(tmp_path, capsys, quantity, message):
+    out = tmp_path / "sweep.csv"
+    rc = main([
+        "sweep", "--quantity", quantity,
+        "--p-range", "0:1:5", "--q-range", "0:1:5", "--out", str(out),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
