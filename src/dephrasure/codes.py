@@ -289,11 +289,11 @@ def _block_plan(n, ref_dim):
 
 
 def _weighted_groups(n, ref_dim, p, q):
-    """(group, classical weight, dephasing mask) for every plan group.
+    """(group, classical weight, survivors' dephasing mask) for every plan group.
 
     The weight of a pattern erasing k uses is q^k (1-q)^(n-k); the mask
-    scales each block entry by (1-2p)^(Hamming distance of survivors)
-    and leaves the reference untouched.
+    D scales the survivors' coherences by (1-2p)^(Hamming distance), and
+    a block is (M M^dagger) o (1_ref (x) D) for its gathered matrix M.
     """
     p = _check_prob(p, "p")
     q = _check_prob(q, "q")
@@ -301,40 +301,35 @@ def _weighted_groups(n, ref_dim, p, q):
         (
             group,
             q**group.erased * (1 - q) ** (n - group.erased),
-            np.kron(
-                np.ones((ref_dim, ref_dim)), _dephasing_mask(p, n - group.erased)
-            ),
+            _dephasing_mask(p, n - group.erased),
         )
         for group in _block_plan(n, ref_dim)
     ]
 
 
-def _group_blocks(mats, mask):
-    """The dephased blocks rho = (M M^dagger) o mask of gathered matrices.
+def _dephasing_factors(p, m):
+    """F[x, s] = sqrt(w_s) (-1)^(s.x) for m dephased qubits.
 
-    ``mats`` is ``amps[..., group.gather]``, (..., patterns, d, e); the
-    result is (..., patterns, d, d).
+    w_s = p^|s| (1-p)^(m-|s|) is the weight of the Kraus operator Z^s,
+    which multiplies basis state x by (-1)^(s.x); sum_s F[x, s] F[y, s]
+    is the dephasing mask entry (1-2p)^(Hamming distance of x and y).
     """
-    return (mats @ mats.conj().swapaxes(-1, -2)) * mask
-
-
-def _reference_traced(blocks, ref_dim):
-    """The input parts tr_ref(rho) of a stack (..., d, d) of blocks."""
-    m = blocks.shape[-1] // ref_dim
-    return np.trace(
-        blocks.reshape(*blocks.shape[:-2], ref_dim, m, ref_dim, m),
-        axis1=-4,
-        axis2=-2,
-    )
+    idx = np.arange(2**m)
+    flips = np.bitwise_count(idx)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1)
+    return signs * np.sqrt(p**flips * (1 - p) ** (m - flips))
 
 
 def _log2_matrix(evals, vecs):
     """log2 of Hermitian matrices from their eigendecomposition.
 
-    Taken as 0 on the kernel.  The gradients below multiply it into the
-    columns of M for rho = (M M^dagger) o K, and range(M) lies in
-    range(rho): for p <= 1/2 the dephasing keeps its identity Kraus
-    term with weight (1-p)^m > 0.
+    Taken as 0 on the kernel, which no gradient below sees.  The block
+    gradients multiply it into N from the side of N's own kernel:
+    N log2(N^dagger N) and log2(N N^dagger) N, with ker(N^dagger N) =
+    ker N and ker(N N^dagger) = ker N^dagger.  The Z-diagonal gradient
+    multiplies (log2 B_s) o K_s into c, i.e. log2 B_s into the vectors
+    Z^t c of which B_s is a positively weighted sum, so they lie in
+    range(B_s).
     """
     logs = np.log2(np.where(evals > 0, evals, 1.0))
     return (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
@@ -348,9 +343,13 @@ def pattern_decompose(code, p, q):
     The reference stays untouched.  Blocks come in lexicographic
     pattern order.
     """
+    ref_dim = code.ref_dim
     blocks = []
-    for group, weight, mask in _weighted_groups(code.n_uses, code.ref_dim, p, q):
-        stack = _group_blocks(code.amplitudes[group.gather], mask)
+    for group, weight, dephasing in _weighted_groups(code.n_uses, ref_dim, p, q):
+        mats = code.amplitudes[group.gather]
+        stack = (mats @ mats.conj().swapaxes(-1, -2)) * np.kron(
+            np.ones((ref_dim, ref_dim)), dephasing
+        )
         blocks += [
             ErasurePatternBlock(pattern, weight, block)
             for pattern, block in zip(group.patterns, stack)
@@ -358,41 +357,81 @@ def pattern_decompose(code, p, q):
     return sorted(blocks, key=lambda blk: blk.pattern)
 
 
-# cap on the size of one stack of the largest (no-erasure) blocks: the
-# stacked work is one LAPACK call per matrix, so larger stacks gain no
-# speed, while their temporaries raise the process's peak memory
-_STACK_BYTES = 1 << 17
+def _group_terms(n, ref_dim, p, q):
+    """(gather, weight, D, F, gram) for every plan group with nonzero weight.
+
+    D is the survivors' dephasing mask and F = _dephasing_factors(p, m);
+    ``gram`` says to take the block entropy on the environment side
+    N^dagger N, which is 2^n-dimensional, because the block N N^dagger
+    (ref_dim 2^m) is larger.
+    """
+    return [
+        (
+            group.gather,
+            weight,
+            dephasing,
+            _dephasing_factors(p, n - group.erased),
+            ref_dim > 2**group.erased,
+        )
+        for group, weight, dephasing in _weighted_groups(n, ref_dim, p, q)
+        if weight != 0.0
+    ]
 
 
-def _nonzero_groups(n, ref_dim, p, q):
-    """The (group, weight, mask) terms of ``_weighted_groups`` with weight > 0."""
-    return [term for term in _weighted_groups(n, ref_dim, p, q) if term[1] != 0.0]
+def _block_factor(mats, factors, ref_dim):
+    """N = [sqrt(w_s) (1_ref (x) Z^s) M]_s, so that the block is N N^dagger.
+
+    ``mats`` is a stack (..., ref_dim 2^m, 2^e) of gathered matrices M;
+    N is (..., ref_dim 2^m, 2^m 2^e) with columns ordered (s, erased),
+    i.e. N[(r, x), (s, j)] = F[x, s] M[(r, x), j].
+    """
+    *lead, rows, cols = mats.shape
+    surv = len(factors)
+    split = mats.reshape(*lead, ref_dim, surv, 1, cols) * factors[:, :, None]
+    return split.reshape(*lead, rows, surv * cols)
+
+
+def _input_parts(mats, dephasing, ref_dim):
+    """tr_ref of the blocks, (sum_r M_r M_r^dagger) o D, straight from M."""
+    *lead, _, cols = mats.shape
+    surv = len(dephasing)
+    rows = mats.reshape(*lead, ref_dim, surv, cols).swapaxes(-3, -2)
+    rows = rows.reshape(*lead, surv, ref_dim * cols)
+    return (rows @ rows.conj().swapaxes(-1, -2)) * dephasing
+
+
+def _block_side(factor, gram):
+    """N^dagger N if ``gram``, else the block N N^dagger: one spectrum."""
+    adjoint = factor.conj().swapaxes(-1, -2)
+    return adjoint @ factor if gram else factor @ adjoint
 
 
 def _ci_evaluator(n, ref_dim, p, q):
     """Batched coherent information of (n, ref_dim) codes at fixed (p, q).
 
     Returns ``evaluate(amps)`` mapping unit-norm amplitude rows (B,
-    ref_dim 2^n) to B values.  Per group of patterns it makes one stacked
-    matmul and two stacked entropy calls, for the blocks and for their
-    reference-traced input parts, over as many rows as fit in
-    _STACK_BYTES; zero-weight groups are skipped.
+    ref_dim 2^n) to B values.  Each pattern block is rho = N N^dagger
+    with N = [sqrt(w_s) (1_ref (x) Z^s) M]_s over the dephasing Kraus
+    operators of its m survivors, and S(rho) = S(N^dagger N): that Gram
+    matrix is the state of the pattern's 2^n-dim environment (the erased
+    inputs and one dephasing environment per survivor).  A group whose
+    blocks (ref_dim 2^m) are larger than 2^n takes its entropy there;
+    the input parts tr_ref(rho) come straight from M.  Per group of
+    patterns this is one stacked entropy call for each of the two, over
+    all rows at once; zero-weight groups are skipped.
     """
-    terms = _nonzero_groups(n, ref_dim, p, q)
-    # a no-erasure block is (ref_dim 2^n)^2 complex entries of 16 bytes
-    rows = max(1, _STACK_BYTES // (16 * (ref_dim * 2**n) ** 2))
+    terms = _group_terms(n, ref_dim, p, q)
 
     def evaluate(amps):
         total = np.zeros(len(amps))
-        for start in range(0, len(amps), rows):
-            chunk = amps[start : start + rows]
-            for group, weight, mask in terms:
-                blocks = _group_blocks(chunk[..., group.gather], mask)
-                inputs = _reference_traced(blocks, ref_dim)
-                total[start : start + rows] += weight * np.sum(
-                    von_neumann_entropy(inputs) - von_neumann_entropy(blocks),
-                    axis=-1,
-                )
+        for gather, weight, dephasing, factors, gram in terms:
+            mats = amps[..., gather]
+            side = _block_side(_block_factor(mats, factors, ref_dim), gram)
+            total += weight * np.sum(
+                von_neumann_entropy(_input_parts(mats, dephasing, ref_dim))
+                - von_neumann_entropy(side),
+                axis=-1,
+            )
         return total
 
     return evaluate
@@ -403,36 +442,41 @@ def _ci_gradient(n, ref_dim, p, q):
 
     Returns ``value_and_grad(amps)`` for a unit-norm amplitude vector a;
     the gradient is df/d(Re a) + i df/d(Im a), taken from the same
-    eigendecompositions as the value.  For a block rho = (M M^dagger) o K
-    with input part rho_in = tr_ref(rho) and K = 1_ref (x) D,
+    eigendecompositions as the value, on the same side of each block as
+    ``_ci_evaluator``.  With rho = N N^dagger, rho_in = tr_ref(rho) and
+    N[(r, x), (s, j)] = F[x, s] M[(r, x), j] (F real),
 
-        grad_M [S(rho_in) - S(rho)]
-            = 2 ((log2 rho) o K) M - 2 (I_ref (x) ((log2 rho_in) o D)) M,
+        grad_N [-S(rho)] = 2 N log2(N^dagger N) = 2 log2(N N^dagger) N,
+        grad_M [-S(rho)][(r, x), j] = sum_s F[x, s] grad_N[(r, x), (s, j)],
+        grad_M S(rho_in) = -2 (I_ref (x) ((log2 rho_in) o D)) M,
 
     the 1/ln 2 terms of dS = -tr[(log2 rho + 1/ln 2) d rho] cancelling
     because tr rho = tr rho_in.  Each pattern's term is scattered back
     into the amplitude vector through its gather indices.
     """
-    terms = _nonzero_groups(n, ref_dim, p, q)
+    terms = _group_terms(n, ref_dim, p, q)
 
     def value_and_grad(amps):
         value, grad = 0.0, np.zeros(amps.shape, dtype=complex)
-        for group, weight, mask in terms:
-            mats = amps[group.gather]
-            blocks = _group_blocks(mats, mask)
-            inputs = _reference_traced(blocks, ref_dim)
-            evals, vecs = _hermitian_eigh(blocks)
-            in_evals, in_vecs = _hermitian_eigh(inputs)
+        for gather, weight, dephasing, factors, gram in terms:
+            mats = amps[gather]
+            factor = _block_factor(mats, factors, ref_dim)
+            evals, vecs = _hermitian_eigh(_block_side(factor, gram))
+            in_evals, in_vecs = _hermitian_eigh(_input_parts(mats, dephasing, ref_dim))
             value += weight * float(
                 np.sum(shannon_entropy(in_evals) - shannon_entropy(evals))
             )
-            m = inputs.shape[-1]
-            log_in = _log2_matrix(in_evals, in_vecs) * mask[:m, :m]
-            split = mats.reshape(len(mats), ref_dim, m, -1)
-            part = (_log2_matrix(evals, vecs) * mask) @ mats - (
-                log_in[:, None] @ split
-            ).reshape(mats.shape)
-            np.add.at(grad, group.gather, 2.0 * weight * part)
+            log_side = _log2_matrix(evals, vecs)
+            d_factor = factor @ log_side if gram else log_side @ factor
+            surv = len(factors)
+            d_mats = np.sum(
+                d_factor.reshape(len(mats), ref_dim, surv, surv, -1)
+                * factors[:, :, None],
+                axis=-2,
+            )
+            log_in = _log2_matrix(in_evals, in_vecs) * dephasing
+            part = d_mats - log_in[:, None] @ mats.reshape(d_mats.shape)
+            np.add.at(grad, gather, 2.0 * weight * part.reshape(mats.shape))
         return value, grad
 
     return value_and_grad

@@ -139,6 +139,10 @@ def optimize_code_ci(p, q, n, parametrization="full", config=None):
     the 4-coefficient non-diagonal 3-use family.  The raw parameter
     vector is normalized before evaluation; the all-zero vector is
     treated as an infeasible sentinel.  Returns (value, CodeState).
+    ``full`` never returns less than its warm starts, the optimal
+    repetition code (valued by ``repetition_ci_opt``) and the optimized
+    Z-diagonal code (valued by ``optimize_zdiag``); when one of them
+    wins, it is returned embedded in reference dimension 2^n.
     """
     from .codes import (
         chi3_code,
@@ -173,19 +177,21 @@ def optimize_code_ci(p, q, n, parametrization="full", config=None):
 
     # good feasible points matter: every pure product input is a local
     # extremum with zero coherent information
-    warm_starts = []
-    _, rep_lam = repetition_ci_opt(p, q, n)
-    rep = repetition_code_state(n, rep_lam)
-    warm_starts.append(_embed_code(rep, ref_dim, n))
-    _, zcoeffs = optimize_zdiag(p, q, n, seed=config.seed, n_starts=8)
+    rep_val, rep_lam = repetition_ci_opt(p, q, n)
+    rep = _embed_code(repetition_code_state(n, rep_lam), ref_dim, n)
+    zval, zcoeffs = optimize_zdiag(p, q, n, seed=config.seed, n_starts=8)
     zvec = np.zeros(ref_dim * 2**n, dtype=complex)
     zvec[np.arange(2**n) * 2**n + np.arange(2**n)] = zcoeffs
-    warm_starts.append(np.concatenate([zvec.real, zvec.imag]))
+    zdiag = np.concatenate([zvec.real, zvec.imag])
 
-    result = pso_minimize(objective, dim, config, warm_starts=warm_starts)
-    vec = result.best_position[:amp_len] + 1j * result.best_position[amp_len:]
-    best_code = normalized_code(n, ref_dim, vec)
-    return -result.best_value, best_code
+    result = pso_minimize(objective, dim, config, warm_starts=[rep, zdiag])
+    # each warm start keeps the value of its own route, which the block
+    # engine can read a few ulps lower; on a tie the swarm's code is kept
+    value, best = max(
+        [(-result.best_value, result.best_position), (rep_val, rep), (zval, zdiag)],
+        key=lambda candidate: candidate[0],
+    )
+    return value, normalized_code(n, ref_dim, best[:amp_len] + 1j * best[amp_len:])
 
 
 def _embed_code(code, ref_dim, n):

@@ -68,12 +68,17 @@ def binary_entropy(x):
     small code weights near the coherent-information threshold).
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    # fmin/fmax skip NaN, so NaN passes the range check and maps to 0
+    if (
+        np.fmin.reduce(arr, axis=None, initial=0.0) < 0.0
+        or np.fmax.reduce(arr, axis=None, initial=1.0) > 1.0
+    ):
         raise ValueError("binary_entropy argument outside [0, 1]")
-    out = np.zeros_like(arr)
     inner = (arr > 0.0) & (arr < 1.0)
-    xi = arr[inner]
-    out[inner] = -xi * np.log2(xi) - (1.0 - xi) * np.log1p(-xi) / LN2
+    safe = np.where(inner, arr, 0.5)
+    out = np.where(
+        inner, -safe * np.log2(safe) - (1.0 - safe) * np.log1p(-safe) / LN2, 0.0
+    )
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,68 @@ def test_zdiag_gradient_matches_finite_differences(p, q):
         )
         fd = _central_differences(lambda c: value_and_grad(c)[0], coeffs)
         assert np.abs(fd - grad).max() <= 1e-6
+
+
+def _entropy_and_log2(rho):
+    evals, vecs = np.linalg.eigh(rho)
+    evals = np.maximum(evals, 0.0)
+    logs = np.log2(np.where(evals > 0, evals, 1.0))
+    return -float(evals @ logs), (vecs * logs) @ vecs.conj().T
+
+
+def _full_block_ci(amps, n, ref_dim, p, q):
+    """Coherent information of one code and its gradient from the full
+    (ref_dim 2^m)-dim pattern blocks rho = (M M^dagger) o (1_ref (x) D),
+    one pattern at a time: the reference for the environment-side route."""
+    index = np.arange(amps.size).reshape([ref_dim] + [2] * n)
+    value, grad = 0.0, np.zeros(amps.shape, dtype=complex)
+    for bits in product((0, 1), repeat=n):
+        erased = [j + 1 for j, b in enumerate(bits) if b]
+        survivors = [j + 1 for j, b in enumerate(bits) if not b]
+        weight = q ** len(erased) * (1 - q) ** len(survivors)
+        if weight == 0.0:
+            continue
+        m = 2 ** len(survivors)
+        gather = np.transpose(index, [0] + survivors + erased).reshape(ref_dim * m, -1)
+        mat = amps[gather]
+        dist = [[bin(x ^ y).count("1") for y in range(m)] for x in range(m)]
+        dephasing = (1 - 2 * p) ** np.array(dist)
+        mask = np.kron(np.ones((ref_dim, ref_dim)), dephasing)
+        block = (mat @ mat.conj().T) * mask
+        inputs = np.trace(block.reshape(ref_dim, m, ref_dim, m), axis1=0, axis2=2)
+        block_entropy, block_log = _entropy_and_log2(block)
+        input_entropy, input_log = _entropy_and_log2(inputs)
+        value += weight * (input_entropy - block_entropy)
+        part = (block_log * mask) @ mat - np.kron(
+            np.eye(ref_dim), input_log * dephasing
+        ) @ mat
+        np.add.at(grad, gather, 2 * weight * part)
+    return value, grad
+
+
+@pytest.mark.parametrize("p, q", GRADIENT_POINTS)
+def test_environment_side_entropies_match_full_blocks(p, q):
+    # ref_dim = 1 takes every block entropy on the block side, ref_dim =
+    # 2^n every one but the all-erased pattern's on the 2^n-dim
+    # environment side, ref_dim = 2 only the no-erasure pattern's there.
+    # At ref_dim = 2^n the reference's no-erasure block is 4^n-dim (4096
+    # at n = 6), so that case stops at n = 4
+    from dephrasure.codes import _ci_evaluator, _ci_gradient
+
+    rng = np.random.default_rng(43)
+    for n in range(1, 7):
+        for ref_dim in sorted({1, 2, 2**n} if n <= 4 else {1, 2}):
+            size = ref_dim * 2**n
+            amps = rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size))
+            amps /= np.linalg.norm(amps, axis=1)[:, None]
+            values = _ci_evaluator(n, ref_dim, p, q)(amps)
+            value_and_grad = _ci_gradient(n, ref_dim, p, q)
+            for row, batched in zip(amps, values):
+                ref_value, ref_grad = _full_block_ci(row, n, ref_dim, p, q)
+                value, grad = value_and_grad(row)
+                assert abs(batched - ref_value) <= 1e-12
+                assert abs(value - ref_value) <= 1e-12
+                assert np.abs(grad - ref_grad).max() <= 1e-12
 
 
 def test_theta_n_rates_rise_with_n_inside_the_bounds():

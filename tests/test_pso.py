@@ -5,7 +5,7 @@ import pytest
 
 from dephrasure import pso
 
-from dephrasure.codes import multiletter_ci, repetition_ci_opt
+from dephrasure.codes import multiletter_ci, optimize_zdiag, repetition_ci_opt
 from dephrasure.pso import PsoConfig, optimize_code_ci, pso_minimize, rowwise
 
 
@@ -90,6 +90,17 @@ def test_optimize_code_ci_n2_recovers_repetition():
     assert value >= rep - 1e-6
     assert code.n_uses == 2
     assert multiletter_ci(code, 0.11, 0.33) == pytest.approx(value, abs=1e-8)
+
+
+def test_optimize_code_ci_full_keeps_its_warm_starts_values():
+    # the swarm starts from the theta_2 code, but scores it with the
+    # block engine, a few ulps below optimize_zdiag's own value
+    p, q, seed = 0.1149, 0.3447, 1
+    config = PsoConfig(bounds=((-1.0, 1.0),) * 32, seed=seed, max_iterations=150)
+    value, code = optimize_code_ci(p, q, 2, config=config)
+    assert value >= optimize_zdiag(p, q, 2, seed=seed, n_starts=8)[0]
+    assert value >= repetition_ci_opt(p, q, 2)[0]
+    assert multiletter_ci(code, p, q) == pytest.approx(value, abs=1e-12)
 
 
 def test_optimize_code_ci_chi3_requires_n3():

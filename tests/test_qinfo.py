@@ -46,6 +46,64 @@ def test_binary_entropy_array_and_domain():
         binary_entropy(1.1)
 
 
+def _masked_binary_entropy(x):
+    """binary_entropy as a boolean gather and scatter over the interior:
+    the reference for the elementwise form."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0.0) or np.any(arr > 1.0):
+        raise ValueError("binary_entropy argument outside [0, 1]")
+    out = np.zeros_like(arr)
+    inner = (arr > 0.0) & (arr < 1.0)
+    xi = arr[inner]
+    out[inner] = -xi * np.log2(xi) - (1.0 - xi) * np.log1p(-xi) / np.log(2.0)
+    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+
+def _same_outcome(x):
+    try:
+        expect = _masked_binary_entropy(x)
+    except ValueError:
+        with pytest.raises(ValueError):
+            binary_entropy(x)
+        return
+    got = binary_entropy(x)
+    assert type(got) is type(expect)
+    if isinstance(expect, float):
+        assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+    else:
+        assert got.shape == expect.shape and got.dtype == expect.dtype
+        assert got.tobytes() == expect.tobytes()
+
+
+def test_binary_entropy_is_bit_identical_to_the_masked_form():
+    tiny = np.nextafter(0.0, 1.0)
+    edges = [0.0, -0.0, 1.0, 0.5, 1e-300, tiny, 2.5e-310, 1.0 - 2.0**-53, 0.25, np.nan]
+    rng = np.random.default_rng(13)
+    block = rng.uniform(size=(40, 7))
+    block[::3] = 10.0 ** -rng.uniform(0, 320, size=(14, 7))
+    block.flat[::5] = 0.0
+    block.flat[1::11] = 1.0
+    cases = edges + [np.array(x) for x in edges] + [
+        np.array(edges),
+        block,
+        block[:, :1],
+        block[0],
+        np.empty((0, 3)),
+        [0.1, 0.9],
+        # error cases: any point outside [0, 1], also next to a NaN
+        -0.1,
+        1.1,
+        -tiny,
+        np.nextafter(1.0, 2.0),
+        np.inf,
+        -np.inf,
+        np.array([np.nan, -1.0]),
+        np.where(np.arange(6) == 4, 1.5, block[0, :6]).reshape(2, 3),
+    ]
+    for x in cases:
+        _same_outcome(x)
+
+
 def test_shannon_entropy_matches_binary():
     assert shannon_entropy([0.25, 0.75]) == pytest.approx(
         binary_entropy(0.25), abs=1e-14
