@@ -41,6 +41,7 @@ from .codes import (
     multiletter_ci,
     normalized_code,
     optimize_chi3,
+    optimize_code_ci,
     optimize_zdiag,
     pattern_decompose,
     repetition_ci,
@@ -64,7 +65,7 @@ from .private_info import (
     private_lower_bound,
     random_ensemble_search,
 )
-from .pso import PsoConfig, PsoResult, optimize_code_ci, pso_minimize, rowwise
+from .pso import PsoConfig, PsoResult, pso_minimize, rowwise
 from .qinfo import (
     KrausSet,
     apply_kraus,

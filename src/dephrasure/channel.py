@@ -119,18 +119,9 @@ def region_curves(p):
     return region_g(p), region_j(p), region_k(p)
 
 
-def phi_matrix(p, z):
-    """Environment block [[1-p, z sqrt(p(1-p))], [z sqrt(p(1-p)), p]]."""
-    p = _check_prob(p, "p")
-    z = float(z)
-    if not -1.0 <= z <= 1.0:
-        raise ValueError(f"z = {z} outside [-1, 1]")
-    off = z * np.sqrt(p * (1 - p))
-    return np.array([[1 - p, off], [off, p]], dtype=complex)
-
-
 def _phi_entropy(p, z):
-    """S(phi_matrix(p, z)), numerically stable for |z| near 1.
+    """Entropy of the 2x2 environment block with diagonal (1-p, p) and
+    off-diagonal z sqrt(p(1-p)), numerically stable for |z| near 1.
 
     The eigenvalues are (1 +/- k)/2 with k = sqrt(1 - 4p(1-p)(1-z^2));
     the small one is computed as 2p(1-p)(1-z^2)/(1+k) to avoid

@@ -12,11 +12,13 @@ import argparse
 import json
 import re
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, antideg, channel, codes, compci, private_info, verify
-from .pso import PsoConfig, optimize_code_ci
+from .codes import optimize_code_ci
+from .pso import PsoConfig
 
 _FMT = "%.12g"
 
@@ -39,15 +41,69 @@ def _parse_range(text):
 
 _QUANTITY_RE = re.compile(r"^([a-z_0-9]+?)(?:\((\d+)\))?$")
 
-# sweep quantity -> its value columns
-_QUANTITIES = dict.fromkeys(
-    ["single_ci", "repetition_gap", "repetition_rate", "zdiag_rate", "chi3_rate",
-     "private_lb", "separation"],
-    ["value"],
-) | {
-    "regions": ["g", "j", "k"],  # a function of p alone
-    "antideg": ["antidegradable", "residual", "cp_min_eig"],
-    "comp_witness": ["ci_value", "epsilon"],
+
+class _Quantity(NamedTuple):
+    columns: list  # the value columns
+    takes_n: bool  # whether the quantity takes an (n) suffix
+    values: Callable  # (P, Q, n, seed) -> the values at the points (P, Q)
+
+
+def _per_point(value):
+    """An evaluator calling ``value(p, q, n, seed)`` at one point at a time."""
+    return lambda P, Q, n, seed: [value(p, q, n, seed) for p, q in zip(P, Q)]
+
+
+def _repetition_gap(P, Q, n, seed):
+    # single-letter first: its checks (p, then q <= 1/2, point by point)
+    # raise the error that a loop over the points raised
+    single = channel.single_letter_ci(P, Q)[0]
+    return codes.repetition_ci_opt(P, Q, n)[0] / n - single
+
+
+def _antideg(p, q, n, seed):
+    report = antideg.verify_antidegradable(p, q)
+    return [float(report.antidegradable), report.composition_residual,
+            report.cp_min_eigenvalue]
+
+
+def _comp_witness(p, q, n, seed):
+    witness = compci.positivity_witness(p, q)
+    return [witness.ci_value, witness.epsilon]
+
+
+# Every sweep quantity.  The evaluators look library functions up through
+# their modules at call time, so patching a module attribute reaches them;
+# all but the _per_point ones take every point in one call.
+_QUANTITIES = {
+    "single_ci": _Quantity(
+        ["value"], False, lambda P, Q, *_: channel.single_letter_ci(P, Q)[0]
+    ),
+    "repetition_gap": _Quantity(["value"], True, _repetition_gap),
+    "repetition_rate": _Quantity(
+        ["value"], True, lambda P, Q, n, _: codes.repetition_ci_opt(P, Q, n)[0] / n
+    ),
+    "zdiag_rate": _Quantity(["value"], True, _per_point(
+        lambda p, q, n, seed: codes.optimize_zdiag(p, q, n, seed=seed)[0] / n
+    )),
+    "chi3_rate": _Quantity(["value"], False, _per_point(
+        lambda p, q, n, seed: codes.optimize_chi3(p, q, seed=seed)[0] / 3
+    )),
+    "private_lb": _Quantity(
+        ["value"], False, lambda P, Q, *_: private_info.private_lower_bound(P, Q)[0]
+    ),
+    "separation": _Quantity(["value"], False, lambda P, Q, *_: (
+        private_info.private_lower_bound(P, Q)[0] - channel.single_letter_ci(P, Q)[0]
+    )),
+    # a function of p alone, swept with Q None and no q column
+    "regions": _Quantity(
+        ["g", "j", "k"], False, lambda P, *_: [channel.region_curves(p) for p in P]
+    ),
+    "antideg": _Quantity(
+        ["antidegradable", "residual", "cp_min_eig"], False, _per_point(_antideg)
+    ),
+    "comp_witness": _Quantity(
+        ["ci_value", "epsilon"], False, _per_point(_comp_witness)
+    ),
 }
 
 
@@ -55,9 +111,10 @@ def _parse_quantity(text, default_n):
     match = _QUANTITY_RE.match(text)
     if not match or match.group(1) not in _QUANTITIES:
         raise argparse.ArgumentTypeError(f"unknown quantity {text!r}")
-    name = match.group(1)
-    n = int(match.group(2)) if match.group(2) else default_n
-    return name, n
+    name, n = match.groups()
+    if n is not None and not _QUANTITIES[name].takes_n:
+        raise argparse.ArgumentTypeError(f"quantity {name!r} takes no (n)")
+    return name, int(n) if n else default_n
 
 
 def _write(path, text):
@@ -94,89 +151,37 @@ def _emit(args, header, rows):
     return 0
 
 
-def _values(name, n, P, Q, seed):
-    """Quantity ``name`` at the points (P, Q), in one call where it batches."""
-    if name == "single_ci":
-        return channel.single_letter_ci(P, Q)[0]
-    if name == "repetition_rate":
-        return codes.repetition_ci_opt(P, Q, n)[0] / n
-    if name == "repetition_gap":
-        # single-letter first: its checks (p, then q <= 1/2, point by point)
-        # raise the error that a loop over the points raised
-        single = channel.single_letter_ci(P, Q)[0]
-        return codes.repetition_ci_opt(P, Q, n)[0] / n - single
-    if name == "private_lb":
-        return private_info.private_lower_bound(P, Q)[0]
-    if name == "separation":
-        return (
-            private_info.private_lower_bound(P, Q)[0]
-            - channel.single_letter_ci(P, Q)[0]
-        )
-    points = zip(P, Q)
-    if name == "zdiag_rate":
-        return [codes.optimize_zdiag(p, q, n, seed=seed)[0] / n for p, q in points]
-    if name == "chi3_rate":
-        return [codes.optimize_chi3(p, q, seed=seed)[0] / 3 for p, q in points]
-    if name == "antideg":
-        reports = (antideg.verify_antidegradable(p, q) for p, q in points)
-        return [
-            [float(r.antidegradable), r.composition_residual, r.cp_min_eigenvalue]
-            for r in reports
-        ]
-    if name == "comp_witness":
-        witnesses = (compci.positivity_witness(p, q) for p, q in points)
-        return [[w.ci_value, w.epsilon] for w in witnesses]
-    raise ValueError(name)
-
-
 def _table(columns, P, Q, seed):
-    """p-major rows (p, q, values...) of the (quantity, n) ``columns``."""
-    table = [P, Q]
+    """p-major rows (p, q, values...) of the (quantity, n) ``columns``;
+    rows (p, values...) if Q is None."""
+    table = [P] if Q is None else [P, Q]
     for name, n in columns:
-        values = _values(name, n, P, Q, seed)
-        table.append(np.reshape(values, (len(P), len(_QUANTITIES[name]))))
+        quantity = _QUANTITIES[name]
+        values = quantity.values(P, Q, n, seed)
+        table.append(np.reshape(values, (len(P), len(quantity.columns))))
     return np.column_stack(table)
 
 
 def cmd_sweep(args):
     name, n = _parse_quantity(args.quantity, args.n)
+    columns = _QUANTITIES[name].columns
     if name == "regions":
-        rows = [[p, *channel.region_curves(p)] for p in args.p_range]
-        return _emit(args, ["p", *_QUANTITIES[name]], rows)
-    P = np.repeat(args.p_range, len(args.q_range))
-    Q = np.tile(args.q_range, len(args.p_range))
-    rows = _table([(name, n)], P, Q, args.seed)
-    return _emit(args, ["p", "q", *_QUANTITIES[name]], rows)
+        P, Q, header = args.p_range, None, ["p", *columns]
+    else:
+        P = np.repeat(args.p_range, len(args.q_range))
+        Q = np.tile(args.q_range, len(args.p_range))
+        header = ["p", "q", *columns]
+    return _emit(args, header, _table([(name, n)], P, Q, args.seed))
 
 
-_CODE_RE = re.compile(r"^rep([1-9])$")
 # --codes name -> the sweep quantity, with its n, of the per-letter rate
 _CODES = {
     "single_ci": ("single_ci", None),
     "private_lb": ("private_lb", None),
+    **{f"rep{n}": ("repetition_rate", n) for n in range(1, 10)},
     "theta4": ("zdiag_rate", 4),
     "chi3": ("chi3_rate", 3),
 }
-
-
-def _diagonal_columns(names):
-    """The (quantity, n) of each ``--codes`` name.
-
-    Raises ValueError on an unknown name, before any column is computed.
-    """
-    columns = []
-    for name in names:
-        rep = _CODE_RE.match(name)
-        if rep:
-            columns.append(("repetition_rate", int(rep.group(1))))
-        elif name in _CODES:
-            columns.append(_CODES[name])
-        else:
-            raise ValueError(
-                f"unknown code {name!r} (expected rep1..rep9, "
-                + ", ".join(_CODES) + ")"
-            )
-    return columns
 
 
 def cmd_diagonal(args):
@@ -184,15 +189,19 @@ def cmd_diagonal(args):
     if not slope > 0:
         raise ValueError(f"--diagonal-slope must be positive, got {slope}")
     names = [c.strip() for c in args.codes.split(",") if c.strip()]
-    columns = _diagonal_columns(names)
+    for name in names:
+        if name not in _CODES:
+            others = [code for code in _CODES if not code.startswith("rep")]
+            raise ValueError(
+                f"unknown code {name!r} (expected rep1..rep9, {', '.join(others)})"
+            )
     P = args.p_range[slope * args.p_range <= 0.5 + 1e-12]
+    columns = [_CODES[name] for name in names]
     return _emit(args, ["p", "q", *names], _table(columns, P, slope * P, args.seed))
 
 
 def cmd_verify(args):
-    kwargs = {}
-    if args.tol is not None and args.suite in ("antideg", "oracle", "compci"):
-        kwargs["tol"] = args.tol
+    kwargs = {} if args.tol is None else {"tol": args.tol}
     report = verify.run_suite(args.suite, **kwargs)
     _write(args.out, json.dumps(report, indent=2) + "\n")
     return 0 if report["passed"] else 1
@@ -200,11 +209,7 @@ def cmd_verify(args):
 
 def cmd_optimize(args):
     config = PsoConfig(
-        n_particles=args.particles,
-        max_iterations=args.iterations,
-        bounds=((-1.0, 1.0),) * (8 if args.parametrization == "chi3" else
-                                 2 * 4**args.n),
-        seed=args.seed,
+        n_particles=args.particles, max_iterations=args.iterations, seed=args.seed
     )
     value, code = optimize_code_ci(
         args.p, args.q, args.n, parametrization=args.parametrization,

@@ -10,12 +10,13 @@ information and is therefore omitted analytically.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 from scipy.optimize import minimize
 
+from . import pso
 from .channel import _check_prob, _shaped, dephrasure_kraus, maximize_over_weights
 from .qinfo import (
     _hermitian_eigh,
@@ -25,7 +26,7 @@ from .qinfo import (
     von_neumann_entropy,
 )
 
-DEFAULT_N_LIMIT = 6
+N_LIMIT = 6
 BRUTE_FORCE_N_LIMIT = 3
 
 
@@ -482,15 +483,15 @@ def _ci_gradient(n, ref_dim, p, q):
     return value_and_grad
 
 
-def multiletter_ci(code, p, q, n_limit=DEFAULT_N_LIMIT):
+def multiletter_ci(code, p, q):
     """Coherent information of an arbitrary code via block decomposition.
 
     Sum over erasure patterns of weight * [S(block without reference) -
     S(block with reference)]; the classical pattern-entropy terms cancel
-    between the two sums and are omitted.
+    between the two sums and are omitted.  Codes of up to N_LIMIT uses.
     """
-    if code.n_uses > n_limit:
-        raise ValueError(f"n = {code.n_uses} exceeds the limit {n_limit}")
+    if code.n_uses > N_LIMIT:
+        raise ValueError(f"n = {code.n_uses} exceeds the limit {N_LIMIT}")
     evaluate = _ci_evaluator(code.n_uses, code.ref_dim, p, q)
     return float(evaluate(code.amplitudes[None])[0])
 
@@ -521,6 +522,15 @@ def _chi3_objective(p, q):
     """Swarm objective over the 8 real parameters (Re, Im of c1, d1, c2, d2)."""
     return _code_objective(
         3, 4, p, q, lambda x: (x[:, 0::2] + 1j * x[:, 1::2]) @ _chi3_map()
+    )
+
+
+def _full_objective(p, q, n):
+    """Swarm objective over all real and imaginary amplitude components
+    of a reference-dimension 2^n code."""
+    amp_len = 4**n
+    return _code_objective(
+        n, 2**n, p, q, lambda x: x[:, :amp_len] + 1j * x[:, amp_len:]
     )
 
 
@@ -622,7 +632,7 @@ def _zdiag_ci_fast(coeffs, p, q, n):
 _LBFGS_OPTIONS = {"maxiter": 200, "ftol": 1e-15, "gtol": 1e-10}
 
 
-def optimize_zdiag(p, q, n, seed=0, n_starts=32, n_limit=DEFAULT_N_LIMIT):
+def optimize_zdiag(p, q, n, seed=0, n_starts=32):
     """Optimize the Schmidt coefficients of the Z-diagonal n-use code.
 
     Multi-start L-BFGS-B with the exact gradient over w, the code
@@ -630,12 +640,12 @@ def optimize_zdiag(p, q, n, seed=0, n_starts=32, n_limit=DEFAULT_N_LIMIT):
     code.  The value is invariant under sign flips of any c_s, so w
     needs no sign constraint and |c| is returned.  Deterministic per
     seed.  Returns (value, coefficients) with coefficients in
-    lexicographic pattern order.
+    lexicographic pattern order.  n is at most N_LIMIT.
     """
     p = _check_prob(p, "p", hi=0.5)
     q = _check_prob(q, "q", hi=0.5)
-    if n > n_limit:
-        raise ValueError(f"n = {n} exceeds the limit {n_limit}")
+    if n > N_LIMIT:
+        raise ValueError(f"n = {n} exceeds the limit {N_LIMIT}")
     dim = 2**n
     evaluate = _zdiag_evaluator(p, q, n)
 
@@ -672,18 +682,16 @@ def optimize_zdiag(p, q, n, seed=0, n_starts=32, n_limit=DEFAULT_N_LIMIT):
 def optimize_chi3(p, q, seed=0, config=None):
     """Optimize the chi_3 code coefficients with particle swarm search.
 
-    Returns (value, (c1, d1, c2, d2)) for the normalized best code.
+    The swarm searches the box (-1, 1)^8 with ``config``'s other
+    settings.  Returns (value, (c1, d1, c2, d2)) for the normalized best
+    code.
     """
-    from .pso import PsoConfig, pso_minimize
-
     p = _check_prob(p, "p", hi=0.5)
     q = _check_prob(q, "q", hi=0.5)
 
     objective = _chi3_objective(p, q)
     if config is None:
-        config = PsoConfig(
-            bounds=((-1.0, 1.0),) * 8, seed=seed, max_iterations=200
-        )
+        config = pso.PsoConfig(seed=seed, max_iterations=200)
     # structured warm starts: the GHZ-flavored psi2 = 0 code, plus a
     # family with small psi1 ~ |+> weight — near the threshold the
     # optimum retreats into that narrow corner of the parameter box,
@@ -691,7 +699,8 @@ def optimize_chi3(p, q, seed=0, config=None):
     warms = [np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]) / np.sqrt(2)]
     for eps in (0.3, 0.1, 0.03):
         warms.append(np.array([eps, 0.0, eps, 0.0, 1.0, 0.0, 0.0, 0.0]))
-    result = pso_minimize(objective, 8, config, warm_starts=warms)
+    config = replace(config, bounds=((-1.0, 1.0),) * 8)
+    result = pso.pso_minimize(objective, 8, config, warm_starts=warms)
 
     # deterministic local polish from the swarm best and each warm start
     polish = _chi3_polish_objective(p, q)
@@ -705,3 +714,65 @@ def optimize_chi3(p, q, seed=0, config=None):
     vec = best_x[0::2] + 1j * best_x[1::2]
     vec = vec / np.linalg.norm(vec)
     return -best_val, tuple(vec)
+
+
+def optimize_code_ci(p, q, n, parametrization="full", config=None):
+    """Maximize the n-use coherent information over code states.
+
+    ``full`` optimizes all real and imaginary amplitude components of a
+    rank-2^n code (reference dimension 2^n, n <= 3); ``chi3`` optimizes
+    the 4-coefficient non-diagonal 3-use family.  Either swarm searches
+    the box (-1, 1)^dim with ``config``'s other settings.  The raw
+    parameter vector is normalized before evaluation; the all-zero
+    vector is treated as an infeasible sentinel.  Returns (value,
+    CodeState).  ``full`` never returns less than its warm starts, the
+    optimal repetition code (valued by ``repetition_ci_opt``) and the
+    optimized Z-diagonal code (valued by ``optimize_zdiag``); when one
+    of them wins, it is returned embedded in reference dimension 2^n.
+    """
+    if parametrization == "chi3":
+        if n != 3:
+            raise ValueError("the chi3 parametrization is a 3-use family")
+        value, coeffs = optimize_chi3(p, q, config=config)
+        return value, chi3_code(*coeffs)
+
+    if parametrization != "full":
+        raise ValueError(f"unknown parametrization {parametrization!r}")
+    if n > 3:
+        raise ValueError("full parametrization supports n <= 3")
+
+    ref_dim = 2**n
+    amp_len = ref_dim * 2**n
+    dim = 2 * amp_len
+    objective = _full_objective(p, q, n)
+    if config is None:
+        config = pso.PsoConfig(max_iterations=150)
+
+    # good feasible points matter: every pure product input is a local
+    # extremum with zero coherent information
+    rep_val, rep_lam = repetition_ci_opt(p, q, n)
+    rep = _embed_code(repetition_code_state(n, rep_lam), ref_dim, n)
+    zval, zcoeffs = optimize_zdiag(p, q, n, seed=config.seed, n_starts=8)
+    zvec = np.zeros(ref_dim * 2**n, dtype=complex)
+    zvec[np.arange(2**n) * 2**n + np.arange(2**n)] = zcoeffs
+    zdiag = np.concatenate([zvec.real, zvec.imag])
+
+    config = replace(config, bounds=((-1.0, 1.0),) * dim)
+    result = pso.pso_minimize(objective, dim, config, warm_starts=[rep, zdiag])
+    # each warm start keeps the value of its own route, which the block
+    # engine can read a few ulps lower; on a tie the swarm's code is kept
+    value, best = max(
+        [(-result.best_value, result.best_position), (rep_val, rep), (zval, zdiag)],
+        key=lambda candidate: candidate[0],
+    )
+    return value, normalized_code(n, ref_dim, best[:amp_len] + 1j * best[amp_len:])
+
+
+def _embed_code(code, ref_dim, n):
+    """Real parameter vector embedding a rank-2 code into ref_dim 2^n."""
+    amps = np.zeros(ref_dim * 2**n, dtype=complex)
+    small = code.amplitudes.reshape(code.ref_dim, 2**n)
+    amps = amps.reshape(ref_dim, 2**n)
+    amps[: code.ref_dim] = small
+    amps = amps.reshape(-1)
+    return np.concatenate([amps.real, amps.imag])

@@ -101,12 +101,12 @@ def epsilon_bound(p, q):
     return float(2.0 ** (-exponent))
 
 
-def positivity_witness(p, q, max_halvings=64):
+def positivity_witness(p, q):
     """An X-polarized state with strictly positive complementary CI.
 
-    Starts from half the explicit epsilon bound and halves on a
-    nonpositive evaluation (possible only through underflow); raises
-    UnderflowAtParams if epsilon reaches zero.
+    Starts from half the explicit epsilon bound and halves, at most 64
+    times, on a nonpositive evaluation (possible only through
+    underflow); raises UnderflowAtParams if epsilon reaches zero.
     """
     p = _check_prob(p, "p", hi=0.5)
     q = float(q)
@@ -115,7 +115,7 @@ def positivity_witness(p, q, max_halvings=64):
     if p == 0.0:
         raise ValueError("p = 0 is outside the witness region")
     eps = min(0.5, epsilon_bound(p, q) / 2.0)
-    for _ in range(max_halvings):
+    for _ in range(64):
         if eps == 0.0:
             break
         value = comp_ci_eps(p, q, eps)

@@ -8,7 +8,7 @@ Identical seeds give bit-identical trajectories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,86 +130,3 @@ def pso_minimize(objective, dim, config, warm_starts=()):
 
     return PsoResult(gbest_pos, gbest_val, iterations, evaluations)
 
-
-def optimize_code_ci(p, q, n, parametrization="full", config=None):
-    """Maximize the n-use coherent information over code states.
-
-    ``full`` optimizes all real and imaginary amplitude components of a
-    rank-2^n code (reference dimension 2^n, n <= 3); ``chi3`` optimizes
-    the 4-coefficient non-diagonal 3-use family.  The raw parameter
-    vector is normalized before evaluation; the all-zero vector is
-    treated as an infeasible sentinel.  Returns (value, CodeState).
-    ``full`` never returns less than its warm starts, the optimal
-    repetition code (valued by ``repetition_ci_opt``) and the optimized
-    Z-diagonal code (valued by ``optimize_zdiag``); when one of them
-    wins, it is returned embedded in reference dimension 2^n.
-    """
-    from .codes import (
-        chi3_code,
-        normalized_code,
-        optimize_chi3,
-        optimize_zdiag,
-        repetition_ci_opt,
-        repetition_code_state,
-    )
-
-    if parametrization == "chi3":
-        if n != 3:
-            raise ValueError("the chi3 parametrization is a 3-use family")
-        seed = config.seed if config is not None else 0
-        value, coeffs = optimize_chi3(p, q, seed=seed, config=config)
-        return value, chi3_code(*coeffs)
-
-    if parametrization != "full":
-        raise ValueError(f"unknown parametrization {parametrization!r}")
-    if n > 3:
-        raise ValueError("full parametrization supports n <= 3")
-
-    ref_dim = 2**n
-    amp_len = ref_dim * 2**n
-    dim = 2 * amp_len
-    objective = _full_objective(p, q, n)
-
-    if config is None:
-        config = PsoConfig(bounds=((-1.0, 1.0),) * dim, max_iterations=150)
-    if len(config.bounds) != dim:
-        config = replace(config, bounds=((-1.0, 1.0),) * dim)
-
-    # good feasible points matter: every pure product input is a local
-    # extremum with zero coherent information
-    rep_val, rep_lam = repetition_ci_opt(p, q, n)
-    rep = _embed_code(repetition_code_state(n, rep_lam), ref_dim, n)
-    zval, zcoeffs = optimize_zdiag(p, q, n, seed=config.seed, n_starts=8)
-    zvec = np.zeros(ref_dim * 2**n, dtype=complex)
-    zvec[np.arange(2**n) * 2**n + np.arange(2**n)] = zcoeffs
-    zdiag = np.concatenate([zvec.real, zvec.imag])
-
-    result = pso_minimize(objective, dim, config, warm_starts=[rep, zdiag])
-    # each warm start keeps the value of its own route, which the block
-    # engine can read a few ulps lower; on a tie the swarm's code is kept
-    value, best = max(
-        [(-result.best_value, result.best_position), (rep_val, rep), (zval, zdiag)],
-        key=lambda candidate: candidate[0],
-    )
-    return value, normalized_code(n, ref_dim, best[:amp_len] + 1j * best[amp_len:])
-
-
-def _embed_code(code, ref_dim, n):
-    """Real parameter vector embedding a rank-2 code into ref_dim 2^n."""
-    amps = np.zeros(ref_dim * 2**n, dtype=complex)
-    small = code.amplitudes.reshape(code.ref_dim, 2**n)
-    amps = amps.reshape(ref_dim, 2**n)
-    amps[: code.ref_dim] = small
-    amps = amps.reshape(-1)
-    return np.concatenate([amps.real, amps.imag])
-
-
-def _full_objective(p, q, n):
-    """Swarm objective over all real and imaginary amplitude components
-    of a reference-dimension 2^n code."""
-    from .codes import _code_objective
-
-    amp_len = 4**n
-    return _code_objective(
-        n, 2**n, p, q, lambda x: x[:, :amp_len] + 1j * x[:, amp_len:]
-    )

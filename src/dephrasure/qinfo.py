@@ -30,7 +30,7 @@ def _as_square(mat):
     return mat
 
 
-def check_density_matrix(rho, *, trace_tol=TRACE_TOL):
+def check_density_matrix(rho):
     """Validate Hermiticity, unit trace and positivity of ``rho``.
 
     Returns the validated matrix (as a complex array).  Raises
@@ -41,7 +41,7 @@ def check_density_matrix(rho, *, trace_tol=TRACE_TOL):
     if asym > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3g})")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > max(trace_tol, 1e-12 * rho.shape[0]):
+    if abs(tr - 1.0) > max(TRACE_TOL, 1e-12 * rho.shape[0]):
         raise ValueError(f"trace is {tr}, expected 1")
     evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
     if evals.min() < EIGENVALUE_FLOOR:

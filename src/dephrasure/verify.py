@@ -10,24 +10,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import antideg, channel, codes, compci
-from .qinfo import check_density_matrix
+from .qinfo import check_density_matrix, coherent_information
 
 
 def _check(name, passed, worst):
     return {"name": name, "passed": bool(passed), "worst": float(worst)}
 
 
-def _random_density(rng, dim=2):
-    mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = mat @ mat.conj().T
-    return rho / np.trace(rho).real
-
-
-def oracle_suite(n_codes=100, seed=7, tol=1e-9):
-    """Block-decomposition vs full-tensor coherent information."""
-    rng = np.random.default_rng(seed)
+def oracle_suite(tol=1e-9):
+    """Block-decomposition vs full-tensor coherent information, 100 codes."""
+    rng = np.random.default_rng(7)
     worst = 0.0
-    for _ in range(n_codes):
+    for _ in range(100):
         n = int(rng.integers(1, 4))
         ref_dim = 2**n
         vec = rng.standard_normal(ref_dim * 2**n) + 1j * rng.standard_normal(
@@ -44,15 +38,16 @@ def oracle_suite(n_codes=100, seed=7, tol=1e-9):
     return {"suite": "oracle", "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def antideg_suite(grid=20, tol=1e-10):
-    """Composition identity and CP of the degrading maps on {q >= k(p)}."""
+def antideg_suite(tol=1e-10):
+    """Composition identity and CP of the degrading maps on {q >= k(p)},
+    on a 20 x 20 grid."""
     worst_res = 0.0
     worst_cp = 0.0
     ok = True
     points = []
-    for p in np.linspace(0.0, 0.5, grid):
+    for p in np.linspace(0.0, 0.5, 20):
         k = channel.region_k(p)
-        for q in np.linspace(max(k, 1e-6), 0.5, grid):
+        for q in np.linspace(max(k, 1e-6), 0.5, 20):
             report = antideg.verify_antidegradable(p, q, tol=tol)
             worst_res = max(worst_res, report.composition_residual)
             worst_cp = min(worst_cp, report.cp_min_eigenvalue)
@@ -71,22 +66,26 @@ def antideg_suite(grid=20, tol=1e-10):
     }
 
 
-def thresholds_suite(dq=1e-3):
-    """Sign structure of the repetition and maximally-mixed thresholds."""
+def thresholds_suite(tol=1e-12):
+    """Sign structure of the repetition and maximally-mixed thresholds.
+
+    Repetition codes must be positive just below g(p) and at most ``tol``
+    just above it.
+    """
     checks = []
-    # (n, p, q) at q = g(p) -/+ dq, one batched repetition scan for all
+    # (n, p, q) at q = g(p) -/+ 1e-3, one batched repetition scan for all
     points = [
         (n, p, q)
         for n in range(1, 6)
         for p in (0.05, 0.15, 0.25, 0.35)
-        for q in (channel.region_g(p) - dq, min(channel.region_g(p) + dq, 0.5))
+        for q in (channel.region_g(p) - 1e-3, min(channel.region_g(p) + 1e-3, 0.5))
     ]
     n, p, q = np.transpose(points)
     values = codes.repetition_ci_opt(p, q, n.astype(int))[0]
     worst_below = float(values[0::2].min())
     worst_above = float(values[1::2].max())
     checks.append(_check("repetition_positive_below_g", worst_below > 0.0, worst_below))
-    checks.append(_check("repetition_zero_above_g", worst_above <= 1e-12, worst_above))
+    checks.append(_check("repetition_zero_above_g", worst_above <= tol, worst_above))
 
     # curvature of i_c at z = 0 flips sign exactly at q = j(p)
     worst_neg = -np.inf
@@ -131,8 +130,6 @@ def compci_suite(tol=1e-10):
         m = float(rng.uniform(0.0, 1.0))
         rho = channel.bloch_state(m, 0.0, 0.0)
         check_density_matrix(rho)
-        from .qinfo import coherent_information
-
         direct = coherent_information(channel.complementary_kraus(p, q), rho)
         worst_diff = max(worst_diff, abs(direct - compci.comp_ci_x_state(p, q, m)))
     checks.append(_check("closed_form_vs_direct", worst_diff <= tol, worst_diff))

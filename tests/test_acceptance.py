@@ -22,12 +22,13 @@ from dephrasure.codes import (
     multiletter_ci,
     normalized_code,
     optimize_chi3,
+    optimize_code_ci,
     repetition_ci_opt,
 )
 from dephrasure.antideg import verify_antidegradable
 from dephrasure.compci import positivity_witness
 from dephrasure.private_info import private_lower_bound
-from dephrasure.pso import PsoConfig, optimize_code_ci, pso_minimize, rowwise
+from dephrasure.pso import PsoConfig, pso_minimize, rowwise
 from dephrasure.qinfo import binary_entropy, coherent_information
 from dephrasure.channel import dephrasure_kraus
 

@@ -1,10 +1,11 @@
 import csv
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from dephrasure import cli
+from dephrasure import antideg, channel, cli, codes, compci, private_info
 from dephrasure.cli import main
 from dephrasure.codes import CodeState, brute_force_ci, normalized_code
 
@@ -90,6 +91,14 @@ def test_verify_subcommand(tmp_path):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["passed"] is True
+
+
+def test_verify_thresholds_takes_tol(tmp_path):
+    # no repetition value above g(p) is at most -1
+    out = tmp_path / "verify.json"
+    assert main(["verify", "thresholds", "--tol", "-1", "--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["repetition_zero_above_g"]
 
 
 def test_optimize_subcommand(tmp_path):
@@ -226,6 +235,10 @@ def test_provenance_falls_back_to_the_process_arguments(tmp_path, monkeypatch, c
         # repetition codes accept q up to 1
         ("repetition_rate(3)", "p = 0.75 outside [0, 0.5]"),
         ("repetition_rate(0)", "n must be >= 1"),
+        # an (n) on a quantity that takes none
+        ("single_ci(3)", "quantity 'single_ci' takes no (n)"),
+        ("chi3_rate(5)", "quantity 'chi3_rate' takes no (n)"),
+        ("regions(2)", "quantity 'regions' takes no (n)"),
     ],
 )
 def test_out_of_domain_sweep_point_is_a_one_line_error(tmp_path, capsys, quantity, message):
@@ -237,3 +250,82 @@ def test_out_of_domain_sweep_point_is_a_one_line_error(tmp_path, capsys, quantit
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def _antideg_columns(p, q):
+    report = antideg.verify_antidegradable(p, q)
+    return [float(report.antidegradable), report.composition_residual,
+            report.cp_min_eigenvalue]
+
+
+def _witness_columns(p, q):
+    witness = compci.positivity_witness(p, q)
+    return [witness.ci_value, witness.epsilon]
+
+
+# sweep quantity -> its value columns at one point, straight from the library
+_LIBRARY = {
+    "single_ci": lambda p, q: [channel.single_letter_ci(p, q)[0]],
+    "private_lb": lambda p, q: [private_info.private_lower_bound(p, q)[0]],
+    "separation": lambda p, q: [
+        private_info.private_lower_bound(p, q)[0] - channel.single_letter_ci(p, q)[0]
+    ],
+    "repetition_gap(3)": lambda p, q: [
+        codes.repetition_ci_opt(p, q, 3)[0] / 3 - channel.single_letter_ci(p, q)[0]
+    ],
+    **{
+        f"repetition_rate({n})": lambda p, q, n=n: [codes.repetition_ci_opt(p, q, n)[0] / n]
+        for n in range(1, 10)
+    },
+    "zdiag_rate(4)": lambda p, q: [codes.optimize_zdiag(p, q, 4, seed=0)[0] / 4],
+    "chi3_rate": lambda p, q: [codes.optimize_chi3(p, q, seed=0)[0] / 3],
+    "antideg": _antideg_columns,
+    "comp_witness": _witness_columns,
+    "regions": lambda p, q: list(channel.region_curves(p)),
+}
+# --codes alias -> the sweep quantity whose column it prints
+_ALIASES = {
+    "single_ci": "single_ci",
+    "private_lb": "private_lb",
+    **{f"rep{n}": f"repetition_rate({n})" for n in range(1, 10)},
+    "theta4": "zdiag_rate(4)",
+    "chi3": "chi3_rate",
+}
+# (p-range, q-range).  A search costs up to 1 s a point, so the searches
+# sweep one point, the diagonal's, where theta4 beats theta3 and q = 4p
+# is exact in binary
+_GRID = ("0.0859375:0.25:2", "0.125:0.34375:2")
+_SEARCH_GRID = ("0.0859375:0.0859375:2", "0.34375:0.34375:2")
+_SEARCHES = ("zdiag_rate(4)", "chi3_rate")
+
+
+def test_every_quantity_and_code_alias_prints_the_library_value(tmp_path, monkeypatch):
+    # the searches are deterministic per seed: each point is searched once
+    for search in ("optimize_zdiag", "optimize_chi3"):
+        monkeypatch.setattr(codes, search, functools.cache(getattr(codes, search)))
+    assert {spec.split("(")[0] for spec in _LIBRARY} == set(cli._QUANTITIES)
+    assert set(cli._CODES) | {f"rep{n}" for n in range(1, 10)} == set(_ALIASES)
+
+    out = tmp_path / "out.csv"
+    sweeps = {}
+    for spec, library in _LIBRARY.items():
+        ranges = _SEARCH_GRID if spec in _SEARCHES else _GRID
+        assert main(["sweep", "--quantity", spec, "--p-range", ranges[0],
+                     "--q-range", ranges[1], "--out", str(out)]) == 0
+        P, Q = (np.linspace(*map(float, r.split(":")[:2]), 2) for r in ranges)
+        if spec == "regions":  # a function of p alone
+            expected = [[p, *library(p, None)] for p in P]
+        else:
+            expected = [[p, q, *library(p, q)] for p in P for q in Q]
+        rows = out.read_text().splitlines()[2:]
+        assert rows == [",".join("%.12g" % v for v in row) for row in expected], spec
+        sweeps[spec] = {row.rsplit(",", 1)[0]: row.rsplit(",", 1)[1] for row in rows}
+
+    assert main(["diagonal", "--p-range", "0.0859375:0.5:2", "--diagonal-slope", "4",
+                 "--codes", ",".join(_ALIASES), "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()[1:]
+    assert header == ",".join(["p", "q", *_ALIASES])
+    p, q, *values = row.split(",")
+    assert (p, q) == ("0.0859375", "0.34375")
+    for alias, value in zip(_ALIASES, values, strict=True):
+        assert value == sweeps[_ALIASES[alias]][f"{p},{q}"], alias

@@ -235,8 +235,7 @@ def test_pattern_decompose_block_layout():
 
 
 def test_swarm_objectives_map_zero_rows_to_inf():
-    from dephrasure.codes import _chi3_objective
-    from dephrasure.pso import _full_objective
+    from dephrasure.codes import _chi3_objective, _full_objective
 
     rng = np.random.default_rng(9)
     p, q = 0.11, 0.33

@@ -5,8 +5,13 @@ import pytest
 
 from dephrasure import pso
 
-from dephrasure.codes import multiletter_ci, optimize_zdiag, repetition_ci_opt
-from dephrasure.pso import PsoConfig, optimize_code_ci, pso_minimize, rowwise
+from dephrasure.codes import (
+    multiletter_ci,
+    optimize_code_ci,
+    optimize_zdiag,
+    repetition_ci_opt,
+)
+from dephrasure.pso import PsoConfig, pso_minimize, rowwise
 
 
 def _sphere(x):
