@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__, antideg, channel, codes, compci, private_info, verify
 from .codes import optimize_code_ci
-from .pso import PsoConfig
 
 _FMT = "%.12g"
 
@@ -107,14 +106,22 @@ _QUANTITIES = {
 }
 
 
-def _parse_quantity(text, default_n):
+def _parse_quantity(text, flag_n):
+    """(name, n) of a quantity spelled ``name`` or ``name(n)``; ``flag_n``
+    is --n, which the (n) suffix overrides, and n falls back to 2."""
     match = _QUANTITY_RE.match(text)
     if not match or match.group(1) not in _QUANTITIES:
         raise argparse.ArgumentTypeError(f"unknown quantity {text!r}")
     name, n = match.groups()
-    if n is not None and not _QUANTITIES[name].takes_n:
-        raise argparse.ArgumentTypeError(f"quantity {name!r} takes no (n)")
-    return name, int(n) if n else default_n
+    if not _QUANTITIES[name].takes_n:
+        if n is not None:
+            raise argparse.ArgumentTypeError(f"quantity {name!r} takes no (n)")
+        if flag_n is not None:
+            raise argparse.ArgumentTypeError(f"quantity {name!r} takes no --n")
+        return name, None
+    if n is not None:
+        return name, int(n)
+    return name, 2 if flag_n is None else flag_n
 
 
 def _write(path, text):
@@ -208,12 +215,9 @@ def cmd_verify(args):
 
 
 def cmd_optimize(args):
-    config = PsoConfig(
-        n_particles=args.particles, max_iterations=args.iterations, seed=args.seed
-    )
     value, code = optimize_code_ci(
         args.p, args.q, args.n, parametrization=args.parametrization,
-        config=config,
+        seed=args.seed, n_starts=args.n_starts, max_iterations=args.iterations,
     )
     code = codes.schmidt_form(code)
     payload = {
@@ -222,13 +226,10 @@ def cmd_optimize(args):
         "q": args.q,
         "n": args.n,
         "parametrization": args.parametrization,
-        "pso": {
-            "n_particles": config.n_particles,
-            "c_inertia": config.c_inertia,
-            "c_self": config.c_self,
-            "c_social": config.c_social,
-            "max_iterations": config.max_iterations,
-            "seed": config.seed,
+        "search": {
+            "n_starts": args.n_starts,
+            "max_iterations": args.iterations,
+            "seed": args.seed,
         },
         "value": value,
         "rate_per_letter": value / args.n,
@@ -256,7 +257,8 @@ def build_parser():
     sweep = sub.add_parser("sweep", help="grid sweep of one quantity")
     common(sweep)
     sweep.add_argument("--quantity", required=True)
-    sweep.add_argument("--n", type=int, default=2)
+    sweep.add_argument("--n", type=int, default=None,
+                       help="n of a quantity that takes one (default 2)")
     sweep.set_defaults(func=cmd_sweep)
 
     diag = sub.add_parser("diagonal", help="per-letter rates along q = slope*p")
@@ -275,13 +277,15 @@ def build_parser():
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)
 
-    opt = sub.add_parser("optimize", help="particle-swarm code optimization")
+    opt = sub.add_parser("optimize", help="multi-start L-BFGS-B code search at a point")
     opt.add_argument("--p", type=float, required=True)
     opt.add_argument("--q", type=float, required=True)
     opt.add_argument("--n", type=int, default=2)
     opt.add_argument("--parametrization", choices=("full", "chi3"), default="full")
-    opt.add_argument("--particles", type=int, default=64)
-    opt.add_argument("--iterations", type=int, default=150)
+    opt.add_argument("--starts", "--particles", dest="n_starts", type=int, default=2,
+                     help="seeded random starts after the warm starts")
+    opt.add_argument("--iterations", type=int, default=200,
+                     help="L-BFGS-B iterations per start")
     opt.add_argument("--seed", type=int, default=0)
     opt.add_argument("--out", default=None)
     opt.set_defaults(func=cmd_optimize)

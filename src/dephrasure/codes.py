@@ -10,13 +10,12 @@ information and is therefore omitted analytically.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 from scipy.optimize import minimize
 
-from . import pso
 from .channel import _check_prob, _shaped, dephrasure_kraus, maximize_over_weights
 from .qinfo import (
     _hermitian_eigh,
@@ -496,64 +495,36 @@ def multiletter_ci(code, p, q):
     return float(evaluate(code.amplitudes[None])[0])
 
 
-def _code_objective(n, ref_dim, p, q, amplitudes):
-    """Swarm objective: rows of real parameters -> minus coherent information.
+def _code_objective(n, ref_dim, p, q, linear):
+    """Minus the coherent information of one parameter vector, with its
+    exact gradient.
 
-    ``amplitudes`` maps an (m, dim) parameter array to m amplitude rows
-    of (n, ref_dim) codes, which are normalized before evaluation; a row
-    whose amplitudes are all zero is an infeasible sentinel and maps to
-    inf.
+    The real parameters x are the (Re, Im) pairs of a complex vector
+    z = _complex(x); the fixed real ``linear`` map sends z to the
+    amplitudes z @ linear of an (n, ref_dim) code, which are normalized
+    before evaluation.  The all-zero vector is an infeasible sentinel
+    and maps to (inf, 0).
     """
-    evaluate = _ci_evaluator(n, ref_dim, p, q)
+    value_and_grad = _ci_gradient(n, ref_dim, p, q)
 
     def objective(x):
-        amps = amplitudes(np.asarray(x, dtype=float))
-        norms = np.linalg.norm(amps, axis=-1)
-        out = np.full(len(amps), np.inf)
-        ok = norms != 0.0
-        if ok.any():
-            out[ok] = -evaluate(amps[ok] / norms[ok, None])
-        return out
-
-    return objective
-
-
-def _chi3_objective(p, q):
-    """Swarm objective over the 8 real parameters (Re, Im of c1, d1, c2, d2)."""
-    return _code_objective(
-        3, 4, p, q, lambda x: (x[:, 0::2] + 1j * x[:, 1::2]) @ _chi3_map()
-    )
-
-
-def _full_objective(p, q, n):
-    """Swarm objective over all real and imaginary amplitude components
-    of a reference-dimension 2^n code."""
-    amp_len = 4**n
-    return _code_objective(
-        n, 2**n, p, q, lambda x: x[:, :amp_len] + 1j * x[:, amp_len:]
-    )
-
-
-def _chi3_polish_objective(p, q):
-    """Minus the chi_3 coherent information of one 8-parameter row, with
-    its exact gradient through the fixed map ``_chi3_map()``."""
-    value_and_grad = _ci_gradient(3, 4, p, q)
-    chi3 = _chi3_map()
-
-    def objective(x):
-        raw = (x[0::2] + 1j * x[1::2]) @ chi3
+        raw = _complex(x) @ linear
         norm = np.linalg.norm(raw)
         if norm == 0.0:
-            return np.inf, np.zeros(8)
+            return np.inf, np.zeros(len(x))
         amps = raw / norm
         value, grad = value_and_grad(amps)
         # through the normalization, then the linear map
-        grad = chi3 @ ((grad - amps * np.vdot(amps, grad).real) / norm)
-        out = np.empty(8)
-        out[0::2], out[1::2] = grad.real, grad.imag
-        return -value, -out
+        grad = linear @ ((grad - amps * np.vdot(amps, grad).real) / norm)
+        return -value, -grad.view(float)
 
     return objective
+
+
+def _complex(x):
+    """The complex vector whose (Re, Im) pairs are the real vector x;
+    its inverse is ``z.view(float)``."""
+    return np.ascontiguousarray(x, dtype=float).view(complex)
 
 
 def brute_force_ci(code, p, q):
@@ -627,9 +598,38 @@ def _zdiag_ci_fast(coeffs, p, q, n):
     return _zdiag_evaluator(p, q, n)(coeffs)[0]
 
 
-# local polish of every code search; L-BFGS-B's ftol is relative to
-# max(|f|, 1), so absolute for the sub-bit values near the thresholds
+# L-BFGS-B behind every code search; its ftol is relative to max(|f|,
+# 1), so absolute for the sub-bit values near the thresholds
 _LBFGS_OPTIONS = {"maxiter": 200, "ftol": 1e-15, "gtol": 1e-10}
+
+
+def _multistart(objective, starts, max_iterations=_LBFGS_OPTIONS["maxiter"]):
+    """L-BFGS-B with the exact gradient from each start in turn.
+
+    ``objective`` maps x to (f, grad f).  Returns (f, x) at the lowest
+    minimum found, the first start's on a tie; (inf, starts[0]) if no
+    start reaches a finite value.
+    """
+    options = {**_LBFGS_OPTIONS, "maxiter": max_iterations}
+    best_fun, best_x = np.inf, starts[0]
+    for start in starts:
+        # through this module's binding, which a tracer may wrap
+        res = minimize(objective, start, jac=True, method="L-BFGS-B", options=options)
+        if res.fun < best_fun:
+            best_fun, best_x = res.fun, res.x
+    return best_fun, best_x
+
+
+def _check_budget(n_starts, max_iterations):
+    if n_starts < 0:
+        raise ValueError(f"n_starts = {n_starts} must be >= 0")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations = {max_iterations} must be >= 1")
+
+
+def _uniform_starts(seed, n_starts, dim):
+    """``n_starts`` seeded draws, uniform in (-1, 1)^dim."""
+    return list(np.random.default_rng(seed).uniform(-1.0, 1.0, (n_starts, dim)))
 
 
 def optimize_zdiag(p, q, n, seed=0, n_starts=32):
@@ -664,76 +664,62 @@ def optimize_zdiag(p, q, n, seed=0, n_starts=32):
     rng = np.random.default_rng(seed)
     starts = [warm] + [np.abs(rng.standard_normal(dim)) for _ in range(n_starts)]
 
-    best_val, best_coeffs = -np.inf, warm
-    for start in starts:
-        res = minimize(
-            objective, start, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS
-        )
-        val = -res.fun
-        if val > best_val:
-            coeffs = np.abs(res.x) / np.linalg.norm(res.x)
-            best_val, best_coeffs = val, coeffs
-    if rep_val > best_val:  # warm-start value is always feasible
-        best_val = rep_val
-        best_coeffs = warm
-    return best_val, best_coeffs
+    fun, w = _multistart(objective, starts)
+    if rep_val > -fun:  # warm-start value is always feasible
+        return rep_val, warm
+    return -fun, np.abs(w) / np.linalg.norm(w)
 
 
-def optimize_chi3(p, q, seed=0, config=None):
-    """Optimize the chi_3 code coefficients with particle swarm search.
+def optimize_chi3(p, q, seed=0, n_starts=2, max_iterations=_LBFGS_OPTIONS["maxiter"]):
+    """Optimize the chi_3 code coefficients by multi-start L-BFGS-B.
 
-    The swarm searches the box (-1, 1)^8 with ``config``'s other
-    settings.  Returns (value, (c1, d1, c2, d2)) for the normalized best
-    code.
+    The 8 real parameters are the (Re, Im) pairs of (c1, d1, c2, d2).
+    The starts are four structured warm starts, then ``n_starts`` seeded
+    draws uniform in (-1, 1)^8; each runs for at most ``max_iterations``
+    iterations.  Returns (value, (c1, d1, c2, d2)) for the normalized
+    best code.
     """
     p = _check_prob(p, "p", hi=0.5)
     q = _check_prob(q, "q", hi=0.5)
+    _check_budget(n_starts, max_iterations)
 
-    objective = _chi3_objective(p, q)
-    if config is None:
-        config = pso.PsoConfig(seed=seed, max_iterations=200)
     # structured warm starts: the GHZ-flavored psi2 = 0 code, plus a
     # family with small psi1 ~ |+> weight — near the threshold the
-    # optimum retreats into that narrow corner of the parameter box,
+    # optimum retreats into that narrow corner of the parameter space,
     # mirroring the small-lambda behavior of the repetition codes
-    warms = [np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]) / np.sqrt(2)]
+    starts = [np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]) / np.sqrt(2)]
     for eps in (0.3, 0.1, 0.03):
-        warms.append(np.array([eps, 0.0, eps, 0.0, 1.0, 0.0, 0.0, 0.0]))
-    config = replace(config, bounds=((-1.0, 1.0),) * 8)
-    result = pso.pso_minimize(objective, 8, config, warm_starts=warms)
-
-    # deterministic local polish from the swarm best and each warm start
-    polish = _chi3_polish_objective(p, q)
-    best_val, best_x = result.best_value, result.best_position
-    for start in [result.best_position] + warms:
-        res = minimize(
-            polish, start, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS
-        )
-        if res.fun < best_val:
-            best_val, best_x = res.fun, res.x
-    vec = best_x[0::2] + 1j * best_x[1::2]
-    vec = vec / np.linalg.norm(vec)
-    return -best_val, tuple(vec)
+        starts.append(np.array([eps, 0.0, eps, 0.0, 1.0, 0.0, 0.0, 0.0]))
+    starts += _uniform_starts(seed, n_starts, 8)
+    fun, x = _multistart(
+        _code_objective(3, 4, p, q, _chi3_map()), starts, max_iterations
+    )
+    vec = _complex(x)
+    return -fun, tuple(vec / np.linalg.norm(vec))
 
 
-def optimize_code_ci(p, q, n, parametrization="full", config=None):
+def optimize_code_ci(
+    p, q, n, parametrization="full", seed=0, n_starts=2,
+    max_iterations=_LBFGS_OPTIONS["maxiter"],
+):
     """Maximize the n-use coherent information over code states.
 
     ``full`` optimizes all real and imaginary amplitude components of a
     rank-2^n code (reference dimension 2^n, n <= 3); ``chi3`` optimizes
-    the 4-coefficient non-diagonal 3-use family.  Either swarm searches
-    the box (-1, 1)^dim with ``config``'s other settings.  The raw
-    parameter vector is normalized before evaluation; the all-zero
-    vector is treated as an infeasible sentinel.  Returns (value,
-    CodeState).  ``full`` never returns less than its warm starts, the
-    optimal repetition code (valued by ``repetition_ci_opt``) and the
-    optimized Z-diagonal code (valued by ``optimize_zdiag``); when one
-    of them wins, it is returned embedded in reference dimension 2^n.
+    the 4-coefficient non-diagonal 3-use family (``optimize_chi3``).
+    Either runs multi-start L-BFGS-B from its warm starts and then
+    ``n_starts`` seeded draws uniform in (-1, 1)^dim, each for at most
+    ``max_iterations`` iterations.  Returns (value, CodeState).  ``full``
+    never returns less than its warm starts, the optimal repetition code
+    (valued by ``repetition_ci_opt``) and the optimized Z-diagonal code
+    (valued by ``optimize_zdiag``); when one of them wins, it is
+    returned embedded in reference dimension 2^n.
     """
+    _check_budget(n_starts, max_iterations)
     if parametrization == "chi3":
         if n != 3:
             raise ValueError("the chi3 parametrization is a 3-use family")
-        value, coeffs = optimize_chi3(p, q, config=config)
+        value, coeffs = optimize_chi3(p, q, seed, n_starts, max_iterations)
         return value, chi3_code(*coeffs)
 
     if parametrization != "full":
@@ -743,36 +729,27 @@ def optimize_code_ci(p, q, n, parametrization="full", config=None):
 
     ref_dim = 2**n
     amp_len = ref_dim * 2**n
-    dim = 2 * amp_len
-    objective = _full_objective(p, q, n)
-    if config is None:
-        config = pso.PsoConfig(max_iterations=150)
-
     # good feasible points matter: every pure product input is a local
     # extremum with zero coherent information
     rep_val, rep_lam = repetition_ci_opt(p, q, n)
     rep = _embed_code(repetition_code_state(n, rep_lam), ref_dim, n)
-    zval, zcoeffs = optimize_zdiag(p, q, n, seed=config.seed, n_starts=8)
-    zvec = np.zeros(ref_dim * 2**n, dtype=complex)
-    zvec[np.arange(2**n) * 2**n + np.arange(2**n)] = zcoeffs
-    zdiag = np.concatenate([zvec.real, zvec.imag])
+    zval, zcoeffs = optimize_zdiag(p, q, n, seed=seed, n_starts=8)
+    zvec = np.zeros(amp_len, dtype=complex)
+    zvec[np.arange(2**n) * (2**n + 1)] = zcoeffs
+    zdiag = zvec.view(float)
 
-    config = replace(config, bounds=((-1.0, 1.0),) * dim)
-    result = pso.pso_minimize(objective, dim, config, warm_starts=[rep, zdiag])
-    # each warm start keeps the value of its own route, which the block
-    # engine can read a few ulps lower; on a tie the swarm's code is kept
-    value, best = max(
-        [(-result.best_value, result.best_position), (rep_val, rep), (zval, zdiag)],
-        key=lambda candidate: candidate[0],
+    starts = [rep, zdiag] + _uniform_starts(seed, n_starts, 2 * amp_len)
+    fun, x = _multistart(
+        _code_objective(n, ref_dim, p, q, np.eye(amp_len)), starts, max_iterations
     )
-    return value, normalized_code(n, ref_dim, best[:amp_len] + 1j * best[amp_len:])
+    # each warm start keeps the value of its own route, which the block
+    # engine can read a few ulps lower; on a tie the searched code is kept
+    value, best = max([(-fun, x), (rep_val, rep), (zval, zdiag)], key=lambda c: c[0])
+    return value, normalized_code(n, ref_dim, _complex(best))
 
 
 def _embed_code(code, ref_dim, n):
-    """Real parameter vector embedding a rank-2 code into ref_dim 2^n."""
-    amps = np.zeros(ref_dim * 2**n, dtype=complex)
-    small = code.amplitudes.reshape(code.ref_dim, 2**n)
-    amps = amps.reshape(ref_dim, 2**n)
-    amps[: code.ref_dim] = small
-    amps = amps.reshape(-1)
-    return np.concatenate([amps.real, amps.imag])
+    """Real (Re, Im)-pair parameters embedding a rank-2 code into ref_dim 2^n."""
+    amps = np.zeros((ref_dim, 2**n), dtype=complex)
+    amps[: code.ref_dim] = code.amplitudes.reshape(code.ref_dim, 2**n)
+    return amps.view(float).reshape(-1)

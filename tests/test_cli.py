@@ -109,6 +109,7 @@ def test_optimize_subcommand(tmp_path):
     ])
     assert rc == 0
     payload = json.loads(out.read_text())
+    assert payload["search"] == {"n_starts": 2, "max_iterations": 40, "seed": 0}
     assert payload["value"] > 0.0
     assert len(payload["amplitudes_real"]) == 16
     # the written code has the written value
@@ -116,6 +117,30 @@ def test_optimize_subcommand(tmp_path):
     assert brute_force_ci(normalized_code(2, 4, amps), 0.11, 0.33) == pytest.approx(
         payload["value"], abs=1e-12
     )
+
+
+def test_optimize_particles_spells_starts(tmp_path):
+    payloads = []
+    for flag in ("--starts", "--particles"):
+        out = tmp_path / f"{flag[2:]}.json"
+        assert main(["optimize", "--p", "0.11", "--q", "0.33", "--n", "1",
+                     flag, "3", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        del payload["provenance"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["search"]["n_starts"] == 3
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--starts", "-1"), "n_starts = -1 must be >= 0"),
+    (("--iterations", "0"), "max_iterations = 0 must be >= 1"),
+])
+def test_optimize_bad_search_budget_is_a_one_line_error(tmp_path, capsys, flags, message):
+    out = tmp_path / "opt.json"
+    assert main(["optimize", "--p", "0.11", "--q", "0.33", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_bad_quantity_exit_code():
@@ -239,12 +264,16 @@ def test_provenance_falls_back_to_the_process_arguments(tmp_path, monkeypatch, c
         ("single_ci(3)", "quantity 'single_ci' takes no (n)"),
         ("chi3_rate(5)", "quantity 'chi3_rate' takes no (n)"),
         ("regions(2)", "quantity 'regions' takes no (n)"),
+        # --n likewise, and --n reaches a quantity that takes n
+        ("single_ci --n 5", "quantity 'single_ci' takes no --n"),
+        ("chi3_rate --n 3", "quantity 'chi3_rate' takes no --n"),
+        ("repetition_rate --n 0", "n must be >= 1"),
     ],
 )
 def test_out_of_domain_sweep_point_is_a_one_line_error(tmp_path, capsys, quantity, message):
     out = tmp_path / "sweep.csv"
     rc = main([
-        "sweep", "--quantity", quantity,
+        "sweep", "--quantity", *quantity.split(),
         "--p-range", "0:1:5", "--q-range", "0:1:5", "--out", str(out),
     ])
     assert rc == 2

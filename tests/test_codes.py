@@ -11,6 +11,7 @@ from dephrasure.codes import (
     multiletter_ci,
     normalized_code,
     optimize_chi3,
+    optimize_code_ci,
     optimize_zdiag,
     pattern_decompose,
     repetition_ci,
@@ -234,31 +235,29 @@ def test_pattern_decompose_block_layout():
     assert np.allclose(blocks[2].block, expect, atol=1e-15)
 
 
-def test_swarm_objectives_map_zero_rows_to_inf():
-    from dephrasure.codes import _chi3_objective, _full_objective
+def _search_objectives(p, q):
+    """(objective, parameter count, parameters -> code) of the chi_3 and
+    the full n = 2 searches."""
+    from dephrasure.codes import _chi3_map, _code_objective
 
+    return [
+        (_code_objective(3, 4, p, q, _chi3_map()), 8,
+         lambda x: chi3_code(*(x[0::2] + 1j * x[1::2]))),
+        (_code_objective(2, 4, p, q, np.eye(16)), 32,
+         lambda x: normalized_code(2, 4, x[0::2] + 1j * x[1::2])),
+    ]
+
+
+def test_code_objective_maps_zero_to_inf():
     rng = np.random.default_rng(9)
     p, q = 0.11, 0.33
-
-    def chi3_row(x):
-        return chi3_code(*(x[0::2] + 1j * x[1::2]))
-
-    def full_row(x):
-        return normalized_code(2, 4, x[:16] + 1j * x[16:])
-
-    for objective, dim, code_of in (
-        (_chi3_objective(p, q), 8, chi3_row),
-        (_full_objective(p, q, 2), 32, full_row),
-    ):
-        x = rng.uniform(-1.0, 1.0, (4, dim))
-        x[2] = 0.0
-        values = objective(x)
-        assert values[2] == np.inf
-        for i in (0, 1, 3):
-            assert values[i] == pytest.approx(
-                -multiletter_ci(code_of(x[i]), p, q), abs=1e-12
-            )
-        assert np.all(objective(np.zeros((3, dim))) == np.inf)
+    for objective, dim, code_of in _search_objectives(p, q):
+        for x in rng.uniform(-1.0, 1.0, (3, dim)):
+            value, _ = objective(x)
+            assert value == pytest.approx(-multiletter_ci(code_of(x), p, q), abs=1e-12)
+        value, grad = objective(np.zeros(dim))
+        assert value == np.inf
+        assert np.array_equal(grad, np.zeros(dim))
 
 
 # (p, q) corners and interior points of the gradient tests
@@ -272,7 +271,7 @@ def _central_differences(f, x, h=1e-6):
 
 @pytest.mark.parametrize("p, q", GRADIENT_POINTS)
 def test_block_gradient_matches_finite_differences(p, q):
-    from dephrasure.codes import _chi3_objective, _chi3_polish_objective, _ci_gradient
+    from dephrasure.codes import _ci_gradient
 
     rng = np.random.default_rng(31)
     for n, ref_dim in ((1, 2), (2, 4), (3, 2)):
@@ -291,12 +290,13 @@ def test_block_gradient_matches_finite_differences(p, q):
         )
         assert np.abs(fd - np.concatenate([grad.real, grad.imag])).max() <= 1e-6
 
-    # the chi_3 polish objective, through the normalization and the map
-    polish = _chi3_polish_objective(p, q)
-    x = rng.uniform(-1.0, 1.0, 8)
-    value, grad = polish(x)
-    assert value == pytest.approx(_chi3_objective(p, q)(x[None])[0], abs=1e-12)
-    assert np.abs(_central_differences(lambda y: polish(y)[0], x) - grad).max() <= 1e-6
+    # the search objectives, through the normalization and the linear map
+    for objective, dim, code_of in _search_objectives(p, q):
+        x = rng.uniform(-1.0, 1.0, dim)
+        value, grad = objective(x)
+        assert value == pytest.approx(-multiletter_ci(code_of(x), p, q), abs=1e-12)
+        fd = _central_differences(lambda y: objective(y)[0], x)
+        assert np.abs(fd - grad).max() <= 1e-6
 
 
 @pytest.mark.parametrize("p, q", GRADIENT_POINTS)
@@ -417,3 +417,52 @@ def test_schmidt_form_removes_reference_unitaries():
         assert multiletter_ci(CodeState(n, ref_dim, canonical), 0.11, 0.33) == (
             pytest.approx(multiletter_ci(code, 0.11, 0.33), abs=1e-12)
         )
+
+
+def test_optimize_chi3_reaches_the_best_known_value():
+    p, q = 0.10, 0.30
+    value, coeffs = optimize_chi3(p, q)
+    assert value >= 0.157137147313
+    assert abs(brute_force_ci(chi3_code(*coeffs), p, q) - value) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_full_code_search_leaves_the_z_diagonal_family(n):
+    # theta_2 reaches 0.0016471828395 here, 9.0e-9 below the best full
+    # n = 2 code, whose Schmidt rank is 3; the full n = 3 codes contain
+    # theta_3
+    p, q = 0.1149, 0.3447
+    floor = 0.0016471918155 - 1e-15 if n == 2 else optimize_zdiag(p, q, 3)[0]
+    value, code = optimize_code_ci(p, q, n)
+    assert value >= floor
+    assert abs(brute_force_ci(code, p, q) - value) <= 1e-12
+
+
+# (p, q, interior): two interior points and one on q = 3p near the
+# thresholds, where every rate is about 1e-5
+BOUND_POINTS = [(0.11, 0.33, True), (0.2, 0.1, True), (0.118, 0.354, False)]
+
+
+@pytest.mark.parametrize("p, q, interior", BOUND_POINTS)
+def test_search_rates_lie_between_repetition_and_the_degradable_bounds(p, q, interior):
+    from dephrasure.qinfo import binary_entropy
+
+    # the channel is erasure o dephasing and dephasing o erasure, both
+    # degradable, so no code beats either factor's capacity
+    upper = min(max(0.0, 1 - 2 * q), 1 - binary_entropy(p)) + 1e-12
+
+    def repetition(n):
+        return repetition_ci_opt(p, q, n)[0] / n - 1e-12
+
+    # theta_n with the 8 starts of the full search's warm start: the
+    # default 32 starts cost up to 1.5 s at n = 4
+    for n in (2, 3, 4):
+        assert repetition(n) <= optimize_zdiag(p, q, n, n_starts=8)[0] / n <= upper
+    for n in (1, 2, 3):
+        assert repetition(n) <= optimize_code_ci(p, q, n)[0] / n <= upper
+    # the chi_3 family holds no repetition code: near the thresholds its
+    # best is negative (-0.00143 per letter at (0.118, 0.354))
+    chi3 = optimize_chi3(p, q)[0] / 3
+    assert chi3 <= upper
+    if interior:
+        assert chi3 >= repetition(3)

@@ -1,9 +1,5 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
-
-from dephrasure import pso
 
 from dephrasure.codes import (
     multiletter_ci,
@@ -98,11 +94,10 @@ def test_optimize_code_ci_n2_recovers_repetition():
 
 
 def test_optimize_code_ci_full_keeps_its_warm_starts_values():
-    # the swarm starts from the theta_2 code, but scores it with the
+    # the search starts from the theta_2 code, but scores it with the
     # block engine, a few ulps below optimize_zdiag's own value
     p, q, seed = 0.1149, 0.3447, 1
-    config = PsoConfig(bounds=((-1.0, 1.0),) * 32, seed=seed, max_iterations=150)
-    value, code = optimize_code_ci(p, q, 2, config=config)
+    value, code = optimize_code_ci(p, q, 2, seed=seed, n_starts=2)
     assert value >= optimize_zdiag(p, q, 2, seed=seed, n_starts=8)[0]
     assert value >= repetition_ci_opt(p, q, 2)[0]
     assert multiletter_ci(code, p, q) == pytest.approx(value, abs=1e-12)
@@ -115,8 +110,7 @@ def test_optimize_code_ci_chi3_requires_n3():
 
 def test_optimize_code_ci_chi3_runs():
     value, code = optimize_code_ci(
-        0.11, 0.33, 3, parametrization="chi3",
-        config=PsoConfig(bounds=((-1.0, 1.0),) * 8, max_iterations=80, seed=0),
+        0.11, 0.33, 3, parametrization="chi3", seed=0, n_starts=2, max_iterations=80
     )
     assert code.n_uses == 3
     assert code.ref_dim == 4
@@ -164,20 +158,3 @@ def test_swarm_objective_shape_is_checked():
     config = PsoConfig(bounds=((-1.0, 1.0),) * 2, seed=0, max_iterations=2)
     with pytest.raises(ValueError):
         pso_minimize(lambda pos: np.sum(pos), 2, config)
-
-
-def test_optimize_code_ci_resized_config_keeps_every_field(monkeypatch):
-    seen = []
-    real = pso.pso_minimize
-
-    def spy(objective, dim, config, warm_starts=()):
-        seen.append(config)
-        return real(objective, dim, config, warm_starts)
-
-    monkeypatch.setattr(pso, "pso_minimize", spy)
-    config = PsoConfig(
-        n_particles=8, max_iterations=3, bounds=((-1.0, 1.0),), seed=5,
-        stall_iterations=7, per_dimension_draws=True,
-    )
-    optimize_code_ci(0.11, 0.33, 1, config=config)
-    assert seen == [replace(config, bounds=((-1.0, 1.0),) * 8)]
