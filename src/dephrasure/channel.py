@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qinfo import KrausSet, apply_kraus, binary_entropy
+from .qinfo import KrausSet, apply_kraus, binary_entropy, von_neumann_entropy
 
 # Erasure flag: third basis vector of the qutrit output.
 KET_E = np.array([0.0, 0.0, 1.0], dtype=complex)
@@ -174,8 +174,6 @@ def bloch_state(x, y, z):
 
 def coherent_info_state(p, q, rho):
     """Direct route S(N(rho)) - S(N^c(rho)) through the Kraus maps."""
-    from .qinfo import von_neumann_entropy
-
     n_out = apply_kraus(dephrasure_kraus(p, q), rho)
     c_out = complementary_apply(p, q, np.asarray(rho, dtype=complex))
     return von_neumann_entropy(n_out) - von_neumann_entropy(c_out)
@@ -254,8 +252,13 @@ def maximize_over_weights(value_fn, step, tol):
     for start in range(1, len(grid), cols):
         vals = np.asarray(value_fn(grid[start : start + cols]))
         vals = vals.reshape(-1, vals.shape[-1])
-        idx = np.argmax(vals, axis=1)
-        top = vals[rows, idx]
+        if vals.shape[1] == 1:
+            # one weight per block on large batches, where a row-wise
+            # argmax costs far more than the elementwise compare below
+            idx, top = 0, vals[:, 0]
+        else:
+            idx = np.argmax(vals, axis=1)
+            top = vals[rows, idx]
         better = top > best_val
         best_val = np.where(better, top, best_val)
         best_idx = np.where(better, idx + start, best_idx)

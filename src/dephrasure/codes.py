@@ -14,19 +14,19 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel import _check_prob, _shaped, dephrasure_kraus, maximize_over_weights
 from .qinfo import (
     _hermitian_eigh,
     binary_entropy,
+    coherent_information,
     shannon_entropy,
     tensor_power_kraus,
     von_neumann_entropy,
 )
 
 N_LIMIT = 6
-BRUTE_FORCE_N_LIMIT = 3
+BRUTE_FORCE_N_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -528,22 +528,19 @@ def _complex(x):
 
 
 def brute_force_ci(code, p, q):
-    """Independent oracle: explicit n-fold Kraus map on the 3^n output.
+    """Independent oracle: the explicit n-fold Kraus set on the full tensor product.
 
-    Computes S(N(rho)) - S((id (x) N)(psi)) with the full tensor-product
-    Kraus set; exponential in n, so n <= 3 only.
+    ``qinfo.coherent_information`` of the 4^n tensor-power Kraus
+    operators on the code's input state, with no erasure-pattern
+    grouping: S of the 3^n-dim output less S of the 4^n-dim environment
+    state.  Exponential in n, so n <= BRUTE_FORCE_N_LIMIT only.
     """
     n = code.n_uses
     if n > BRUTE_FORCE_N_LIMIT:
         raise ValueError(f"brute force supports n <= {BRUTE_FORCE_N_LIMIT}")
-    kraus = tensor_power_kraus(dephrasure_kraus(p, q), n)
-    rho = code.input_state()
-    out = sum(K @ rho @ K.conj().T for K in kraus.operators)
-    eye = np.eye(code.ref_dim)
-    cols = [np.kron(eye, K) @ code.amplitudes for K in kraus.operators]
-    v = np.column_stack(cols)
-    joint = v @ v.conj().T
-    return von_neumann_entropy(out) - von_neumann_entropy(joint)
+    return coherent_information(
+        tensor_power_kraus(dephrasure_kraus(p, q), n), code.input_state()
+    )
 
 
 def _zdiag_evaluator(p, q, n):
@@ -601,6 +598,14 @@ def _zdiag_ci_fast(coeffs, p, q, n):
 # L-BFGS-B behind every code search; its ftol is relative to max(|f|,
 # 1), so absolute for the sub-bit values near the thresholds
 _LBFGS_OPTIONS = {"maxiter": 200, "ftol": 1e-15, "gtol": 1e-10}
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first search: scipy's import
+    takes most of a command's start-up, and most commands never search."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _multistart(objective, starts, max_iterations=_LBFGS_OPTIONS["maxiter"]):

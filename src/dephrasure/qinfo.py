@@ -172,9 +172,15 @@ def compose_kraus(outer, inner):
 
 
 def tensor_kraus(a, b):
-    """Kraus form of the tensor product channel a (x) b."""
-    ops = [np.kron(A, B) for A in a.operators for B in b.operators]
-    return KrausSet(a.in_dim * b.in_dim, a.out_dim * b.out_dim, tuple(ops))
+    """Kraus form of the tensor product channel a (x) b.
+
+    Operator (i, j) is kron(a_i, b_j), in (i, j)-lexicographic order;
+    the whole stack is one broadcast product.
+    """
+    A, B = np.array(a.operators), np.array(b.operators)
+    ops = A[:, None, :, None, :, None] * B[None, :, None, :, None, :]
+    out_dim, in_dim = a.out_dim * b.out_dim, a.in_dim * b.in_dim
+    return KrausSet(in_dim, out_dim, tuple(ops.reshape(-1, out_dim, in_dim)))
 
 
 def tensor_power_kraus(kraus, n):
@@ -260,17 +266,25 @@ def is_completely_positive(choi, tol=1e-10):
 
 
 def coherent_information(kraus, rho):
-    """I_c(rho, N) = S(N(rho)) - S((id (x) N)(psi)) for a purification psi.
+    """I_c(rho, N) = S(N(rho)) - S(N^c(rho)).
 
-    The second term is the output entropy of the complementary channel,
-    rephrased through the purification, so no explicit environment
-    representation is needed.
+    The environment state N^c(rho)[k, l] = tr(K_k rho K_l^dagger) has
+    the nonzero spectrum of (id (x) N)(psi) for any purification psi of
+    rho, so its dimension is the number of Kraus operators rather than
+    the reference's times the output's.  Both states come from the
+    stacked operators with one matmul each.
     """
     rho = check_density_matrix(rho)
-    psi = purify(rho)
-    d = rho.shape[0]
-    eye = np.eye(d)
-    cols = [np.kron(eye, K) @ psi for K in kraus.operators]
-    v = np.column_stack(cols)
-    joint = v @ v.conj().T
-    return von_neumann_entropy(apply_kraus(kraus, rho)) - von_neumann_entropy(joint)
+    if rho.shape[0] != kraus.in_dim:
+        raise ValueError(
+            f"state dim {rho.shape[0]} != channel input dim {kraus.in_dim}"
+        )
+    ops = np.array(kraus.operators)  # (m, out, in)
+    m = len(ops)
+    kr = ops @ rho
+    # sum_k (K_k rho) K_k^dagger with the operators side by side
+    out = kr.transpose(1, 0, 2).reshape(kraus.out_dim, -1) @ (
+        ops.transpose(1, 0, 2).reshape(kraus.out_dim, -1).conj().T
+    )
+    env = kr.reshape(m, -1) @ ops.reshape(m, -1).conj().T
+    return von_neumann_entropy(out) - von_neumann_entropy(env)

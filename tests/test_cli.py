@@ -1,10 +1,14 @@
 import csv
 import functools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dephrasure
 from dephrasure import antideg, channel, cli, codes, compci, private_info
 from dephrasure.cli import main
 from dephrasure.codes import CodeState, brute_force_ci, normalized_code
@@ -358,3 +362,16 @@ def test_every_quantity_and_code_alias_prints_the_library_value(tmp_path, monkey
     assert (p, q) == ("0.0859375", "0.34375")
     for alias, value in zip(_ALIASES, values, strict=True):
         assert value == sweeps[_ALIASES[alias]][f"{p},{q}"], alias
+
+
+def test_building_the_parser_does_not_import_scipy():
+    src = os.path.dirname(os.path.dirname(dephrasure.__file__))
+    code = (
+        "import sys; import dephrasure.cli as cli; cli.build_parser(); "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

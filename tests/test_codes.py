@@ -396,6 +396,18 @@ def test_theta_n_rates_rise_with_n_inside_the_bounds():
     assert rates == pytest.approx([0.01100, 0.01190, 0.01253], abs=1e-5)
 
 
+@pytest.mark.parametrize("p, q", [(0.11, 0.33), (0.1149, 0.3447)])
+def test_theta4_matches_the_full_tensor_oracle(p, q):
+    value, coeffs = optimize_zdiag(p, q, 4, seed=0)
+    assert abs(brute_force_ci(zdiag_code(coeffs), p, q) - value) <= 1e-12
+
+
+def test_brute_force_rejects_n_above_its_limit():
+    code = _random_code(np.random.default_rng(47), 5, ref_dim=1)
+    with pytest.raises(ValueError, match="n <= 4"):
+        brute_force_ci(code, 0.11, 0.33)
+
+
 def _reference_unitary(rng, dim):
     mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return np.linalg.qr(mat)[0]

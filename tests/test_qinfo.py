@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dephrasure.channel import complementary_kraus, dephrasure_kraus
 from dephrasure.qinfo import (
     KrausSet,
     apply_kraus,
@@ -276,3 +277,56 @@ def test_hermitian_eigh_validates_as_von_neumann_entropy_does():
     # the real part of a state is a real state, and stays real
     evals, vecs = _hermitian_eigh(rhos.real)
     assert vecs.dtype == np.float64
+
+
+def _random_kraus(rng, m, d_in, d_out):
+    """m random complex operators d_in -> d_out, made trace preserving."""
+    ops = rng.standard_normal((m, d_out, d_in)) + 1j * rng.standard_normal(
+        (m, d_out, d_in)
+    )
+    evals, vecs = np.linalg.eigh(np.einsum("kji,kjl->il", ops.conj(), ops))
+    inv_sqrt = (vecs / np.sqrt(evals)) @ vecs.conj().T
+    return KrausSet(d_in, d_out, tuple(ops @ inv_sqrt))
+
+
+def _joint_state_ci(kraus, rho):
+    """Reference route: S(N(rho)) - S((id (x) N)(psi)) for a purification psi."""
+    psi = purify(rho)
+    eye = np.eye(rho.shape[0])
+    v = np.column_stack([np.kron(eye, K) @ psi for K in kraus.operators])
+    return von_neumann_entropy(apply_kraus(kraus, rho)) - von_neumann_entropy(
+        v @ v.conj().T
+    )
+
+
+def test_coherent_information_matches_the_joint_state_route():
+    rng = np.random.default_rng(29)
+    channels = [
+        tensor_power_kraus(dephrasure_kraus(p, q), n)
+        for n in (1, 2, 3)
+        for p, q in ((0.11, 0.33), (0.3, 0.05), (0.0, 0.5))
+    ]
+    channels += [complementary_kraus(p, q) for p, q in ((0.11, 0.33), (0.4, 0.2))]
+    # 7 operators: an environment larger than the joint output d * d_out = 6
+    channels.append(_random_kraus(rng, 7, 2, 3))
+    for kraus in channels:
+        for rho in _random_states(rng, 3, kraus.in_dim):
+            assert abs(
+                coherent_information(kraus, rho) - _joint_state_ci(kraus, rho)
+            ) <= 1e-12
+
+
+def test_tensor_kraus_is_the_lexicographic_kron_list():
+    rng = np.random.default_rng(31)
+    a, b = _random_kraus(rng, 3, 2, 3), _random_kraus(rng, 5, 3, 2)
+    prod = tensor_kraus(a, b)
+    expect = [np.kron(A, B) for A in a.operators for B in b.operators]
+    assert (prod.in_dim, prod.out_dim) == (6, 6)
+    assert len(prod.operators) == len(expect)
+    for got, want in zip(prod.operators, expect):
+        assert np.array_equal(got, want)
+
+
+def test_coherent_information_rejects_a_state_of_the_wrong_dimension():
+    with pytest.raises(ValueError, match="state dim 4 != channel input dim 2"):
+        coherent_information(dephrasure_kraus(0.1, 0.2), np.eye(4) / 4)
