@@ -2,10 +2,11 @@
 
 For q >= 1/2 a trivial degrading map recovers the channel from its
 complement; for k(p) <= q < 1/2 the recovery runs an unambiguous state
-discrimination (USD) measurement on the environment block.  The maps
-are assembled as weighted conjugation terms sum_i c_i K_i . K_i^dag so
-that the x < 0 regime (where the construction stops being completely
-positive) is still representable; verification compares Choi matrices.
+discrimination (USD) measurement on the environment block.  Each map
+is held as a weights array c and an operator stack K, the map
+rho -> sum_i c_i K_i rho K_i^dag, so that the x < 0 regime (where the
+construction stops being completely positive) is still representable;
+verification compares Choi matrices taken from the stacks.
 """
 
 from __future__ import annotations
@@ -107,11 +108,13 @@ def _trivial_map_terms(p, q):
 
 
 def _map_terms(p, q):
+    """(kind, x, weights, ops): the map's weights and its (m, 3, 4) stack."""
     if q >= 0.5:
-        x, terms = _trivial_map_terms(p, q)
-        return "trivial", x, terms
-    x, terms = _usd_map_terms(p, q)
-    return "usd", x, terms
+        kind, (x, terms) = "trivial", _trivial_map_terms(p, q)
+    else:
+        kind, (x, terms) = "usd", _usd_map_terms(p, q)
+    weights, ops = zip(*terms)
+    return kind, x, np.array(weights), np.array(ops)
 
 
 def antidegrading_map(p, q):
@@ -130,9 +133,9 @@ def antidegrading_map(p, q):
         raise NotAntidegradableHere(
             f"(p, q) = ({p}, {q}) is below the constructive boundary k(p)"
         )
-    _, x, terms = _map_terms(p, q)
-    ops = [np.sqrt(w) * K for w, K in terms if w > 0.0]
-    return KrausSet(4, 3, tuple(ops))
+    _, _, weights, ops = _map_terms(p, q)
+    keep = weights > 0.0
+    return KrausSet(4, 3, np.sqrt(weights[keep])[:, None, None] * ops[keep])
 
 
 def verify_antidegradable(p, q, tol=1e-10):
@@ -149,16 +152,14 @@ def verify_antidegradable(p, q, tol=1e-10):
     q = _check_prob(q, "q")
     if q <= 0.0:
         return DegradingMapReport(p, q, "usd", -np.inf, np.inf, -np.inf, False)
-    kind, x, terms = _map_terms(p, q)
+    kind, x, weights, ops = _map_terms(p, q)
 
-    a_choi = _choi_of_terms(terms, 4, 3)
+    a_choi = _choi_of_terms(weights, ops)
     cp_min = float(np.linalg.eigvalsh(a_choi).min())
 
-    comp = complementary_kraus(p, q)
-    composed = [
-        (w, K @ C) for w, K in terms for C in comp.operators
-    ]
-    choi_comp = _choi_of_terms(composed, 2, 3)
+    comp = complementary_kraus(p, q).operators  # term (i, j): weights_i, ops_i @ comp_j
+    composed = (ops[:, None] @ comp[None]).reshape(-1, 3, 2)
+    choi_comp = _choi_of_terms(np.repeat(weights, len(comp)), composed)
     target = choi_of(dephrasure_kraus(p, q))
     residual = float(np.max(np.abs(choi_comp - target)))
 

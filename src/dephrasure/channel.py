@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qinfo import KrausSet, apply_kraus, binary_entropy, von_neumann_entropy
+from .qinfo import KrausSet, binary_entropy, coherent_information
 
 # Erasure flag: third basis vector of the qutrit output.
 KET_E = np.array([0.0, 0.0, 1.0], dtype=complex)
@@ -119,17 +119,20 @@ def region_curves(p):
     return region_g(p), region_j(p), region_k(p)
 
 
+def _small_eigenvalue(w):
+    """The small eigenvalue (1 - k)/2, k = sqrt(1 - w), of a 2x2 state
+    whose determinant is w/4, computed as w / (2(1 + k)) to avoid
+    cancellation for small w.  Elementwise; 1 - w is clipped at 0."""
+    return w / (2 * (1 + np.sqrt(np.clip(1.0 - w, 0.0, None))))
+
+
 def _phi_entropy(p, z):
     """Entropy of the 2x2 environment block with diagonal (1-p, p) and
     off-diagonal z sqrt(p(1-p)), numerically stable for |z| near 1.
 
-    The eigenvalues are (1 +/- k)/2 with k = sqrt(1 - 4p(1-p)(1-z^2));
-    the small one is computed as 2p(1-p)(1-z^2)/(1+k) to avoid
-    cancellation.
+    The block's determinant is p(1-p)(1-z^2), a quarter of w below.
     """
-    w = 4 * p * (1 - p) * (1 - z) * (1 + z)
-    k = np.sqrt(max(0.0, 1.0 - w))
-    return binary_entropy(w / (2 * (1 + k)))
+    return binary_entropy(_small_eigenvalue(4 * p * (1 - p) * (1 - z) * (1 + z)))
 
 
 def coherent_info_z(p, q, z):
@@ -173,10 +176,8 @@ def bloch_state(x, y, z):
 
 
 def coherent_info_state(p, q, rho):
-    """Direct route S(N(rho)) - S(N^c(rho)) through the Kraus maps."""
-    n_out = apply_kraus(dephrasure_kraus(p, q), rho)
-    c_out = complementary_apply(p, q, np.asarray(rho, dtype=complex))
-    return von_neumann_entropy(n_out) - von_neumann_entropy(c_out)
+    """Direct route S(N(rho)) - S(N^c(rho)) through the Kraus operators."""
+    return coherent_information(dephrasure_kraus(p, q), rho)
 
 
 def _lambda_grid(step):
@@ -308,11 +309,8 @@ def single_letter_ci(p, q):
 
     def value(lam):
         # 1 - z^2 = 4 lam (1 - lam) for z = 1 - 2 lam
-        w = 16 * p * (1 - p) * lam * (1 - lam)
-        k = np.sqrt(np.clip(1.0 - w, 0.0, None))
-        return (1 - 2 * q) * binary_entropy(lam) - (1 - q) * binary_entropy(
-            w / (2 * (1 + k))
-        )
+        small = _small_eigenvalue(16 * p * (1 - p) * lam * (1 - lam))
+        return (1 - 2 * q) * binary_entropy(lam) - (1 - q) * binary_entropy(small)
 
     val, lam = maximize_over_weights(value, 1e-3, 1e-10)
     return _shaped(shape, val, 1 - 2 * lam)

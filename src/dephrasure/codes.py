@@ -15,7 +15,13 @@ from itertools import product
 
 import numpy as np
 
-from .channel import _check_prob, _shaped, dephrasure_kraus, maximize_over_weights
+from .channel import (
+    _check_prob,
+    _shaped,
+    _small_eigenvalue,
+    dephrasure_kraus,
+    maximize_over_weights,
+)
 from .qinfo import (
     _hermitian_eigh,
     binary_entropy,
@@ -117,9 +123,7 @@ def _c_value(p, n):
 
 def _rep_small_eig(lam, c):
     """(1-u)/2 = 2 lam (1-lam) c / (1+u), stable for tiny lam; c = _c_value(p, n)."""
-    w = 4 * lam * (1 - lam) * c
-    u = np.sqrt(np.clip(1.0 - w, 0.0, None))
-    return w / (2 * (1 + u))
+    return _small_eigenvalue(4 * lam * (1 - lam) * c)
 
 
 def repetition_ci(p, q, n, lam):

@@ -31,21 +31,16 @@ def _as_square(mat):
 
 
 def check_density_matrix(rho):
-    """Validate Hermiticity, unit trace and positivity of ``rho``.
+    """Validate unit trace, then Hermiticity and positivity (_hermitian_eigh).
 
     Returns the validated matrix (as a complex array).  Raises
     ``ValueError`` on violation.
     """
     rho = _as_square(rho)
-    asym = np.max(np.abs(rho - rho.conj().T))
-    if asym > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3g})")
     tr = np.trace(rho).real
     if abs(tr - 1.0) > max(TRACE_TOL, 1e-12 * rho.shape[0]):
         raise ValueError(f"trace is {tr}, expected 1")
-    evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if evals.min() < EIGENVALUE_FLOOR:
-        raise ValueError(f"negative eigenvalue {evals.min():.3g}")
+    _hermitian_eigh(rho, vectors=False)
     return rho
 
 
@@ -124,51 +119,70 @@ def von_neumann_entropy(rho):
 
 @dataclass(frozen=True)
 class KrausSet:
-    """A completely positive trace-preserving map in Kraus form."""
+    """A completely positive trace-preserving map in Kraus form.
+
+    ``operators``, given as any sequence of (out_dim, in_dim) matrices,
+    is stored as one read-only complex (m, out_dim, in_dim) stack, so the
+    completeness checked here cannot be broken afterwards.
+    """
 
     in_dim: int
     out_dim: int
-    operators: tuple
+    operators: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(np.asarray(K, dtype=complex) for K in self.operators)
-        if not ops:
+        # shapes first: stacking ragged operators would raise numpy's error
+        shapes = [np.shape(K) for K in self.operators]
+        if not shapes:
             raise ValueError("KrausSet needs at least one operator")
-        for K in ops:
-            if K.shape != (self.out_dim, self.in_dim):
+        for shape in shapes:
+            if shape != (self.out_dim, self.in_dim):
                 raise ValueError(
-                    f"Kraus operator shape {K.shape} != "
+                    f"Kraus operator shape {shape} != "
                     f"({self.out_dim}, {self.in_dim})"
                 )
-        acc = sum(K.conj().T @ K for K in ops)
-        defect = np.max(np.abs(acc - np.eye(self.in_dim)))
+        ops = np.array(self.operators, dtype=complex)
+        # sum_k K_k^dagger K_k as one product of the operators stacked by rows
+        rows = ops.reshape(-1, self.in_dim)
+        defect = np.max(np.abs(rows.conj().T @ rows - np.eye(self.in_dim)))
         if defect > max(KRAUS_TOL, 1e-13 * self.in_dim * len(ops)):
             raise ValueError(f"Kraus completeness violated by {defect:.3g}")
+        ops.flags.writeable = False
         object.__setattr__(self, "operators", ops)
 
     def __call__(self, rho):
         return apply_kraus(self, rho)
 
 
-def apply_kraus(kraus, rho):
-    """Channel action sum_k K_k rho K_k^dagger."""
-    rho = _as_square(rho)
+def _kraus_action(kraus, rho):
+    """(K_k rho stacked, N(rho)) for a square ``rho``; N(rho) is one product
+    of the K_k rho and the K_k^dagger placed side by side."""
     if rho.shape[0] != kraus.in_dim:
         raise ValueError(
             f"state dim {rho.shape[0]} != channel input dim {kraus.in_dim}"
         )
-    out = np.zeros((kraus.out_dim, kraus.out_dim), dtype=complex)
-    for K in kraus.operators:
-        out += K @ rho @ K.conj().T
-    return out
+    ops = kraus.operators
+    kr = ops @ rho
+    out = kr.transpose(1, 0, 2).reshape(kraus.out_dim, -1) @ (
+        ops.transpose(1, 0, 2).reshape(kraus.out_dim, -1).conj().T
+    )
+    return kr, out
+
+
+def apply_kraus(kraus, rho):
+    """Channel action sum_k K_k rho K_k^dagger."""
+    return _kraus_action(kraus, _as_square(rho))[1]
 
 
 def compose_kraus(outer, inner):
-    """Kraus form of the composition outer @ inner (inner acts first)."""
+    """Kraus form of outer @ inner (inner acts first): outer_i @ inner_j in
+    (i, j)-lexicographic order, one broadcast matmul."""
     if inner.out_dim != outer.in_dim:
         raise ValueError("dimension mismatch in channel composition")
-    ops = [A @ B for A in outer.operators for B in inner.operators]
-    return KrausSet(inner.in_dim, outer.out_dim, tuple(ops))
+    ops = (outer.operators[:, None] @ inner.operators[None]).reshape(
+        -1, outer.out_dim, inner.in_dim
+    )
+    return KrausSet(inner.in_dim, outer.out_dim, ops)
 
 
 def tensor_kraus(a, b):
@@ -177,10 +191,10 @@ def tensor_kraus(a, b):
     Operator (i, j) is kron(a_i, b_j), in (i, j)-lexicographic order;
     the whole stack is one broadcast product.
     """
-    A, B = np.array(a.operators), np.array(b.operators)
+    A, B = a.operators, b.operators
     ops = A[:, None, :, None, :, None] * B[None, :, None, :, None, :]
     out_dim, in_dim = a.out_dim * b.out_dim, a.in_dim * b.in_dim
-    return KrausSet(in_dim, out_dim, tuple(ops.reshape(-1, out_dim, in_dim)))
+    return KrausSet(in_dim, out_dim, ops.reshape(-1, out_dim, in_dim))
 
 
 def tensor_power_kraus(kraus, n):
@@ -224,11 +238,8 @@ def purify(rho):
     reference (subsystem 0) recovers ``rho``.  Built from the
     eigendecomposition: |psi> = sum_i sqrt(l_i) |i>_ref (x) |v_i>.
     """
-    rho = check_density_matrix(rho)
-    evals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
-    evals = np.clip(evals, 0.0, None)
-    psi = (np.sqrt(evals)[:, None] * vecs.T).reshape(-1)
-    return psi
+    evals, vecs = _hermitian_eigh(check_density_matrix(rho))
+    return (np.sqrt(evals)[:, None] * vecs.T).reshape(-1)
 
 
 def choi_of(kraus):
@@ -236,25 +247,20 @@ def choi_of(kraus):
 
     Ordering is input (x) output, trace equals in_dim, and the partial
     trace over the output block gives the identity for trace-preserving
-    maps.
+    maps.  Taken from the read-only operator stack with unit weights.
     """
-    return _choi_of_terms(
-        [(1.0, K) for K in kraus.operators], kraus.in_dim, kraus.out_dim
-    )
+    return _choi_of_terms(np.ones(len(kraus.operators)), kraus.operators)
 
 
-def _choi_of_terms(terms, in_dim, out_dim):
+def _choi_of_terms(weights, ops):
     """Choi matrix of rho -> sum_i w_i K_i rho K_i^dag, in choi_of's ordering.
 
-    The weights may be negative, so maps that are not completely positive
-    are representable.
+    ``ops`` is an (m, out_dim, in_dim) stack; its m weights may be
+    negative, so maps that are not completely positive are representable.
     """
-    d = in_dim * out_dim
-    choi = np.zeros((d, d), dtype=complex)
-    for w, K in terms:
-        vec = K.T.reshape(-1)
-        choi += w * np.outer(vec, vec.conj())
-    return choi
+    v = ops.transpose(0, 2, 1).reshape(len(ops), -1)  # row i is K_i.T flattened
+    w = weights[:, None, None]
+    return np.sum(w * (v[:, :, None] * v.conj()[:, None, :]), axis=0)
 
 
 def is_completely_positive(choi, tol=1e-10):
@@ -272,19 +278,9 @@ def coherent_information(kraus, rho):
     the nonzero spectrum of (id (x) N)(psi) for any purification psi of
     rho, so its dimension is the number of Kraus operators rather than
     the reference's times the output's.  Both states come from the
-    stacked operators with one matmul each.
+    stacked products K_k rho of apply_kraus, with one matmul each.
     """
-    rho = check_density_matrix(rho)
-    if rho.shape[0] != kraus.in_dim:
-        raise ValueError(
-            f"state dim {rho.shape[0]} != channel input dim {kraus.in_dim}"
-        )
-    ops = np.array(kraus.operators)  # (m, out, in)
-    m = len(ops)
-    kr = ops @ rho
-    # sum_k (K_k rho) K_k^dagger with the operators side by side
-    out = kr.transpose(1, 0, 2).reshape(kraus.out_dim, -1) @ (
-        ops.transpose(1, 0, 2).reshape(kraus.out_dim, -1).conj().T
-    )
-    env = kr.reshape(m, -1) @ ops.reshape(m, -1).conj().T
+    kr, out = _kraus_action(kraus, check_density_matrix(rho))
+    m = len(kr)
+    env = kr.reshape(m, -1) @ kraus.operators.reshape(m, -1).conj().T
     return von_neumann_entropy(out) - von_neumann_entropy(env)

@@ -3,6 +3,7 @@ import pytest
 
 from dephrasure.antideg import (
     NotAntidegradableHere,
+    _map_terms,
     antidegrading_map,
     usd_povm,
     verify_antidegradable,
@@ -13,7 +14,7 @@ from dephrasure.channel import (
     phi_states,
     region_k,
 )
-from dephrasure.qinfo import apply_kraus, choi_of, compose_kraus
+from dephrasure.qinfo import _choi_of_terms, apply_kraus, choi_of, compose_kraus
 
 
 def test_usd_povm_completeness_and_positivity():
@@ -115,3 +116,29 @@ def test_report_fields_on_grid():
             assert report.antidegradable
             assert report.composition_residual < 1e-10
             assert report.cp_min_eigenvalue > -1e-10
+
+
+def _choi_of_terms_loop(weights, ops):
+    """Reference: the outer products of the flattened K_i.T, added in order."""
+    d = ops.shape[1] * ops.shape[2]
+    choi = np.zeros((d, d), dtype=complex)
+    for w, K in zip(weights, ops):
+        vec = K.T.reshape(-1)
+        choi += float(w) * np.outer(vec, vec.conj())
+    return choi
+
+
+def test_choi_of_terms_matches_the_loop_bit_for_bit():
+    # usd and trivial maps, on and above k(p), and below it (negative weights)
+    points = [(0.25, 0.25), (0.1, 0.1), (0.4, 0.05), (0.2, region_k(0.2)),
+              (0.3, 0.45), (0.05, 0.49), (0.1, 0.7), (0.0, 0.5), (0.5, 0.3)]
+    for p, q in points:
+        _, _, weights, ops = _map_terms(p, q)
+        if q < region_k(p) - 1e-15:
+            assert weights.min() < 0.0
+        comp = complementary_kraus(p, q).operators
+        composed = np.array([K @ C for K in ops for C in comp])
+        for w, stack in ((weights, ops), (np.repeat(weights, len(comp)), composed)):
+            got = _choi_of_terms(w, stack)
+            # bytes, so signed zeros count too
+            assert got.tobytes() == _choi_of_terms_loop(w, stack).tobytes()

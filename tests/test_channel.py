@@ -23,6 +23,7 @@ from dephrasure.qinfo import (
     binary_entropy,
     choi_of,
     coherent_information,
+    von_neumann_entropy,
 )
 
 
@@ -137,10 +138,12 @@ def test_coherent_info_xz_vs_kraus():
 
 
 def test_coherent_info_state_oracle():
+    # the Kraus route against the block form of the complementary output
     rho = bloch_state(0.2, 0.3, -0.4)
-    assert coherent_info_state(0.1, 0.2, rho) == pytest.approx(
-        coherent_information(dephrasure_kraus(0.1, 0.2), rho), abs=1e-12
-    )
+    direct = von_neumann_entropy(
+        apply_kraus(dephrasure_kraus(0.1, 0.2), rho)
+    ) - von_neumann_entropy(complementary_apply(0.1, 0.2, rho))
+    assert coherent_info_state(0.1, 0.2, rho) == pytest.approx(direct, abs=1e-12)
 
 
 def test_single_letter_ci_below_j_is_maximally_mixed():

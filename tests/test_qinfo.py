@@ -330,3 +330,79 @@ def test_tensor_kraus_is_the_lexicographic_kron_list():
 def test_coherent_information_rejects_a_state_of_the_wrong_dimension():
     with pytest.raises(ValueError, match="state dim 4 != channel input dim 2"):
         coherent_information(dephrasure_kraus(0.1, 0.2), np.eye(4) / 4)
+
+
+def test_kraus_set_is_one_read_only_complex_stack():
+    ops = [np.sqrt(0.3) * np.eye(2), np.sqrt(0.7) * np.diag([1.0, -1.0])]
+    for given in (tuple(ops), ops, np.array(ops)):
+        kraus = KrausSet(2, 2, given)
+        assert kraus.operators.shape == (2, 2, 2)
+        assert kraus.operators.dtype == np.complex128
+        assert np.array_equal(kraus.operators, np.array(ops))
+        with pytest.raises(ValueError):
+            kraus.operators[0, 0, 0] = 5
+    # the stack is a copy: the caller's array stays writable and apart
+    given = np.array(ops)
+    kraus = KrausSet(2, 2, given)
+    given[0, 0, 0] = 5
+    assert kraus.operators[0, 0, 0] == np.sqrt(0.3)
+    # (m, out, in) for a map between different dimensions
+    assert dephrasure_kraus(0.1, 0.2).operators.shape == (4, 3, 2)
+    assert complementary_kraus(0.1, 0.2).operators.shape == (3, 4, 2)
+
+
+def test_kraus_set_rejects_no_operators_and_a_wrong_shape():
+    with pytest.raises(ValueError, match="KrausSet needs at least one operator"):
+        KrausSet(2, 2, ())
+    with pytest.raises(ValueError, match="KrausSet needs at least one operator"):
+        KrausSet(2, 2, [])
+    # a ragged set reports the operator's shape, not numpy's stacking error
+    with pytest.raises(ValueError, match=r"Kraus operator shape \(3, 2\) != \(2, 2\)"):
+        KrausSet(2, 2, (np.eye(2), np.zeros((3, 2))))
+    with pytest.raises(ValueError, match=r"Kraus operator shape \(2, 2\) != \(3, 2\)"):
+        KrausSet(2, 3, [np.eye(2)])
+
+
+def _apply_kraus_loop(kraus, rho):
+    """Reference: the per-operator sum of K rho K^dagger."""
+    out = np.zeros((kraus.out_dim, kraus.out_dim), dtype=complex)
+    for K in kraus.operators:
+        out += K @ rho @ K.conj().T
+    return out
+
+
+def test_apply_kraus_matches_the_per_operator_loop():
+    rng = np.random.default_rng(37)
+    channels = [
+        dephrasure_kraus(0.11, 0.33),
+        complementary_kraus(0.2, 0.4),
+        tensor_power_kraus(dephrasure_kraus(0.3, 0.1), 2),
+        _random_kraus(rng, 7, 2, 3),
+    ]
+    for kraus in channels:
+        for rho in _random_states(rng, 3, kraus.in_dim):
+            diff = apply_kraus(kraus, rho) - _apply_kraus_loop(kraus, rho)
+            assert np.max(np.abs(diff)) <= 1e-15
+    with pytest.raises(ValueError, match="state dim 4 != channel input dim 2"):
+        apply_kraus(dephrasure_kraus(0.1, 0.2), np.eye(4) / 4)
+
+
+def test_compose_kraus_is_the_lexicographic_product_list():
+    rng = np.random.default_rng(41)
+    outer, inner = _random_kraus(rng, 3, 3, 2), _random_kraus(rng, 4, 2, 3)
+    composed = compose_kraus(outer, inner)
+    expect = [A @ B for A in outer.operators for B in inner.operators]
+    assert (composed.in_dim, composed.out_dim) == (2, 2)
+    assert np.array_equal(composed.operators, np.array(expect))
+
+
+def test_check_density_matrix_and_purify_validate_through_hermitian_eigh():
+    nonhermitian = np.array([[0.5, 0.2], [0.0, 0.5]], dtype=complex)
+    negative = np.diag([1.5, -0.5]).astype(complex)
+    for check in (check_density_matrix, purify):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check(nonhermitian)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            check(negative)
+        with pytest.raises(ValueError, match="trace is 2"):
+            check(np.eye(2))
