@@ -17,15 +17,16 @@ import numpy as np
 from dephrasure.antideg import verify_antidegradable
 from dephrasure.channel import region_curves, single_letter_ci
 
+ps = np.linspace(0.05, 0.45, 9)
+curves = [region_curves(p) for p in ps]
+q_mid = np.array([(g + k) / 2 for g, _, k in curves])
+ci = single_letter_ci(ps, q_mid)[0]
+reports = verify_antidegradable(ps, q_mid)
 print(f"{'p':>6} {'j(p)':>8} {'g(p)':>8} {'k(p)':>8}   band check at q = (g+k)/2")
-for p in np.linspace(0.05, 0.45, 9):
-    g, j, k = region_curves(p)
-    q_mid = (g + k) / 2
-    ci, _ = single_letter_ci(p, q_mid)
-    report = verify_antidegradable(p, q_mid)
-    tag = "antideg" if report.antidegradable else "CP fails"
-    print(f"{p:6.2f} {j:8.4f} {g:8.4f} {k:8.4f}   I_c = {ci:.2e}, {tag}"
-          f" (min Choi eig {report.cp_min_eigenvalue:+.2e})")
+for i, (p, (g, j, k)) in enumerate(zip(ps, curves)):
+    tag = "antideg" if reports.antidegradable[i] else "CP fails"
+    print(f"{p:6.2f} {j:8.4f} {g:8.4f} {k:8.4f}   I_c = {ci[i]:.2e}, {tag}"
+          f" (min Choi eig {reports.cp_min_eigenvalue[i]:+.2e})")
 
 print()
 print("Between g and k the coherent information already vanishes but the")

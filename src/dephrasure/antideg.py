@@ -15,18 +15,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    _EMBED,
-    KET_E,
-    _Z,
-    _check_prob,
-    complementary_kraus,
-    dephrasure_kraus,
-    region_k,
-)
-from .qinfo import KrausSet, _choi_of_terms, choi_of
+from .channel import _channel_ops, _check_prob, _complement_ops, _points, region_k
+from .qinfo import KrausSet, _choi_of_terms
 
-_OUT = [np.eye(3, dtype=complex)[:, i] for i in range(3)]
+# _U[i, j] is |i><j| from the complement's 4-dim output to the channel's
+# qutrit output; input block 0 = (0, 1) holds the copy, block 1 = (2, 3)
+# the environment states, and output 2 is the erasure flag
+_U = np.eye(12, dtype=complex).reshape(3, 4, 3, 4)
+_0 = np.zeros((3, 4), dtype=complex)
+# the six terms of the USD map (index 0) and the trivial map (index 1), as
+# tables for the coefficients (1, sqrt(p), sqrt(1 - p)) whose weighted sum
+# is a term's operator; _map_stack gives the terms' weights
+_MAP_TABLES = np.array([
+    # usd: block 0 kept (1-x) or erased (x); block 1 measured by the POVM
+    # effects v_i v_i^dag / (2(1-p)), v_i = (sqrt(p), +-sqrt(1-p)), outcome
+    # i preparing |i><i|, and its inconclusive outcome erased
+    [[_U[0, 0] + _U[1, 1], _U[2, 0], _U[2, 1], _0, _0, _U[2, 2]],
+     [_0, _0, _0, _U[0, 2], _U[1, 2], _0],
+     [_0, _0, _0, _U[0, 3], -_U[1, 3], _0]],
+    # trivial: block 0 dephased (weights (1-p)(1-x), p(1-x)) or erased (x),
+    # block 1 erased
+    [[_U[0, 0] + _U[1, 1], _U[0, 0] - _U[1, 1], _U[2, 0], _U[2, 1], _U[2, 2], _U[2, 3]],
+     [_0] * 6, [_0] * 6],
+])
+
+# points per block of verify_antidegradable: a point's 6 map and 18 composed
+# terms take 24 KB as outer products, so a block's temporaries stay under 4 MB
+# (unblocked, a 201x201 sweep's would take about 1 GB)
+_BLOCK_POINTS = 64
 
 
 class NotAntidegradableHere(ValueError):
@@ -59,62 +75,25 @@ def usd_povm(p):
     return pi0, pi1, pie
 
 
-def _block_selector(block):
-    """2x4 isometry picking input indices (0, 1) or (2, 3)."""
-    sel = np.zeros((2, 4), dtype=complex)
-    sel[0, 2 * block] = 1.0
-    sel[1, 2 * block + 1] = 1.0
-    return sel
+def _map_stack(p, q):
+    """(x, weights, ops) of the degrading map at broadcast p and q > 0.
 
-
-def _erasure_terms(x, block, dephase=0.0):
-    """Weighted terms of [dephasing then] erasure-x on one input block."""
-    sel = _block_selector(block)
-    terms = []
-    for w, core in ((1.0 - dephase, np.eye(2)), (dephase, _Z)):
-        if w == 0.0:
-            continue
-        terms.append((w * (1.0 - x), _EMBED @ core @ sel))
-    for b in range(2):
-        terms.append((x, np.outer(KET_E, np.eye(2)[b]) @ sel))
-    return terms
-
-
-def _usd_map_terms(p, q):
-    """USD-based degrading map; CP exactly when its x parameter is >= 0."""
-    x = 1.0 - (1.0 - q) * (1.0 - 2.0 * p) / q
-    terms = _erasure_terms(x, 0)
-    sel = _block_selector(1)
-    v0 = np.array([np.sqrt(p), np.sqrt(1 - p)], dtype=complex)
-    v1 = np.array([np.sqrt(p), -np.sqrt(1 - p)], dtype=complex)
-    # rank-one POVM effects Pi_i = v_i v_i^dag / (2(1-p)); measuring
-    # outcome i prepares |i><i| on the channel output
-    terms.append((1.0 / (2 * (1 - p)), np.outer(_OUT[0], v0.conj()) @ sel))
-    terms.append((1.0 / (2 * (1 - p)), np.outer(_OUT[1], v1.conj()) @ sel))
-    terms.append(
-        ((1 - 2 * p) / (1 - p), np.outer(KET_E, np.eye(2)[0]) @ sel)
+    The trivial map serves q >= 1/2, where it is CP, and the USD map
+    q < 1/2, CP exactly when its erasure parameter x is >= 0; weights
+    (..., 6) and ops (..., 6, 3, 4) give rho -> sum_i w_i K_i rho K_i^dag.
+    """
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    trivial = q >= 0.5
+    x = np.where(trivial, (2.0 * q - 1.0) / q, 1.0 - (1.0 - q) * (1.0 - 2.0 * p) / q)
+    one, povm = np.ones_like(x), 1.0 / (2 * (1 - p))
+    weights = np.where(
+        trivial[..., None],
+        np.stack([(1.0 - p) * (1.0 - x), p * (1.0 - x), x, x, one, one], -1),
+        np.stack([1.0 - x, x, x, povm, povm, (1 - 2 * p) / (1 - p)], -1),
     )
-    return x, terms
-
-
-def _trivial_map_terms(p, q):
-    """Trivial degrading map; CP exactly for q >= 1/2."""
-    x = (2.0 * q - 1.0) / q
-    terms = _erasure_terms(x, 0, dephase=p)
-    sel = _block_selector(1)
-    for b in range(2):
-        terms.append((1.0, np.outer(KET_E, np.eye(2)[b]) @ sel))
-    return x, terms
-
-
-def _map_terms(p, q):
-    """(kind, x, weights, ops): the map's weights and its (m, 3, 4) stack."""
-    if q >= 0.5:
-        kind, (x, terms) = "trivial", _trivial_map_terms(p, q)
-    else:
-        kind, (x, terms) = "usd", _usd_map_terms(p, q)
-    weights, ops = zip(*terms)
-    return kind, x, np.array(weights), np.array(ops)
+    coef = np.stack([one, np.sqrt(p), np.sqrt(1 - p)], -1)[..., None, None, None]
+    ops = np.sum(coef * _MAP_TABLES[trivial.astype(int)], axis=-4)
+    return x, weights, ops
 
 
 def antidegrading_map(p, q):
@@ -133,9 +112,23 @@ def antidegrading_map(p, q):
         raise NotAntidegradableHere(
             f"(p, q) = ({p}, {q}) is below the constructive boundary k(p)"
         )
-    _, _, weights, ops = _map_terms(p, q)
+    _, weights, ops = _map_stack(p, q)
     keep = weights > 0.0
     return KrausSet(4, 3, np.sqrt(weights[keep])[:, None, None] * ops[keep])
+
+
+def _verify_block(p, q):
+    """Rows (x, composition residual, CP min eigenvalue) at the points
+    p, q > 0 of two 1-d arrays."""
+    x, weights, ops = _map_stack(p, q)
+    cp_min = np.linalg.eigvalsh(_choi_of_terms(weights, ops)).min(axis=-1)
+    comp = _complement_ops(p, q)  # term (i, j): weights_i, ops_i @ comp_j
+    terms = weights.shape[1] * comp.shape[1]
+    composed = (ops[:, :, None] @ comp[:, None]).reshape(len(p), terms, 3, 2)
+    choi_comp = _choi_of_terms(np.repeat(weights, comp.shape[1], axis=1), composed)
+    target = _choi_of_terms(np.ones((len(p), 4)), _channel_ops(p, q))
+    residual = np.abs(choi_comp - target).max(axis=(-2, -1))
+    return np.stack([x, residual, cp_min])
 
 
 def verify_antidegradable(p, q, tol=1e-10):
@@ -146,29 +139,28 @@ def verify_antidegradable(p, q, tol=1e-10):
     positivity through the map's own Choi spectrum.  Below k(p) the USD
     construction is still evaluated with its forced x < 0, so the report
     shows exactly how complete positivity fails; ``antidegradable``
-    False then only means "not witnessed by these constructions".
+    False then only means "not witnessed by these constructions".  At
+    q = 0 no map is built: the report reads usd, -inf, inf, -inf, False.
+
+    p in [0, 1/2] and q in [0, 1] broadcast, checked in C order, p before
+    q, as a loop of one-point calls would.  Scalars give a report of
+    Python floats, a str and a bool; arrays give one whose fields are
+    arrays of the broadcast shape, bit-identical to one-point calls and
+    taken in blocks of _BLOCK_POINTS, each with one stacked eigvalsh.
     """
-    p = _check_prob(p, "p", hi=0.5)
-    q = _check_prob(q, "q")
-    if q <= 0.0:
-        return DegradingMapReport(p, q, "usd", -np.inf, np.inf, -np.inf, False)
-    kind, x, weights, ops = _map_terms(p, q)
-
-    a_choi = _choi_of_terms(weights, ops)
-    cp_min = float(np.linalg.eigvalsh(a_choi).min())
-
-    comp = complementary_kraus(p, q).operators  # term (i, j): weights_i, ops_i @ comp_j
-    composed = (ops[:, None] @ comp[None]).reshape(-1, 3, 2)
-    choi_comp = _choi_of_terms(np.repeat(weights, len(comp)), composed)
-    target = choi_of(dephrasure_kraus(p, q))
-    residual = float(np.max(np.abs(choi_comp - target)))
-
-    return DegradingMapReport(
-        p=p,
-        q=q,
-        map_kind=kind,
-        x_param=x,
-        composition_residual=residual,
-        cp_min_eigenvalue=cp_min,
-        antidegradable=bool(residual <= tol and cp_min >= -tol),
-    )
+    shape, p, q = _points(p, q, 1.0)
+    p, q = p[:, 0], q[:, 0]
+    erased = q <= 0.0
+    # any q > 0 keeps the q = 0 rows finite; their fields are set below
+    q_map = np.where(erased, 1.0, q)
+    blocks = [  # one empty block for no points
+        _verify_block(p[i : i + _BLOCK_POINTS], q_map[i : i + _BLOCK_POINTS])
+        for i in range(0, len(p) or 1, _BLOCK_POINTS)
+    ]
+    fill = [[-np.inf], [np.inf], [-np.inf]]
+    x, residual, cp_min = np.where(erased, fill, np.concatenate(blocks, axis=1))
+    kind = np.where(q >= 0.5, "trivial", "usd")
+    fields = (p, q, kind, x, residual, cp_min, (residual <= tol) & (cp_min >= -tol))
+    if shape == ():
+        return DegradingMapReport(*(field[0].item() for field in fields))
+    return DegradingMapReport(*(field.reshape(shape) for field in fields))

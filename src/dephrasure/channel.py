@@ -17,7 +17,6 @@ from .qinfo import KrausSet, binary_entropy, coherent_information
 KET_E = np.array([0.0, 0.0, 1.0], dtype=complex)
 
 _EMBED = np.array([[1, 0], [0, 1], [0, 0]], dtype=complex)  # qubit -> qutrit
-_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def _check_prob(value, name, hi=1.0):
@@ -27,17 +26,23 @@ def _check_prob(value, name, hi=1.0):
     return min(value, hi)
 
 
+# the embedding, the embedding after a phase flip Z and the erasures of |0>
+# and |1>: times _channel_ops' coefficients, the channel's Kraus operators
+_CHANNEL_TABLE = np.array(
+    [_EMBED, _EMBED * [1, -1], np.outer(KET_E, [1, 0]), np.outer(KET_E, [0, 1])]
+)
+
+
+def _channel_ops(p, q):
+    """(..., 4, 3, 2) Kraus stacks of the channel at broadcast p and q."""
+    p, q = np.broadcast_arrays(p, q)
+    coef = [np.sqrt((1 - q) * (1 - p)), np.sqrt((1 - q) * p), np.sqrt(q), np.sqrt(q)]
+    return np.stack(coef, -1)[..., None, None] * _CHANNEL_TABLE
+
+
 def dephrasure_kraus(p, q):
     """Kraus operators (2 -> 3) of the dephrasure channel."""
-    p = _check_prob(p, "p")
-    q = _check_prob(q, "q")
-    ops = [
-        np.sqrt((1 - q) * (1 - p)) * _EMBED,
-        np.sqrt((1 - q) * p) * (_EMBED @ _Z),
-        np.sqrt(q) * np.outer(KET_E, [1, 0]),
-        np.sqrt(q) * np.outer(KET_E, [0, 1]),
-    ]
-    return KrausSet(2, 3, tuple(ops))
+    return KrausSet(2, 3, _channel_ops(_check_prob(p, "p"), _check_prob(q, "q")))
 
 
 def phi_states(p):
@@ -48,6 +53,19 @@ def phi_states(p):
     return phi0, phi1
 
 
+def _complement_ops(p, q):
+    """(..., 3, 4, 2) Kraus stacks of the complementary channel at broadcast
+    p and q: the q-weighted copy, then the environment states phi^0, phi^1."""
+    p, q = np.broadcast_arrays(p, q)
+    ops = np.zeros(p.shape + (3, 4, 2), dtype=complex)
+    ops[..., 0, 0, 0] = ops[..., 0, 1, 1] = np.sqrt(q)
+    keep = np.sqrt(1 - q)
+    ops[..., 1, 2, 0] = ops[..., 2, 2, 1] = keep * np.sqrt(1 - p)
+    ops[..., 1, 3, 0] = keep * np.sqrt(p)
+    ops[..., 2, 3, 1] = -(keep * np.sqrt(p))
+    return ops
+
+
 def complementary_kraus(p, q):
     """Kraus operators (2 -> 4) of the complementary channel.
 
@@ -56,16 +74,7 @@ def complementary_kraus(p, q):
     environment states of the dephasing part.  This ordering is part of
     the module contract (the antidegrading maps rely on it).
     """
-    p = _check_prob(p, "p")
-    q = _check_prob(q, "q")
-    phi0, phi1 = phi_states(p)
-    top = np.zeros((4, 2), dtype=complex)
-    top[0, 0] = top[1, 1] = np.sqrt(q)
-    k0 = np.zeros((4, 2), dtype=complex)
-    k0[2:, 0] = np.sqrt(1 - q) * phi0
-    k1 = np.zeros((4, 2), dtype=complex)
-    k1[2:, 1] = np.sqrt(1 - q) * phi1
-    return KrausSet(2, 4, (top, k0, k1))
+    return KrausSet(2, 4, _complement_ops(_check_prob(p, "p"), _check_prob(q, "q")))
 
 
 def complementary_apply(p, q, rho):
@@ -272,8 +281,8 @@ def maximize_over_weights(value_fn, step, tol):
     return np.where(on_grid, best_val, val), np.where(on_grid, grid[best_idx], lam)
 
 
-def _points(p, q):
-    """Broadcast p and q and check that every point lies in [0, 1/2]^2.
+def _points(p, q, q_hi):
+    """Broadcast p and q and check that every point lies in [0, 1/2] x [0, q_hi].
 
     Points are checked in C order, p before q, so the first bad point
     raises the error a loop of one-point calls would.  Returns the
@@ -281,7 +290,7 @@ def _points(p, q):
     """
     p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
     checked = [
-        (_check_prob(pi, "p", hi=0.5), _check_prob(qi, "q", hi=0.5))
+        (_check_prob(pi, "p", hi=0.5), _check_prob(qi, "q", hi=q_hi))
         for pi, qi in zip(p.flat, q.flat)
     ]
     cols = np.array(checked, dtype=float).reshape(-1, 2)
@@ -305,7 +314,7 @@ def single_letter_ci(p, q):
     array arguments give arrays of the broadcast shape from one batched
     scan, scalars give Python floats.
     """
-    shape, p, q = _points(p, q)
+    shape, p, q = _points(p, q, 0.5)
 
     def value(lam):
         # 1 - z^2 = 4 lam (1 - lam) for z = 1 - 2 lam

@@ -59,10 +59,10 @@ def _repetition_gap(P, Q, n, seed):
     return codes.repetition_ci_opt(P, Q, n)[0] / n - single
 
 
-def _antideg(p, q, n, seed):
-    report = antideg.verify_antidegradable(p, q)
-    return [float(report.antidegradable), report.composition_residual,
-            report.cp_min_eigenvalue]
+def _antideg(P, Q, n, seed):
+    report = antideg.verify_antidegradable(P, Q)
+    return np.column_stack([report.antidegradable, report.composition_residual,
+                            report.cp_min_eigenvalue])
 
 
 def _comp_witness(p, q, n, seed):
@@ -72,7 +72,8 @@ def _comp_witness(p, q, n, seed):
 
 # Every sweep quantity.  The evaluators look library functions up through
 # their modules at call time, so patching a module attribute reaches them;
-# all but the _per_point ones take every point in one call.
+# all but the _per_point ones (the two code searches and comp_witness) take
+# every point in one call.
 _QUANTITIES = {
     "single_ci": _Quantity(
         ["value"], False, lambda P, Q, *_: channel.single_letter_ci(P, Q)[0]
@@ -97,9 +98,7 @@ _QUANTITIES = {
     "regions": _Quantity(
         ["g", "j", "k"], False, lambda P, *_: [channel.region_curves(p) for p in P]
     ),
-    "antideg": _Quantity(
-        ["antidegradable", "residual", "cp_min_eig"], False, _per_point(_antideg)
-    ),
+    "antideg": _Quantity(["antidegradable", "residual", "cp_min_eig"], False, _antideg),
     "comp_witness": _Quantity(
         ["ci_value", "epsilon"], False, _per_point(_comp_witness)
     ),

@@ -35,7 +35,7 @@ N_LIMIT = 6
 BRUTE_FORCE_N_LIMIT = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeState:
     """Pure bipartite reference (x) input state for n channel uses."""
 
@@ -94,7 +94,7 @@ def schmidt_form(code):
     return normalized_code(code.n_uses, code.ref_dim, rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErasurePatternBlock:
     """One branch of the n-use output for a fixed erasure pattern."""
 
@@ -254,7 +254,7 @@ def _dephasing_mask(p, m):
     return (1.0 - 2.0 * p) ** dist
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _PatternGroup:
     """The erasure patterns of one plan that erase ``erased`` uses."""
 

@@ -114,7 +114,7 @@ def private_lower_bound(p, q):
     q broadcast as in single_letter_ci: arrays give arrays from one
     batched scan, scalars give Python floats.
     """
-    shape, p, q = _points(p, q)
+    shape, p, q = _points(p, q, 0.5)
     # scan mu = 1 - lam over [0, 1/2]
     value, mu = maximize_over_weights(
         lambda m: _plusminus_closed_form(1.0 - m, p, q), 1e-3, 1e-10

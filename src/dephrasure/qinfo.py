@@ -117,7 +117,7 @@ def von_neumann_entropy(rho):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """A completely positive trace-preserving map in Kraus form.
 
@@ -255,12 +255,14 @@ def choi_of(kraus):
 def _choi_of_terms(weights, ops):
     """Choi matrix of rho -> sum_i w_i K_i rho K_i^dag, in choi_of's ordering.
 
-    ``ops`` is an (m, out_dim, in_dim) stack; its m weights may be
-    negative, so maps that are not completely positive are representable.
+    ``ops`` is an (..., m, out_dim, in_dim) stack with (..., m) weights, which
+    may be negative, so maps that are not completely positive are
+    representable; leading axes give one Choi matrix per map, summed in order.
     """
-    v = ops.transpose(0, 2, 1).reshape(len(ops), -1)  # row i is K_i.T flattened
-    w = weights[:, None, None]
-    return np.sum(w * (v[:, :, None] * v.conj()[:, None, :]), axis=0)
+    *lead, out_dim, in_dim = ops.shape
+    v = ops.swapaxes(-1, -2).reshape(*lead, in_dim * out_dim)  # K_i.T flattened
+    w = weights[..., None, None]
+    return np.sum(w * (v[..., :, None] * v.conj()[..., None, :]), axis=-3)
 
 
 def is_completely_positive(choi, tol=1e-10):

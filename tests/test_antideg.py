@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dephrasure.antideg import (
     NotAntidegradableHere,
-    _map_terms,
+    _map_stack,
     antidegrading_map,
     usd_povm,
     verify_antidegradable,
@@ -133,7 +136,7 @@ def test_choi_of_terms_matches_the_loop_bit_for_bit():
     points = [(0.25, 0.25), (0.1, 0.1), (0.4, 0.05), (0.2, region_k(0.2)),
               (0.3, 0.45), (0.05, 0.49), (0.1, 0.7), (0.0, 0.5), (0.5, 0.3)]
     for p, q in points:
-        _, _, weights, ops = _map_terms(p, q)
+        _, weights, ops = _map_stack(p, q)
         if q < region_k(p) - 1e-15:
             assert weights.min() < 0.0
         comp = complementary_kraus(p, q).operators
@@ -142,3 +145,61 @@ def test_choi_of_terms_matches_the_loop_bit_for_bit():
             got = _choi_of_terms(w, stack)
             # bytes, so signed zeros count too
             assert got.tobytes() == _choi_of_terms_loop(w, stack).tobytes()
+    # the nine maps at once: one Choi matrix per point, each summed in order
+    _, weights, ops = _map_stack(*np.transpose(points))
+    stacked = _choi_of_terms(weights, ops)
+    for choi, w, stack in zip(stacked, weights, ops):
+        assert choi.tobytes() == _choi_of_terms_loop(w, stack).tobytes()
+
+
+_FIELDS = ("p", "q", "map_kind", "x_param", "composition_residual",
+           "cp_min_eigenvalue", "antidegradable")
+
+
+def _assert_matches_one_point_calls(p, q, report):
+    """Every field of the stacked ``report`` has the broadcast shape and
+    the bytes of the one-point calls'."""
+    bp, bq = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    singles = [verify_antidegradable(pi, qi) for pi, qi in zip(bp.flat, bq.flat)]
+    for field in _FIELDS:
+        got = np.asarray(getattr(report, field))
+        want = np.array([getattr(r, field) for r in singles], dtype=got.dtype)
+        assert got.shape == bp.shape, field
+        assert got.tobytes() == want.tobytes(), field
+
+
+def test_stacked_report_matches_one_point_calls_bit_for_bit():
+    p, q = np.meshgrid(np.linspace(0.0, 0.5, 41), np.linspace(0.0, 1.0, 41),
+                       indexing="ij")
+    # q = 0, q = 1/2 and p = 0 lie on the grid; the boundary q = k(p)
+    # replaces q = 0.025
+    q[:, 1] = [region_k(pi) for pi in p[:, 0]]
+    report = verify_antidegradable(p, q)
+    _assert_matches_one_point_calls(p, q, report)
+    assert report.map_kind[0, 0] == "usd" and report.x_param[0, 0] == -np.inf
+    assert report.composition_residual[:, 0].tolist() == [np.inf] * 41
+    assert report.antidegradable[:-1, 1].all()  # k(1/2) = 0 is the q = 0 row
+    assert (report.map_kind[:, 20:] == "trivial").all()
+
+
+@st.composite
+def _broadcastable_points(draw):
+    # empty arrays included; subnormal q is left out, because the USD map's
+    # x = 1 - (1-q)(1-2p)/q overflows there and eigvalsh then fails
+    shapes = draw(hnp.mutually_broadcastable_shapes(
+        num_shapes=2, max_dims=3, min_side=0, max_side=3))
+    p_shape, q_shape = shapes.input_shapes
+    p = draw(hnp.arrays(float, p_shape, elements=st.floats(0.0, 0.5, allow_subnormal=False)))
+    q = draw(hnp.arrays(float, q_shape, elements=st.floats(0.0, 1.0, allow_subnormal=False)))
+    return p, q
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_broadcastable_points())
+def test_stacked_report_properties(points):
+    p, q = points
+    report = verify_antidegradable(p, q)
+    _assert_matches_one_point_calls(p, q, report)
+    bp, bq = np.broadcast_arrays(p, q)
+    k = np.array([region_k(pi) for pi in bp.flat]).reshape(bp.shape)
+    assert np.asarray(report.antidegradable)[bq >= k + 1e-9].all()

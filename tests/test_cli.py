@@ -261,8 +261,9 @@ def test_provenance_falls_back_to_the_process_arguments(tmp_path, monkeypatch, c
         ("private_lb", "q = 0.75 outside [0, 0.5]"),
         ("separation", "q = 0.75 outside [0, 0.5]"),
         ("repetition_gap(2)", "q = 0.75 outside [0, 0.5]"),
-        # repetition codes accept q up to 1
+        # repetition codes and antideg accept q up to 1
         ("repetition_rate(3)", "p = 0.75 outside [0, 0.5]"),
+        ("antideg", "p = 0.75 outside [0, 0.5]"),
         ("repetition_rate(0)", "n must be >= 1"),
         # an (n) on a quantity that takes none
         ("single_ci(3)", "quantity 'single_ci' takes no (n)"),
@@ -283,6 +284,18 @@ def test_out_of_domain_sweep_point_is_a_one_line_error(tmp_path, capsys, quantit
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_antideg_sweep_accepts_q_up_to_one(tmp_path):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--quantity", "antideg", "--p-range", "0:0.5:3",
+               "--q-range", "0:1:5", "--out", str(out)])
+    assert rc == 0
+    rows = list(csv.reader(out.read_text().splitlines()[1:]))
+    assert rows[0] == ["p", "q", "antidegradable", "residual", "cp_min_eig"]
+    assert [float(row[1]) for row in rows[1:]] == [0.0, 0.25, 0.5, 0.75, 1.0] * 3
+    # q >= 1/2 is antidegradable at every p
+    assert [row[2] for row in rows[1:] if float(row[1]) >= 0.5] == ["1"] * 9
 
 
 def _antideg_columns(p, q):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dephrasure.channel import complementary_kraus, dephrasure_kraus
+from dephrasure.codes import CodeState, ErasurePatternBlock
 from dephrasure.qinfo import (
     KrausSet,
     apply_kraus,
@@ -406,3 +407,15 @@ def test_check_density_matrix_and_purify_validate_through_hermitian_eigh():
             check(negative)
         with pytest.raises(ValueError, match="trace is 2"):
             check(np.eye(2))
+
+
+def test_array_holding_records_compare_by_identity_and_hash():
+    makers = [
+        lambda: dephrasure_kraus(0.1, 0.2),
+        lambda: CodeState(1, 2, np.eye(2).reshape(-1) / np.sqrt(2)),
+        lambda: ErasurePatternBlock("0", 1.0, np.eye(4) / 4),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) and len({a, b}) == 2
