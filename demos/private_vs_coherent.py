@@ -14,16 +14,17 @@ from dephrasure.channel import single_letter_ci
 from dephrasure.compci import positivity_witness
 from dephrasure.private_info import private_lower_bound
 
+ps = np.linspace(0.09, 0.125, 8)
+qs = 3 * ps
+ci = single_letter_ci(ps, qs)[0]
+priv = private_lower_bound(ps, qs)[0]
 print(f"{'p':>7} {'q':>7} {'I_c':>12} {'I_p':>12} {'gap':>12}")
-for p in np.linspace(0.09, 0.125, 8):
-    q = 3 * p
-    ci, _ = single_letter_ci(p, q)
-    priv, lam = private_lower_bound(p, q)
-    print(f"{p:7.4f} {q:7.4f} {ci:12.3e} {priv:12.3e} {priv - ci:12.3e}")
+for p, q, c, v in zip(ps, qs, ci, priv):
+    print(f"{p:7.4f} {q:7.4f} {c:12.3e} {v:12.3e} {v - c:12.3e}")
 
 print()
 print("complementary-channel positivity witnesses:")
-for p, q in ((0.05, 0.05), (0.25, 0.25), (0.45, 0.45)):
-    w = positivity_witness(p, q)
-    print(f"  (p, q) = ({p}, {q}): eps = {w.epsilon:.3e}, "
-          f"I_c(N^c) = {w.ci_value:.3e} > 0")
+points = (0.05, 0.25, 0.45)
+w = positivity_witness(points, points)
+for p, eps, value in zip(points, w.epsilon, w.ci_value):
+    print(f"  (p, q) = ({p}, {p}): eps = {eps:.3e}, I_c(N^c) = {value:.3e} > 0")

@@ -18,14 +18,14 @@ from dephrasure.antideg import verify_antidegradable
 from dephrasure.channel import region_curves, single_letter_ci
 
 ps = np.linspace(0.05, 0.45, 9)
-curves = [region_curves(p) for p in ps]
-q_mid = np.array([(g + k) / 2 for g, _, k in curves])
+g, j, k = region_curves(ps)
+q_mid = (g + k) / 2
 ci = single_letter_ci(ps, q_mid)[0]
 reports = verify_antidegradable(ps, q_mid)
 print(f"{'p':>6} {'j(p)':>8} {'g(p)':>8} {'k(p)':>8}   band check at q = (g+k)/2")
-for i, (p, (g, j, k)) in enumerate(zip(ps, curves)):
+for i, p in enumerate(ps):
     tag = "antideg" if reports.antidegradable[i] else "CP fails"
-    print(f"{p:6.2f} {j:8.4f} {g:8.4f} {k:8.4f}   I_c = {ci[i]:.2e}, {tag}"
+    print(f"{p:6.2f} {j[i]:8.4f} {g[i]:8.4f} {k[i]:8.4f}   I_c = {ci[i]:.2e}, {tag}"
           f" (min Choi eig {reports.cp_min_eigenvalue[i]:+.2e})")
 
 print()

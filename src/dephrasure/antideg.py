@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _channel_ops, _check_prob, _complement_ops, _points, region_k
+from .channel import _broadcast, _channel_ops, _check_prob, _complement_ops, _points, region_k
 from .qinfo import KrausSet, _choi_of_terms
 
 # _U[i, j] is |i><j| from the complement's 4-dim output to the channel's
@@ -82,9 +82,12 @@ def _map_stack(p, q):
     q < 1/2, CP exactly when its erasure parameter x is >= 0; weights
     (..., 6) and ops (..., 6, 3, 4) give rho -> sum_i w_i K_i rho K_i^dag.
     """
-    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    p, q = _broadcast(p, q)
     trivial = q >= 0.5
-    x = np.where(trivial, (2.0 * q - 1.0) / q, 1.0 - (1.0 - q) * (1.0 - 2.0 * p) / q)
+    # the trivial branch divides by q >= 1/2 only: a tiny q cannot overflow it
+    x = np.where(
+        trivial, (2.0 * q - 1.0) / np.maximum(q, 0.5), 1.0 - (1.0 - q) * (1.0 - 2.0 * p) / q
+    )
     one, povm = np.ones_like(x), 1.0 / (2 * (1 - p))
     weights = np.where(
         trivial[..., None],
@@ -140,7 +143,8 @@ def verify_antidegradable(p, q, tol=1e-10):
     construction is still evaluated with its forced x < 0, so the report
     shows exactly how complete positivity fails; ``antidegradable``
     False then only means "not witnessed by these constructions".  At
-    q = 0 no map is built: the report reads usd, -inf, inf, -inf, False.
+    q = 0 no map is built: the report reads usd, -inf, inf, -inf, False,
+    as it does at a subnormal q too small for x to be finite.
 
     p in [0, 1/2] and q in [0, 1] broadcast, checked in C order, p before
     q, as a loop of one-point calls would.  Scalars give a report of
@@ -150,8 +154,11 @@ def verify_antidegradable(p, q, tol=1e-10):
     """
     shape, p, q = _points(p, q, 1.0)
     p, q = p[:, 0], q[:, 0]
-    erased = q <= 0.0
-    # any q > 0 keeps the q = 0 rows finite; their fields are set below
+    # the USD map's x is not finite at q = 0, nor where a subnormal q
+    # overflows it; such points get no map
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        erased = ~np.isfinite(1.0 - (1.0 - q) * (1.0 - 2.0 * p) / q)
+    # q = 1 keeps their rows finite; their fields are set below
     q_map = np.where(erased, 1.0, q)
     blocks = [  # one empty block for no points
         _verify_block(p[i : i + _BLOCK_POINTS], q_map[i : i + _BLOCK_POINTS])

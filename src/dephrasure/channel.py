@@ -9,6 +9,8 @@ basis vector is the erasure flag.  The complementary channel is a
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .qinfo import KrausSet, binary_entropy, coherent_information
@@ -24,6 +26,36 @@ def _check_prob(value, name, hi=1.0):
     if not 0.0 <= value <= hi + 1e-15:
         raise ValueError(f"{name} = {value} outside [0, {hi}]")
     return min(value, hi)
+
+
+def _broadcast(*values):
+    """The values as float arrays broadcast against each other."""
+    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+
+
+def _in_prob(name, values, hi):
+    """_check_prob's check on every point of ``values``, for _check_points."""
+    return (0.0 <= values) & (values <= hi + 1e-15), f"{name} = {{}} outside [0, {hi}]", values
+
+
+def _check_points(*checks):
+    """Raise the ValueError that a loop of one-point calls raises first.
+
+    Each check is (ok, message, values): a mask over the points, and the
+    error's message, formatted with the failing point's value.  The
+    first point in C order that fails a check raises the message of the
+    first check it fails.
+    """
+    bad = ~np.logical_and.reduce([ok for ok, _, _ in checks])
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        _, message, values = next(check for check in checks if not check[0].flat[i])
+        raise ValueError(message.format(float(values.flat[i])))
+
+
+# libm's pow elementwise (object arrays out), as Python's float ** takes it:
+# numpy's array power (SVML on AVX-512) differs in the last bit at times
+_libm_pow = np.frompyfunc(math.pow, 2, 1)
 
 
 # the embedding, the embedding after a phase flip Z and the erasures of |0>
@@ -96,35 +128,39 @@ def complementary_apply(p, q, rho):
 
 def region_g(p):
     """Threshold curve of the single-letter coherent information."""
-    p = _check_prob(p, "p", hi=0.5)
+    shape, p, _ = _points(p, 0.0, 0.5)
     t = (1 - 2 * p) ** 2
-    return t / (1 + t)
+    return _shaped(shape, t / (1 + t))[0]
 
 
 def region_j(p):
     """Boundary below which the maximally mixed state is optimal.
 
     The closed form is 0/0 at both endpoints; we use the limits 1/2 at
-    p = 0 and the quadratic series 8/3 (1/2 - p)^2 near p = 1/2.
+    p = 0 (and subnormal p, where (1-p)/p may overflow) and the quadratic
+    series 8/3 (1/2 - p)^2 near p = 1/2.
     """
-    p = _check_prob(p, "p", hi=0.5)
-    if p == 0.0:
-        return 0.5
+    shape, p, _ = _points(p, 0.0, 0.5)
     delta = 0.5 - p
-    if delta < 1e-5:
-        return 8.0 / 3.0 * delta * delta
-    t = 2 * p * (1 - p) * np.log((1 - p) / p)
-    return (1 - 2 * p - t) / (2 - 4 * p - t)
+    low, series = p < np.finfo(float).tiny, delta < 1e-5
+    safe = np.where(low | series, 0.25, p)
+    t = 2 * safe * (1 - safe) * np.log((1 - safe) / safe)
+    j = np.where(series, 8.0 / 3.0 * delta * delta, (1 - 2 * safe - t) / (2 - 4 * safe - t))
+    return _shaped(shape, np.where(low, 0.5, j))[0]
 
 
 def region_k(p):
     """Boundary of the constructively antidegradable region."""
-    p = _check_prob(p, "p", hi=0.5)
-    return (1 - 2 * p) / (2 * (1 - p))
+    shape, p, _ = _points(p, 0.0, 0.5)
+    return _shaped(shape, (1 - 2 * p) / (2 * (1 - p)))[0]
 
 
 def region_curves(p):
-    """The boundary ordinates (g(p), j(p), k(p))."""
+    """The boundary ordinates (g(p), j(p), k(p)).
+
+    Each curve broadcasts over p in [0, 1/2], checked as in _points:
+    arrays give arrays of p's shape, scalars Python floats.
+    """
     return region_g(p), region_j(p), region_k(p)
 
 
@@ -145,34 +181,36 @@ def _phi_entropy(p, z):
 
 
 def coherent_info_z(p, q, z):
-    """Coherent information of the Z-diagonal Bloch state (0, 0, z)."""
-    p = _check_prob(p, "p")
-    q = _check_prob(q, "q")
-    z = float(z)
-    if not -1.0 <= z <= 1.0:
-        raise ValueError(f"z = {z} outside [-1, 1]")
-    return (1 - 2 * q) * binary_entropy((1 - z) / 2) - (1 - q) * _phi_entropy(p, z)
+    """Coherent information of the Z-diagonal Bloch state (0, 0, z); p, q
+    and z broadcast, and are checked in that order."""
+    p, q, z = _broadcast(p, q, z)
+    _check_points(_in_prob("p", p, 1.0), _in_prob("q", q, 1.0),
+                  ((-1.0 <= z) & (z <= 1.0), "z = {} outside [-1, 1]", z))
+    p, q = np.minimum(p, 1.0), np.minimum(q, 1.0)
+    value = (1 - 2 * q) * binary_entropy((1 - z) / 2) - (1 - q) * _phi_entropy(p, z)
+    return _shaped(p.shape, value)[0]
 
 
 def coherent_info_xz(p, q, x, z):
     """Coherent information of the Bloch state (x, 0, z) in closed form.
 
     Equals (1-q) S(Z_p(rho)) - q S(rho) - (1-q) S(Phi_{p,z}); dephasing
-    shrinks the x component of the Bloch vector by (1-2p).
+    shrinks the x component of the Bloch vector by (1-2p).  Broadcasts
+    as coherent_info_z does, the Bloch norm checked after p and q.
     """
-    p = _check_prob(p, "p")
-    q = _check_prob(q, "q")
-    x, z = float(x), float(z)
+    p, q, x, z = _broadcast(p, q, x, z)
     r2 = x * x + z * z
-    if r2 > 1.0 + 1e-12:
-        raise ValueError(f"Bloch norm {np.sqrt(r2)} exceeds 1")
-    r = np.sqrt(min(r2, 1.0))
-    rp = np.sqrt(min((1 - 2 * p) ** 2 * x * x + z * z, 1.0))
-    return (
+    _check_points(_in_prob("p", p, 1.0), _in_prob("q", q, 1.0),
+                  (~(r2 > 1.0 + 1e-12), "Bloch norm {} exceeds 1", np.sqrt(r2)))
+    p, q = np.minimum(p, 1.0), np.minimum(q, 1.0)
+    r = np.sqrt(np.minimum(r2, 1.0))
+    rp = np.sqrt(np.minimum((1 - 2 * p) ** 2 * x * x + z * z, 1.0))
+    value = (
         (1 - q) * binary_entropy((1 - rp) / 2)
         - q * binary_entropy((1 - r) / 2)
         - (1 - q) * _phi_entropy(p, z)
     )
+    return _shaped(p.shape, value)[0]
 
 
 def bloch_state(x, y, z):
@@ -288,20 +326,15 @@ def _points(p, q, q_hi):
     raises the error a loop of one-point calls would.  Returns the
     broadcast shape and the clamped p and q as (P, 1) columns.
     """
-    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-    checked = [
-        (_check_prob(pi, "p", hi=0.5), _check_prob(qi, "q", hi=q_hi))
-        for pi, qi in zip(p.flat, q.flat)
-    ]
-    cols = np.array(checked, dtype=float).reshape(-1, 2)
-    return p.shape, cols[:, :1], cols[:, 1:]
+    p, q = _broadcast(p, q)
+    _check_points(_in_prob("p", p, 0.5), _in_prob("q", q, q_hi))
+    return p.shape, np.minimum(p, 0.5).reshape(-1, 1), np.minimum(q, q_hi).reshape(-1, 1)
 
 
 def _shaped(shape, *values):
     """Per-point results in the points' shape; Python floats for one point."""
-    if shape == ():
-        return tuple(float(v[0]) for v in values)
-    return tuple(np.reshape(v, shape) for v in values)
+    values = tuple(np.reshape(v, shape) for v in values)
+    return tuple(v.item() for v in values) if shape == () else values
 
 
 def single_letter_ci(p, q):
@@ -329,14 +362,12 @@ def xz_grid_max(p, q, steps=201):
     """Grid maximum of the coherent information over the (x, z) quarter disk.
 
     Reported without any optimality claim; outside the Z-diagonal region
-    the true maximizer's form is not characterized.
+    the true maximizer's form is not characterized.  The grid holds
+    ``steps`` values of x in [0, 1] and, for each, ``steps`` values of z
+    in [0, sqrt(1 - x^2)]; the first maximum in that order is returned.
     """
-    best = -np.inf
-    best_xz = (0.0, 0.0)
-    for x in np.linspace(0.0, 1.0, steps):
-        zmax = np.sqrt(max(0.0, 1.0 - x * x))
-        for z in np.linspace(0.0, zmax, steps):
-            v = coherent_info_xz(p, q, x, z)
-            if v > best:
-                best, best_xz = v, (x, z)
-    return best, best_xz
+    x = np.linspace(0.0, 1.0, steps)[:, None]
+    z = np.linspace(0.0, 1.0, steps) * np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    values = coherent_info_xz(p, q, x, z)
+    i = np.unravel_index(np.argmax(values), values.shape)
+    return float(values[i]), (x[i[0], 0], z[i])

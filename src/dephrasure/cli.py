@@ -65,15 +65,15 @@ def _antideg(P, Q, n, seed):
                             report.cp_min_eigenvalue])
 
 
-def _comp_witness(p, q, n, seed):
-    witness = compci.positivity_witness(p, q)
-    return [witness.ci_value, witness.epsilon]
+def _comp_witness(P, Q, n, seed):
+    witness = compci.positivity_witness(P, Q)
+    return np.column_stack([witness.ci_value, witness.epsilon])
 
 
 # Every sweep quantity.  The evaluators look library functions up through
 # their modules at call time, so patching a module attribute reaches them;
-# all but the _per_point ones (the two code searches and comp_witness) take
-# every point in one call.
+# all but the _per_point ones (the two code searches) take every point in
+# one call.
 _QUANTITIES = {
     "single_ci": _Quantity(
         ["value"], False, lambda P, Q, *_: channel.single_letter_ci(P, Q)[0]
@@ -96,12 +96,10 @@ _QUANTITIES = {
     )),
     # a function of p alone, swept with Q None and no q column
     "regions": _Quantity(
-        ["g", "j", "k"], False, lambda P, *_: [channel.region_curves(p) for p in P]
+        ["g", "j", "k"], False, lambda P, *_: np.column_stack(channel.region_curves(P))
     ),
     "antideg": _Quantity(["antidegradable", "residual", "cp_min_eig"], False, _antideg),
-    "comp_witness": _Quantity(
-        ["ci_value", "epsilon"], False, _per_point(_comp_witness)
-    ),
+    "comp_witness": _Quantity(["ci_value", "epsilon"], False, _comp_witness),
 }
 
 

@@ -16,7 +16,11 @@ from itertools import product
 import numpy as np
 
 from .channel import (
+    _broadcast,
+    _check_points,
     _check_prob,
+    _in_prob,
+    _libm_pow,
     _shaped,
     _small_eigenvalue,
     dephrasure_kraus,
@@ -108,22 +112,31 @@ def u_value(lam, p, n):
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda = {lam} outside [0, 1]")
-    p = _check_prob(p, "p", hi=0.5)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return float(np.sqrt(max(0.0, 1.0 - 4 * lam * (1 - lam) * _c_value(p, n))))
+    c = _repetition_terms(p, 0.0, n)[1]  # q does not enter c
+    return float(np.sqrt(max(0.0, 1.0 - 4 * lam * (1 - lam) * c)))
 
 
 def _c_value(p, n):
     """c = 1 - (1-2p)^(2n), computed without cancellation for small p."""
-    if p >= 0.5:
-        return 1.0
-    return -np.expm1(2 * n * np.log1p(-2 * p))
+    below = p < 0.5
+    return np.where(below, -np.expm1(2 * n * np.log1p(-2 * np.where(below, p, 0.0))), 1.0)
 
 
 def _rep_small_eig(lam, c):
     """(1-u)/2 = 2 lam (1-lam) c / (1+u), stable for tiny lam; c = _c_value(p, n)."""
     return _small_eigenvalue(4 * lam * (1 - lam) * c)
+
+
+def _repetition_terms(p, q, n):
+    """(shape, c, (1-q)^n, q^n) at broadcast p, q and n, each point checked
+    in C order for p in [0, 1/2], q in [0, 1] and n >= 1, in turn; the
+    powers are libm's, as Python floats take them."""
+    p, q, n = _broadcast(p, q, n)
+    _check_points(_in_prob("p", p, 0.5), _in_prob("q", q, 1.0),
+                  (n >= 1, "n must be >= 1", n))
+    p, q = np.minimum(p, 0.5), np.minimum(q, 1.0)
+    kept, erased = (np.asarray(_libm_pow(v, n), dtype=float) for v in (1 - q, q))
+    return p.shape, _c_value(p, n), kept, erased
 
 
 def repetition_ci(p, q, n, lam):
@@ -132,14 +145,11 @@ def repetition_ci(p, q, n, lam):
     ((1-q)^n - q^n) h(lambda) - (1-q)^n h((1-u)/2); the second term is
     the entropy of the dephased two-dimensional purification block.
     """
-    p = _check_prob(p, "p", hi=0.5)
-    q = _check_prob(q, "q")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _, c, kept, erased = _repetition_terms(p, q, n)
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0) or np.any(lam > 1):
         raise ValueError("lambda outside [0, 1]")
-    out = _repetition_closed_form(lam, _c_value(p, n), (1 - q) ** n, q**n)
+    out = _repetition_closed_form(lam, c, kept, erased)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -160,21 +170,8 @@ def repetition_ci_opt(p, q, n):
     one batched scan, scalars give Python floats.  Each point is checked
     as repetition_ci checks it, in C order.
     """
-    p, q, n = np.broadcast_arrays(
-        np.asarray(p, dtype=float), np.asarray(q, dtype=float), np.asarray(n)
-    )
-    shape = p.shape
-    terms = []
-    for pi, qi, ni in zip(p.flat, q.flat, n.flat):
-        pi = _check_prob(pi, "p", hi=0.5)
-        qi = _check_prob(qi, "q")
-        ni = ni.item()
-        if ni < 1:
-            raise ValueError("n must be >= 1")
-        # Python float powers: numpy's array power differs from libm pow
-        # in the last bit for some arguments
-        terms.append((_c_value(pi, ni), (1 - qi) ** ni, qi**ni))
-    c, kept, erased = np.array(terms, dtype=float).reshape(-1, 3).T[..., None]
+    shape, *terms = _repetition_terms(p, q, n)
+    c, kept, erased = (np.reshape(term, (-1, 1)) for term in terms)
     value, lam = maximize_over_weights(
         lambda lam: _repetition_closed_form(lam, c, kept, erased), 1e-4, 1e-12
     )
@@ -189,10 +186,7 @@ def threshold_f(p, lam, n):
     lam = float(lam)
     if not 0.0 < lam < 1.0:
         raise ValueError("threshold_f requires lambda in (0, 1)")
-    p = _check_prob(p, "p", hi=0.5)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    small = _rep_small_eig(lam, _c_value(p, n))
+    small = _rep_small_eig(lam, _repetition_terms(p, 0.0, n)[1])
     return float(binary_entropy(small) / binary_entropy(lam))
 
 

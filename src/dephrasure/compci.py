@@ -3,7 +3,10 @@
 For every p, q in (0, 1/2] there is an X-polarized input state whose
 coherent information through the complementary channel is strictly
 positive; this module evaluates the closed form and constructs an
-explicit witness from the small-epsilon bound.
+explicit witness from the small-epsilon bound.  Every function
+broadcasts: arrays give arrays of the broadcast shape, bit-identical to
+one-point calls, and scalars give Python floats.  All points are checked
+before any is evaluated, as in channel._points.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _check_prob
+from .channel import _broadcast, _check_points, _in_prob, _libm_pow, _shaped
 from .qinfo import binary_entropy
 
 
@@ -21,7 +24,7 @@ class UnderflowAtParams(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult:  # floats for one point, broadcast-shape arrays for many
     p: float
     q: float
     m: float  # Bloch-x amplitude of the witness state
@@ -36,20 +39,23 @@ def _binary_entropy_diff(p, delta):
     """h(p + delta) - h(p) without subtracting O(1) entropies.
 
     Needed because the witness lives at delta values far below the
-    rounding error of h(p) itself.
+    rounding error of h(p) itself.  It is 0 at delta = 0, h(|delta|) at
+    p = 0 or 1 and -h(p) where p + delta >= 1; elsewhere the closed form
+    is taken on operands that keep it finite.
     """
-    if delta == 0.0:
-        return 0.0
-    if p == 0.0:
-        return binary_entropy(delta)
-    if p + delta >= 1.0:
-        return -binary_entropy(p)
-    return (
-        -p * np.log1p(delta / p) / _LN2
-        - delta * np.log2(p + delta)
-        - (1 - p) * np.log1p(-delta / (1 - p)) / _LN2
-        + delta * np.log2(1 - p - delta)
-    )
+    zero, end, top = delta == 0.0, (p == 0.0) | (p == 1.0), p + delta >= 1.0
+    closed = ~(zero | end | top)
+    p_c, d_c = np.where(closed, p, 0.25), np.where(closed, delta, 0.25)
+    with np.errstate(over="ignore"):  # delta / p = inf at subnormal p, as for floats
+        value = (
+            -p_c * np.log1p(d_c / p_c) / _LN2
+            - d_c * np.log2(p_c + d_c)
+            - (1 - p_c) * np.log1p(-d_c / (1 - p_c)) / _LN2
+            + d_c * np.log2(1 - p_c - d_c)
+        )
+    value = np.where(top, -binary_entropy(p), value)
+    value = np.where(end, binary_entropy(np.abs(np.where(end, delta, 0.0))), value)
+    return np.where(zero, 0.0, value)
 
 
 def comp_ci_eps(p, q, eps):
@@ -59,14 +65,12 @@ def comp_ci_eps(p, q, eps):
     m = 1 - 2 eps then rounds to exactly 1 and the information would be
     lost in the round trip.
     """
-    p = _check_prob(p, "p")
-    q = _check_prob(q, "q")
-    eps = float(eps)
-    if not 0.0 <= eps <= 0.5:
-        raise ValueError(f"eps = {eps} outside [0, 1/2]")
-    return q * binary_entropy(eps) - (1 - q) * _binary_entropy_diff(
-        p, eps * (1 - 2 * p)
-    )
+    p, q, eps = _broadcast(p, q, eps)
+    _check_points(_in_prob("p", p, 1.0), _in_prob("q", q, 1.0),
+                  ((0.0 <= eps) & (eps <= 0.5), "eps = {} outside [0, 1/2]", eps))
+    p, q = np.minimum(p, 1.0), np.minimum(q, 1.0)
+    value = q * binary_entropy(eps) - (1 - q) * _binary_entropy_diff(p, eps * (1 - 2 * p))
+    return _shaped(p.shape, value)[0]
 
 
 def comp_ci_x_state(p, q, m):
@@ -78,10 +82,25 @@ def comp_ci_x_state(p, q, m):
     entropy difference is evaluated in cancellation-free form so the
     value stays meaningful at exponentially small eps.
     """
-    m = float(m)
-    if not 0.0 <= m <= 1.0:
-        raise ValueError(f"m = {m} outside [0, 1]")
+    p, q, m = _broadcast(p, q, m)
+    _check_points(((0.0 <= m) & (m <= 1.0), "m = {} outside [0, 1]", m),
+                  _in_prob("p", p, 1.0), _in_prob("q", q, 1.0))
     return comp_ci_eps(p, q, (1.0 - m) / 2.0)
+
+
+def _witness_points(p, q, p_zero):
+    """p, clamped at 1/2, and q broadcast; each point must have p in
+    [0, 1/2], q in (0, 1/2] and p != 0 (the error ``p_zero``), in turn."""
+    p, q = _broadcast(p, q)
+    _check_points(_in_prob("p", p, 0.5),
+                  ((0.0 < q) & (q <= 0.5 + 1e-15), "q = {} outside (0, 1/2]", q),
+                  (p != 0.0, p_zero, p))
+    p = np.minimum(p, 0.5)
+    # a subnormal q or p overflows a ratio to inf (and, at p = 1/2, the
+    # exponent to NaN) without a warning, as one point's floats did
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = (1.0 - q) / q * (1.0 - 2.0 * p) * np.log2((1.0 - p) / p)
+    return p, q, np.asarray(_libm_pow(2.0, -exponent), dtype=float)
 
 
 def epsilon_bound(p, q):
@@ -91,14 +110,8 @@ def epsilon_bound(p, q):
     throughout, -log2(eps) then dominates the slope term exactly as in
     the positivity condition h(eps)/eps > ((1-q)/q)(1-2p) log2((1-p)/p).
     """
-    p = _check_prob(p, "p", hi=0.5)
-    q = float(q)
-    if not 0.0 < q <= 0.5 + 1e-15:
-        raise ValueError(f"q = {q} outside (0, 1/2]")
-    if p == 0.0:
-        raise ValueError("p = 0 admits no finite bound")
-    exponent = (1.0 - q) / q * (1.0 - 2.0 * p) * np.log2((1.0 - p) / p)
-    return float(2.0 ** (-exponent))
+    p, _, bound = _witness_points(p, q, "p = 0 admits no finite bound")
+    return _shaped(np.shape(p), bound)[0]
 
 
 def positivity_witness(p, q):
@@ -106,20 +119,24 @@ def positivity_witness(p, q):
 
     Starts from half the explicit epsilon bound and halves, at most 64
     times, on a nonpositive evaluation (possible only through
-    underflow); raises UnderflowAtParams if epsilon reaches zero.
+    underflow); raises UnderflowAtParams if epsilon reaches zero.  The
+    points halve in lockstep, each only while its own value is
+    nonpositive, so each gives the bits of a one-point call; the error
+    names the first point in C order that found no positive value.
     """
-    p = _check_prob(p, "p", hi=0.5)
-    q = float(q)
-    if not 0.0 < q <= 0.5 + 1e-15:
-        raise ValueError(f"q = {q} outside (0, 1/2]")
-    if p == 0.0:
-        raise ValueError("p = 0 is outside the witness region")
-    eps = min(0.5, epsilon_bound(p, q) / 2.0)
-    for _ in range(64):
-        if eps == 0.0:
+    p, q, bound = _witness_points(p, q, "p = 0 is outside the witness region")
+    shape, p, q, half = np.shape(p), np.ravel(p), np.ravel(q), np.ravel(bound) / 2.0
+    eps = np.where(half < 0.5, half, 0.5)  # min(0.5, half), also 1/2 for NaN
+    value = comp_ci_eps(p, q, eps)
+    for _ in range(63):
+        # at epsilon 0 the value is 0 and stays so: such points have failed
+        todo = np.flatnonzero(~(value > 0.0) & (eps > 0.0))
+        if not todo.size:
             break
-        value = comp_ci_eps(p, q, eps)
-        if value > 0.0:
-            return WitnessResult(p, q, 1.0 - 2.0 * eps, eps, value)
-        eps /= 2.0
-    raise UnderflowAtParams(f"no positive witness found at (p, q) = ({p}, {q})")
+        eps[todo] /= 2.0
+        value[todo] = comp_ci_eps(p[todo], q[todo], eps[todo])
+    failed = np.flatnonzero(~(value > 0.0))
+    if failed.size:
+        i = failed[0]
+        raise UnderflowAtParams(f"no positive witness found at (p, q) = ({p[i]}, {q[i]})")
+    return WitnessResult(*_shaped(shape, p, q, 1.0 - 2.0 * eps, eps, value))

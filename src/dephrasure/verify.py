@@ -42,8 +42,8 @@ def antideg_suite(tol=1e-10):
     """Composition identity and CP of the degrading maps on {q >= k(p)},
     on a 20 x 20 grid."""
     ps = np.linspace(0.0, 0.5, 20)
-    lows = [max(channel.region_k(pi), 1e-6) for pi in ps]
-    p, q = np.repeat(ps, 20), np.concatenate([np.linspace(lo, 0.5, 20) for lo in lows])
+    lows = np.maximum(channel.region_k(ps), 1e-6)
+    p, q = np.repeat(ps, 20), np.linspace(lows, 0.5, 20, axis=-1).reshape(-1)
     report = antideg.verify_antidegradable(p, q, tol=tol)
     worst_res = max(0.0, float(report.composition_residual.max()))
     worst_cp = min(0.0, float(report.cp_min_eigenvalue.min()))
@@ -67,39 +67,25 @@ def thresholds_suite(tol=1e-12):
     Repetition codes must be positive just below g(p) and at most ``tol``
     just above it.
     """
-    checks = []
-    # (n, p, q) at q = g(p) -/+ 1e-3, one batched repetition scan for all
-    points = [
-        (n, p, q)
-        for n in range(1, 6)
-        for p in (0.05, 0.15, 0.25, 0.35)
-        for q in (channel.region_g(p) - 1e-3, min(channel.region_g(p) + 1e-3, 0.5))
-    ]
-    n, p, q = np.transpose(points)
-    values = codes.repetition_ci_opt(p, q, n.astype(int))[0]
-    worst_below = float(values[0::2].min())
-    worst_above = float(values[1::2].max())
-    checks.append(_check("repetition_positive_below_g", worst_below > 0.0, worst_below))
-    checks.append(_check("repetition_zero_above_g", worst_above <= tol, worst_above))
+    # q = g(p) -/+ 1e-3 (last axis) for four p and n = 1..5, one batched scan
+    p = np.array([[0.05], [0.15], [0.25], [0.35]])
+    g = channel.region_g(p)
+    q = np.concatenate([g - 1e-3, np.minimum(g + 1e-3, 0.5)], axis=1)
+    values = codes.repetition_ci_opt(p, q, np.arange(1, 6)[:, None, None])[0]
+    worst_below, worst_above = float(values[..., 0].min()), float(values[..., 1].max())
 
-    # curvature of i_c at z = 0 flips sign exactly at q = j(p)
-    worst_neg = -np.inf
-    worst_pos = np.inf
-    h = 1e-3
-    for p in (0.1, 0.2, 0.3, 0.4):
-        j = channel.region_j(p)
-        for q, side in ((j - 1e-3, "below"), (j + 1e-3, "above")):
-            second = (
-                channel.coherent_info_z(p, q, h)
-                - 2 * channel.coherent_info_z(p, q, 0.0)
-                + channel.coherent_info_z(p, q, -h)
-            ) / h**2
-            if side == "below":
-                worst_neg = max(worst_neg, second)
-            else:
-                worst_pos = min(worst_pos, second)
-    checks.append(_check("curvature_negative_below_j", worst_neg < 0.0, worst_neg))
-    checks.append(_check("curvature_positive_above_j", worst_pos > 0.0, worst_pos))
+    # curvature of i_c at z = 0 flips sign exactly at q = j(p): q = j(p) -/+ 1e-3
+    p, h = np.array([[0.1], [0.2], [0.3], [0.4]]), 1e-3
+    q = channel.region_j(p) + np.array([-1e-3, 1e-3])
+    plus, zero, minus = (channel.coherent_info_z(p, q, z) for z in (h, 0.0, -h))
+    second = (plus - 2 * zero + minus) / h**2
+    worst_neg, worst_pos = float(second[:, 0].max()), float(second[:, 1].min())
+    checks = [
+        _check("repetition_positive_below_g", worst_below > 0.0, worst_below),
+        _check("repetition_zero_above_g", worst_above <= tol, worst_above),
+        _check("curvature_negative_below_j", worst_neg < 0.0, worst_neg),
+        _check("curvature_positive_above_j", worst_pos > 0.0, worst_pos),
+    ]
     return {
         "suite": "thresholds",
         "passed": all(c["passed"] for c in checks),
@@ -109,23 +95,18 @@ def thresholds_suite(tol=1e-12):
 
 def compci_suite(tol=1e-10):
     """Complementary-channel positivity witnesses on the standard grid."""
-    worst = np.inf
-    for p in np.arange(0.05, 0.51, 0.05):
-        for q in np.arange(0.05, 0.51, 0.05):
-            witness = compci.positivity_witness(p, q)
-            worst = min(worst, witness.ci_value)
+    grid = np.arange(0.05, 0.51, 0.05)
+    worst = float(compci.positivity_witness(grid[:, None], grid).ci_value.min())
     checks = [_check("witness_positive_on_grid", worst > 0.0, worst)]
 
-    # closed form vs direct Kraus-route coherent information
+    # closed form vs direct Kraus-route coherent information, which takes
+    # one channel and one state at a time
     rng = np.random.default_rng(11)
-    worst_diff = 0.0
-    for _ in range(25):
-        p = float(rng.uniform(0.01, 0.5))
-        q = float(rng.uniform(0.01, 0.5))
-        m = float(rng.uniform(0.0, 1.0))
-        rho = channel.bloch_state(m, 0.0, 0.0)
-        direct = coherent_information(channel.complementary_kraus(p, q), rho)
-        worst_diff = max(worst_diff, abs(direct - compci.comp_ci_x_state(p, q, m)))
+    p, q, m = rng.uniform([0.01, 0.01, 0.0], [0.5, 0.5, 1.0], size=(25, 3)).T
+    direct = [coherent_information(channel.complementary_kraus(pi, qi),
+                                   channel.bloch_state(mi, 0.0, 0.0))
+              for pi, qi, mi in zip(p, q, m)]
+    worst_diff = float(np.abs(np.subtract(direct, compci.comp_ci_x_state(p, q, m))).max())
     checks.append(_check("closed_form_vs_direct", worst_diff <= tol, worst_diff))
     return {
         "suite": "compci",

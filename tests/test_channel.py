@@ -95,6 +95,11 @@ def test_region_ordering_and_endpoints():
     assert region_g(0.0) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_region_j_takes_its_p0_limit_at_subnormal_p():
+    # (1-p)/p overflows below p = 5.6e-309; the closed form is 1/2 there
+    assert region_j(np.array([5e-324, 1e-310, 2e-308, 1e-300])).tolist() == [0.5] * 4
+
+
 def test_region_j_near_half():
     # j(1/2 - d) ~ (8/3) d^2
     for d in (1e-3, 1e-5, 1e-7):

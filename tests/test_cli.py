@@ -264,6 +264,8 @@ def test_provenance_falls_back_to_the_process_arguments(tmp_path, monkeypatch, c
         # repetition codes and antideg accept q up to 1
         ("repetition_rate(3)", "p = 0.75 outside [0, 0.5]"),
         ("antideg", "p = 0.75 outside [0, 0.5]"),
+        ("regions", "p = 0.75 outside [0, 0.5]"),
+        ("comp_witness", "q = 0.0 outside (0, 1/2]"),
         ("repetition_rate(0)", "n must be >= 1"),
         # an (n) on a quantity that takes none
         ("single_ci(3)", "quantity 'single_ci' takes no (n)"),
@@ -284,6 +286,26 @@ def test_out_of_domain_sweep_point_is_a_one_line_error(tmp_path, capsys, quantit
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_comp_witness_checks_every_point_before_evaluating(tmp_path, capsys):
+    # (0.001, 0.001) underflows, but p = 0.6 is out of the domain
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--quantity", "comp_witness", "--p-range", "0.001:0.6:3",
+               "--q-range", "0.001:0.5:3", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: p = 0.6 outside [0, 0.5]\n"
+    assert not out.exists()
+
+
+def test_antideg_sweep_gives_subnormal_q_the_q0_row(tmp_path):
+    # at q = 1e-310 the USD map's x = 1 - (1-q)(1-2p)/q overflows
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--quantity", "antideg", "--p-range", "0.1:0.2:2",
+               "--q-range", "0:1e-310:2", "--out", str(out)])
+    assert rc == 0
+    rows = out.read_text().splitlines()[2:]
+    assert rows == [f"{p},{q},0,inf,-inf" for p in ("0.1", "0.2") for q in ("0", "1e-310")]
 
 
 def test_antideg_sweep_accepts_q_up_to_one(tmp_path):
