@@ -25,6 +25,7 @@ from .channel import (
     _small_eigenvalue,
     dephrasure_kraus,
     maximize_over_weights,
+    region_k,
 )
 from .qinfo import (
     _hermitian_eigh,
@@ -541,6 +542,11 @@ def brute_force_ci(code, p, q):
     )
 
 
+# rows per stacked Z-diagonal evaluation: each (rows, patterns, 2^n, 2^n)
+# stack stays within this, so that n = 6 (2 MB a row) keeps its memory
+_ZDIAG_STACK_BYTES = 4 * 2**20
+
+
 def _zdiag_evaluator(p, q, n):
     """Coherent information of Z-diagonal n-use codes at fixed (p, q).
 
@@ -556,7 +562,11 @@ def _zdiag_evaluator(p, q, n):
         dS(B_s)/dc = -2 ((log2 B_s) o K_s) c,
         dH(g_s)/dc_i = -2 c_i sum_t G_s[t, i] log2 g_s[t],
 
-    whose 1/ln 2 terms cancel between the two entropies.
+    whose 1/ln 2 terms cancel between the two entropies.  A stack
+    (B, 2^n) of coefficient rows gives B values and (B, 2^n) gradients,
+    one eigh call for each block of rows whose matrices fit in
+    _ZDIAG_STACK_BYTES; every other step is elementwise or a matmul
+    within one row, so each row has the bits of its one-row call.
     """
     dim = 2**n
     erased = np.arange(dim)  # erased-position bit masks, in pattern order
@@ -572,17 +582,26 @@ def _zdiag_evaluator(p, q, n):
     # diagonal state is grouped by the surviving bits
     grouping = ((idx[None, None, :] & surv) == idx[None, :, None]).astype(float)
     grouping = grouping.reshape(-1, dim)
+    block = max(1, _ZDIAG_STACK_BYTES // masks.nbytes)
 
     def value_and_grad(coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
-        evals, vecs = _hermitian_eigh(np.outer(coeffs, coeffs) * masks)
-        grouped = (grouping @ coeffs**2).reshape(len(weights), dim)
-        value = float(weights @ (shannon_entropy(grouped) - shannon_entropy(evals)))
+        if coeffs.ndim == 2 and len(coeffs) > block:
+            parts = [
+                value_and_grad(coeffs[i : i + block]) for i in range(0, len(coeffs), block)
+            ]
+            return tuple(np.concatenate(part) for part in zip(*parts))
+        rows = coeffs.reshape(-1, 1, dim)  # (B, 1, 2^n): one pattern axis
+        evals, vecs = _hermitian_eigh(rows[..., :, None] * rows[..., None, :] * masks)
+        grouped = (grouping @ (rows**2)[..., 0, :, None]).reshape(len(rows), -1, dim)
+        entropies = shannon_entropy(grouped) - shannon_entropy(evals)
+        value = (entropies[:, None, :] @ weights)[:, 0]
         log_grouped = np.log2(np.where(grouped > 0, grouped, 1.0))
-        grad = 2.0 * (
-            weights @ ((_log2_matrix(evals, vecs) * masks) @ coeffs)
-            - coeffs * ((weights[:, None] * log_grouped).reshape(-1) @ grouping)
-        )
+        spectral = (_log2_matrix(evals, vecs) * masks) @ rows[..., None]
+        classical = (weights[:, None] * log_grouped).reshape(len(rows), 1, -1) @ grouping
+        grad = 2.0 * (weights @ spectral[..., 0] - rows[:, 0] * classical[:, 0])
+        if coeffs.ndim == 1:
+            return float(value[0]), grad[0]
         return value, grad
 
     return value_and_grad
@@ -593,9 +612,130 @@ def _zdiag_ci_fast(coeffs, p, q, n):
     return _zdiag_evaluator(p, q, n)(coeffs)[0]
 
 
-# L-BFGS-B behind every code search; its ftol is relative to max(|f|,
-# 1), so absolute for the sub-bit values near the thresholds
+def _rowdot(a, b):
+    """Dot products of matching rows, each row summed on its own."""
+    return (a * b).sum(axis=-1)
+
+
+def _zdiag_objective(p, q, n):
+    """Minus the coherent information of Z-diagonal codes c = w / |w|,
+    with its gradient in w, for a stack (B, 2^n) of rows w.
+
+    The gradient is projected onto the sphere's tangent at c.  A zero
+    row is an infeasible sentinel and maps to (inf, 0).
+    """
+    evaluate = _zdiag_evaluator(p, q, n)
+
+    def objective(w):
+        norm = np.sqrt(_rowdot(w, w))[:, None]
+        feasible = norm > 0.0
+        norm = np.where(feasible, norm, 1.0)
+        coeffs = w / norm
+        value, grad = evaluate(coeffs)
+        tangent = (coeffs * _rowdot(coeffs, grad)[:, None] - grad) / norm
+        return np.where(feasible[:, 0], -value, np.inf), tangent
+
+    return objective
+
+
+# stop rules of every code search, as scipy's L-BFGS-B options, which the
+# lockstep theta_n search applies too; ftol is relative to max(|f|, 1),
+# so absolute for the sub-bit values near the thresholds
 _LBFGS_OPTIONS = {"maxiter": 200, "ftol": 1e-15, "gtol": 1e-10}
+# the lockstep L-BFGS of the theta_n search: curvature pairs kept (scipy's
+# maxcor), the Armijo constant and the step halvings before a row stops
+_LBFGS_MEMORY = 10
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 4
+
+
+def _two_loop(grad, pairs_s, pairs_y, rho):
+    """The L-BFGS step H grad of every row (Nocedal & Wright, alg. 7.4).
+
+    Pairs are stored oldest first; an unused slot has rho = 0, so it
+    leaves the vector as it is.  H0 is (s.y / y.y) I from the newest
+    pair, or 1 / |grad| without one: a first step of unit length.
+    """
+    vec = grad.copy()
+    alpha = np.zeros(rho.shape)
+    for j in reversed(range(rho.shape[1])):
+        alpha[:, j] = rho[:, j] * _rowdot(pairs_s[:, j], vec)
+        vec -= alpha[:, j, None] * pairs_y[:, j]
+    paired = rho[:, -1] > 0.0
+    yy = _rowdot(pairs_y[:, -1], pairs_y[:, -1])
+    vec *= np.where(
+        paired,
+        1.0 / np.where(paired, rho[:, -1] * yy, 1.0),
+        1.0 / np.sqrt(_rowdot(grad, grad)),
+    )[:, None]
+    for j in range(rho.shape[1]):
+        beta = rho[:, j] * _rowdot(pairs_y[:, j], vec)
+        vec += (alpha[:, j] - beta)[:, None] * pairs_s[:, j]
+    return vec
+
+
+def _lockstep_lbfgs(objective, starts):
+    """L-BFGS from every start at once; the final (f, x) of each start.
+
+    ``objective`` maps a stack (B, d) of points to their B values and
+    (B, d) gradients, each row on its own.  Every row takes, per
+    iteration, the two-loop direction over its last _LBFGS_MEMORY
+    curvature pairs (a pair with s.y <= eps |s.grad| is skipped, as
+    L-BFGS-B skips it) and an Armijo backtracking step from 1, halved
+    at most _MAX_HALVINGS times.  A row stops, keeping its last point,
+    when its line search fails or its direction is not downhill; it
+    also stops on _LBFGS_OPTIONS's rules: ``maxiter`` iterations, a step
+    lowering f by at most ``ftol`` max(|f|, |f_new|, 1), or a gradient
+    of max-norm at most ``gtol``.  Stopped rows leave the stack.  Each
+    step is elementwise, a sum within a row or one objective call on
+    the rows, so a row's result does not depend on the others.
+    """
+    x = np.array(starts, dtype=float)
+    f, grad = objective(x)
+    out_f, out_x = f.copy(), x.copy()
+    alive = np.flatnonzero(~(np.abs(grad).max(axis=-1) <= _LBFGS_OPTIONS["gtol"]))
+    x, f, grad = x[alive], f[alive], grad[alive]
+    pairs_s = np.zeros((len(alive), _LBFGS_MEMORY, x.shape[1]))
+    pairs_y, rho = np.zeros_like(pairs_s), np.zeros((len(alive), _LBFGS_MEMORY))
+    for _ in range(_LBFGS_OPTIONS["maxiter"]):
+        if not alive.size:
+            break
+        direction = -_two_loop(grad, pairs_s, pairs_y, rho)
+        slope = _rowdot(grad, direction)
+        step = np.ones(len(x))
+        new_x = x + direction
+        new_f, new_grad = objective(new_x)
+        accepted = new_f <= f + _ARMIJO * step * slope
+        for _ in range(_MAX_HALVINGS):
+            retry = np.flatnonzero(~accepted)
+            if not retry.size:
+                break
+            step[retry] /= 2.0
+            new_x[retry] = x[retry] + step[retry, None] * direction[retry]
+            new_f[retry], new_grad[retry] = objective(new_x[retry])
+            accepted[retry] = new_f[retry] <= f[retry] + _ARMIJO * step[retry] * slope[retry]
+        accepted &= slope < 0.0
+        s, y = new_x - x, new_grad - grad
+        sy = _rowdot(s, y)
+        store = accepted & (sy > np.finfo(float).eps * -(step * slope))
+        inverse = 1.0 / np.where(store, sy, 1.0)
+        for pairs, newest in ((pairs_s, s), (pairs_y, y), (rho, inverse)):
+            # the stored rows drop their oldest slot
+            pairs[store] = np.concatenate([pairs[store, 1:], newest[store, None]], axis=1)
+        scale = np.maximum(np.maximum(np.abs(f), np.abs(new_f)), 1.0)
+        done = ~accepted | (f - new_f <= _LBFGS_OPTIONS["ftol"] * scale) | (
+            np.abs(new_grad).max(axis=-1) <= _LBFGS_OPTIONS["gtol"]
+        )
+        x[accepted], f[accepted], grad[accepted] = (
+            new_x[accepted], new_f[accepted], new_grad[accepted]
+        )
+        if done.any():
+            out_f[alive[done]], out_x[alive[done]] = f[done], x[done]
+            keep = ~done
+            alive, x, f, grad = alive[keep], x[keep], f[keep], grad[keep]
+            pairs_s, pairs_y, rho = pairs_s[keep], pairs_y[keep], rho[keep]
+    out_f[alive], out_x[alive] = f, x  # the rows that ran out of iterations
+    return out_f, out_x
 
 
 def minimize(*args, **kwargs):
@@ -638,39 +778,40 @@ def _uniform_starts(seed, n_starts, dim):
 def optimize_zdiag(p, q, n, seed=0, n_starts=32):
     """Optimize the Schmidt coefficients of the Z-diagonal n-use code.
 
-    Multi-start L-BFGS-B with the exact gradient over w, the code
-    being c = w / |w|, warm started from the optimal weighted repetition
-    code.  The value is invariant under sign flips of any c_s, so w
-    needs no sign constraint and |c| is returned.  Deterministic per
-    seed.  Returns (value, coefficients) with coefficients in
-    lexicographic pattern order.  n is at most N_LIMIT.
+    L-BFGS with the exact gradient over w, the code being c = w / |w|,
+    from the optimal weighted repetition code and ``n_starts`` seeded
+    draws |N(0, 1)| per coefficient, all advancing in lockstep on one
+    stacked evaluation (``_lockstep_lbfgs``); the first start with the
+    lowest value wins, and the repetition code's own value if that is
+    higher.  The value is invariant under sign flips of any c_s, so w
+    needs no sign constraint and |c| is returned.  Where q >= k(p) the
+    channel is antidegradable, so no code has positive coherent
+    information and the product code |1..1>|1..1> (lambda = 0) attains
+    the optimum: (0.0, that code) is returned without a search.
+    Deterministic per seed.  Returns (value, coefficients) with
+    coefficients in lexicographic pattern order.  n is at most N_LIMIT.
     """
     p = _check_prob(p, "p", hi=0.5)
     q = _check_prob(q, "q", hi=0.5)
     if n > N_LIMIT:
         raise ValueError(f"n = {n} exceeds the limit {N_LIMIT}")
+    _check_budget(n_starts, _LBFGS_OPTIONS["maxiter"])
     dim = 2**n
-    evaluate = _zdiag_evaluator(p, q, n)
-
-    def objective(w):
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return np.inf, np.zeros(dim)
-        coeffs = w / norm
-        value, grad = evaluate(coeffs)
-        # minus the gradient, projected onto the sphere's tangent at c
-        return -value, (coeffs * (coeffs @ grad) - grad) / norm
-
-    rep_val, rep_lam = repetition_ci_opt(p, q, n)
     warm = np.zeros(dim)
+    if q >= region_k(p):
+        warm[-1] = 1.0
+        return 0.0, warm
+    rep_val, rep_lam = repetition_ci_opt(p, q, n)
     warm[0], warm[-1] = np.sqrt(rep_lam), np.sqrt(1 - rep_lam)
     rng = np.random.default_rng(seed)
     starts = [warm] + [np.abs(rng.standard_normal(dim)) for _ in range(n_starts)]
 
-    fun, w = _multistart(objective, starts)
-    if rep_val > -fun:  # warm-start value is always feasible
+    funs, ws = _lockstep_lbfgs(_zdiag_objective(p, q, n), starts)
+    best = np.argmin(funs)  # the first on a tie
+    if rep_val > -funs[best]:  # warm-start value is always feasible
         return rep_val, warm
-    return -fun, np.abs(w) / np.linalg.norm(w)
+    w = ws[best]
+    return float(-funs[best]), np.abs(w) / np.linalg.norm(w)
 
 
 def optimize_chi3(p, q, seed=0, n_starts=2, max_iterations=_LBFGS_OPTIONS["maxiter"]):

@@ -41,18 +41,25 @@ def _binary_entropy_diff(p, delta):
     Needed because the witness lives at delta values far below the
     rounding error of h(p) itself.  It is 0 at delta = 0, h(|delta|) at
     p = 0 or 1 and -h(p) where p + delta >= 1; elsewhere the closed form
-    is taken on operands that keep it finite.
+    is taken on operands that keep it finite.  Where delta / p overflows
+    (subnormal p), log1p(delta / p) is taken as log(p + delta) - log(p).
     """
     zero, end, top = delta == 0.0, (p == 0.0) | (p == 1.0), p + delta >= 1.0
     closed = ~(zero | end | top)
     p_c, d_c = np.where(closed, p, 0.25), np.where(closed, delta, 0.25)
-    with np.errstate(over="ignore"):  # delta / p = inf at subnormal p, as for floats
-        value = (
-            -p_c * np.log1p(d_c / p_c) / _LN2
-            - d_c * np.log2(p_c + d_c)
-            - (1 - p_c) * np.log1p(-d_c / (1 - p_c)) / _LN2
-            + d_c * np.log2(1 - p_c - d_c)
-        )
+    with np.errstate(over="ignore"):
+        ratio = d_c / p_c
+    over = np.isinf(ratio)
+    p_o, d_o = np.where(over, p_c, 1.0), np.where(over, d_c, 0.0)
+    log_ratio = np.where(
+        over, np.log(p_o + d_o) - np.log(p_o), np.log1p(np.where(over, 0.0, ratio))
+    )
+    value = (
+        -p_c * log_ratio / _LN2
+        - d_c * np.log2(p_c + d_c)
+        - (1 - p_c) * np.log1p(-d_c / (1 - p_c)) / _LN2
+        + d_c * np.log2(1 - p_c - d_c)
+    )
     value = np.where(top, -binary_entropy(p), value)
     value = np.where(end, binary_entropy(np.abs(np.where(end, delta, 0.0))), value)
     return np.where(zero, 0.0, value)

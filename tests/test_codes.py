@@ -478,3 +478,146 @@ def test_search_rates_lie_between_repetition_and_the_degradable_bounds(p, q, int
     assert chi3 <= upper
     if interior:
         assert chi3 >= repetition(3)
+
+
+def _zdiag_starts(p, q, n, seed=0, n_starts=32):
+    """optimize_zdiag's starts: the repetition warm start, then the draws."""
+    lam = repetition_ci_opt(p, q, n)[1]
+    warm = np.zeros(2**n)
+    warm[0], warm[-1] = np.sqrt(lam), np.sqrt(1 - lam)
+    rng = np.random.default_rng(seed)
+    return [warm] + [np.abs(rng.standard_normal(2**n)) for _ in range(n_starts)]
+
+
+def _scipy_zdiag_reference(p, q, n):
+    """The theta_n search before the lockstep L-BFGS: scipy's L-BFGS-B from
+    each start in turn, on one-row calls of the evaluator."""
+    from scipy.optimize import minimize
+
+    from dephrasure.codes import _LBFGS_OPTIONS, _zdiag_evaluator
+
+    evaluate = _zdiag_evaluator(p, q, n)
+
+    def objective(w):
+        norm = np.linalg.norm(w)
+        coeffs = w / norm
+        value, grad = evaluate(coeffs)
+        return -value, (coeffs * (coeffs @ grad) - grad) / norm
+
+    best = min(
+        minimize(objective, start, jac=True, method="L-BFGS-B", options=_LBFGS_OPTIONS).fun
+        for start in _zdiag_starts(p, q, n)
+    )
+    return max(repetition_ci_opt(p, q, n)[0], -best)
+
+
+# below k(p), where theta_n is searched: on q = 3p near the thresholds,
+# at the diagonal point where theta4 beats theta3, and off the diagonal
+SEARCH_POINTS = [
+    (0.11, 0.33), (0.1149, 0.3447), (0.118, 0.354),
+    (0.0859375, 0.34375), (0.2, 0.1), (0.05, 0.2),
+]
+
+
+@pytest.mark.parametrize("p, q", SEARCH_POINTS)
+def test_lockstep_search_reaches_the_scipy_reference(p, q):
+    for n in (2, 3):
+        assert optimize_zdiag(p, q, n)[0] >= _scipy_zdiag_reference(p, q, n) - 1e-12
+
+
+@pytest.mark.parametrize("p, q, n", [(0.11, 0.33, 2), (0.1149, 0.3447, 3), (0.2, 0.1, 3)])
+def test_lockstep_rows_do_not_depend_on_their_stack(p, q, n):
+    from dephrasure.codes import _lockstep_lbfgs, _zdiag_objective
+
+    objective = _zdiag_objective(p, q, n)
+    starts = _zdiag_starts(p, q, n)
+    funs, points = _lockstep_lbfgs(objective, starts)
+    for i, start in enumerate(starts):
+        fun, point = _lockstep_lbfgs(objective, [start])
+        assert fun[0] == funs[i]
+        assert np.array_equal(point[0], points[i])
+    # the search returns the first of the lowest, or the warm start's value
+    value, coeffs = optimize_zdiag(p, q, n)
+    best = points[np.argmin(funs)]
+    if value != repetition_ci_opt(p, q, n)[0]:
+        assert value == -funs.min()
+        assert np.array_equal(coeffs, np.abs(best) / np.linalg.norm(best))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_zdiag_rows_equal_one_row_calls(n, monkeypatch):
+    from dephrasure import codes
+
+    rows = np.abs(np.random.default_rng(n).standard_normal((9, 2**n)))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    for p, q in ((0.11, 0.33), (0.2, 0.0)):
+        evaluate = codes._zdiag_evaluator(p, q, n)
+        values, grads = evaluate(rows)
+        assert values.shape == (9,) and grads.shape == rows.shape
+        for row, value, grad in zip(rows, values, grads):
+            one_value, one_grad = evaluate(row)
+            assert type(one_value) is float
+            assert one_value == value
+            assert np.array_equal(one_grad, grad)
+        part_values, part_grads = evaluate(rows[2:5])
+        assert np.array_equal(part_values, values[2:5])
+        assert np.array_equal(part_grads, grads[2:5])
+        # and in blocks of two rows, as a large n takes them: the masks
+        # are 2^n by 2^n for each pattern of nonzero weight
+        patterns = 2**n if q > 0 else 1
+        with monkeypatch.context() as patch:
+            patch.setattr(codes, "_ZDIAG_STACK_BYTES", 2 * patterns * 4**n * 8)
+            block_values, block_grads = codes._zdiag_evaluator(p, q, n)(rows)
+        assert np.array_equal(block_values, values)
+        assert np.array_equal(block_grads, grads)
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 0.01), (0.2, 0.45), (0.15, 0.45), (0.0, 0.5)])
+def test_theta_n_is_zero_without_a_search_where_antidegradable(monkeypatch, p, q):
+    from dephrasure import codes
+    from dephrasure.channel import region_k
+
+    def unused(*args):
+        raise AssertionError("the objective was built")
+
+    monkeypatch.setattr(codes, "_zdiag_evaluator", unused)
+    for point in ((p, q), (p, region_k(p))):  # the boundary q = k(p) too
+        for n in (1, 2, 4):
+            value, coeffs = optimize_zdiag(*point, n)
+            assert type(value) is float and value == 0.0
+            product_code = np.zeros(2**n)
+            product_code[-1] = 1.0
+            assert np.array_equal(coeffs, product_code)
+            assert multiletter_ci(zdiag_code(coeffs), *point) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_chi3_still_searches_where_antidegradable():
+    # the chi_3 family holds no product code: its best there is negative
+    assert optimize_chi3(0.2, 0.45, n_starts=0, max_iterations=2)[0] < 0.0
+
+
+def test_optimize_zdiag_checks_its_start_count():
+    for p, q in ((0.11, 0.33), (0.5, 0.01)):
+        with pytest.raises(ValueError, match="n_starts = -3"):
+            optimize_zdiag(p, q, 2, n_starts=-3)
+    # no draws: the warm start alone
+    assert optimize_zdiag(0.11, 0.33, 2, n_starts=0)[0] >= repetition_ci_opt(0.11, 0.33, 2)[0]
+
+
+def test_comp_ci_eps_stays_finite_at_subnormal_p():
+    from dephrasure.compci import comp_ci_eps
+    from dephrasure.qinfo import binary_entropy
+
+    normal = comp_ci_eps(1e-300, 0.3, 0.25)
+    assert normal == pytest.approx(-0.3245112, abs=1e-7)
+    for p in (1e-310, 5e-324):
+        assert comp_ci_eps(p, 0.3, 0.25) == pytest.approx(normal, abs=1e-15)
+    ps = np.array([5e-324, 1e-310, 1e-300, 0.1, 0.3])
+    assert np.array_equal(comp_ci_eps(ps, 0.3, 0.25), [comp_ci_eps(p, 0.3, 0.25) for p in ps])
+    # normal p keeps the bits of the log1p form
+    ln2 = np.log(2.0)
+    for p, eps in ((0.1, 0.25), (0.3, 1e-20), (1e-300, 0.25)):
+        d = eps * (1 - 2 * p)
+        diff = (-p * np.log1p(d / p) / ln2 - d * np.log2(p + d)
+                - (1 - p) * np.log1p(-d / (1 - p)) / ln2 + d * np.log2(1 - p - d))
+        assert comp_ci_eps(p, 0.3, eps) == 0.3 * binary_entropy(eps) - 0.7 * diff
