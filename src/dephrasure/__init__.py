@@ -5,7 +5,7 @@ then erases it with probability q, flagging the erasure.  This package
 evaluates its coherent information for single letters and multi-letter
 codes, the region boundary curves where that quantity changes
 character, constructive antidegradability witnesses, ensemble private
-information, and multi-start L-BFGS searches over code states.
+information, and lockstep L-BFGS searches over code states.
 """
 
 __version__ = "0.1.0"

@@ -274,7 +274,7 @@ def build_parser():
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)
 
-    opt = sub.add_parser("optimize", help="multi-start L-BFGS-B code search at a point")
+    opt = sub.add_parser("optimize", help="lockstep L-BFGS code search at a point")
     opt.add_argument("--p", type=float, required=True)
     opt.add_argument("--q", type=float, required=True)
     opt.add_argument("--n", type=int, default=2)
@@ -282,7 +282,7 @@ def build_parser():
     opt.add_argument("--starts", "--particles", dest="n_starts", type=int, default=2,
                      help="seeded random starts after the warm starts")
     opt.add_argument("--iterations", type=int, default=200,
-                     help="L-BFGS-B iterations per start")
+                     help="L-BFGS iterations per start")
     opt.add_argument("--seed", type=int, default=0)
     opt.add_argument("--out", default=None)
     opt.set_defaults(func=cmd_optimize)

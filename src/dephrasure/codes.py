@@ -437,11 +437,12 @@ def _ci_evaluator(n, ref_dim, p, q):
 
 
 def _ci_gradient(n, ref_dim, p, q):
-    """Coherent information of one (n, ref_dim) code and its exact gradient.
+    """Coherent information of (n, ref_dim) codes and its exact gradient.
 
-    Returns ``value_and_grad(amps)`` for a unit-norm amplitude vector a;
-    the gradient is df/d(Re a) + i df/d(Im a), taken from the same
-    eigendecompositions as the value, on the same side of each block as
+    Returns ``value_and_grad(amps)`` for a stack (B, ref_dim 2^n) of
+    unit-norm amplitude rows a: B values and the (B, ref_dim 2^n)
+    gradients df/d(Re a) + i df/d(Im a), taken from the same
+    eigendecompositions as the values, on the same side of each block as
     ``_ci_evaluator``.  With rho = N N^dagger, rho_in = tr_ref(rho) and
     N[(r, x), (s, j)] = F[x, s] M[(r, x), j] (F real),
 
@@ -451,31 +452,31 @@ def _ci_gradient(n, ref_dim, p, q):
 
     the 1/ln 2 terms of dS = -tr[(log2 rho + 1/ln 2) d rho] cancelling
     because tr rho = tr rho_in.  Each pattern's term is scattered back
-    into the amplitude vector through its gather indices.
+    into its row through the gather indices.  Every step is a stacked
+    matmul or eigh over the leading axes, elementwise, or a sum within
+    one row, so each row has the bits of its one-row stack.
     """
     terms = _group_terms(n, ref_dim, p, q)
 
     def value_and_grad(amps):
-        value, grad = 0.0, np.zeros(amps.shape, dtype=complex)
+        value, grad = np.zeros(len(amps)), np.zeros(amps.shape, dtype=complex)
+        rows = np.arange(len(amps))[:, None, None, None]
         for gather, weight, dephasing, factors, gram in terms:
-            mats = amps[gather]
+            mats = np.take(amps, gather, axis=1)  # C order, whatever B is
             factor = _block_factor(mats, factors, ref_dim)
             evals, vecs = _hermitian_eigh(_block_side(factor, gram))
             in_evals, in_vecs = _hermitian_eigh(_input_parts(mats, dephasing, ref_dim))
-            value += weight * float(
-                np.sum(shannon_entropy(in_evals) - shannon_entropy(evals))
-            )
+            value += weight * np.sum(shannon_entropy(in_evals) - shannon_entropy(evals), axis=-1)
             log_side = _log2_matrix(evals, vecs)
             d_factor = factor @ log_side if gram else log_side @ factor
             surv = len(factors)
             d_mats = np.sum(
-                d_factor.reshape(len(mats), ref_dim, surv, surv, -1)
-                * factors[:, :, None],
+                d_factor.reshape(*mats.shape[:2], ref_dim, surv, surv, -1) * factors[:, :, None],
                 axis=-2,
             )
             log_in = _log2_matrix(in_evals, in_vecs) * dephasing
-            part = d_mats - log_in[:, None] @ mats.reshape(d_mats.shape)
-            np.add.at(grad, gather, 2.0 * weight * part.reshape(mats.shape))
+            part = d_mats - log_in[:, :, None] @ mats.reshape(d_mats.shape)
+            np.add.at(grad, (rows, gather[None]), 2.0 * weight * part.reshape(mats.shape))
         return value, grad
 
     return value_and_grad
@@ -492,32 +493,6 @@ def multiletter_ci(code, p, q):
         raise ValueError(f"n = {code.n_uses} exceeds the limit {N_LIMIT}")
     evaluate = _ci_evaluator(code.n_uses, code.ref_dim, p, q)
     return float(evaluate(code.amplitudes[None])[0])
-
-
-def _code_objective(n, ref_dim, p, q, linear):
-    """Minus the coherent information of one parameter vector, with its
-    exact gradient.
-
-    The real parameters x are the (Re, Im) pairs of a complex vector
-    z = _complex(x); the fixed real ``linear`` map sends z to the
-    amplitudes z @ linear of an (n, ref_dim) code, which are normalized
-    before evaluation.  The all-zero vector is an infeasible sentinel
-    and maps to (inf, 0).
-    """
-    value_and_grad = _ci_gradient(n, ref_dim, p, q)
-
-    def objective(x):
-        raw = _complex(x) @ linear
-        norm = np.linalg.norm(raw)
-        if norm == 0.0:
-            return np.inf, np.zeros(len(x))
-        amps = raw / norm
-        value, grad = value_and_grad(amps)
-        # through the normalization, then the linear map
-        grad = linear @ ((grad - amps * np.vdot(amps, grad).real) / norm)
-        return -value, -grad.view(float)
-
-    return objective
 
 
 def _complex(x):
@@ -617,14 +592,12 @@ def _rowdot(a, b):
     return (a * b).sum(axis=-1)
 
 
-def _zdiag_objective(p, q, n):
-    """Minus the coherent information of Z-diagonal codes c = w / |w|,
-    with its gradient in w, for a stack (B, 2^n) of rows w.
-
-    The gradient is projected onto the sphere's tangent at c.  A zero
-    row is an infeasible sentinel and maps to (inf, 0).
+def _on_sphere(evaluate):
+    """Minus ``evaluate`` (unit rows to values and gradients) at c = w / |w|
+    for a stack (B, d) of real rows w, with the gradient in w: projected
+    onto the sphere's tangent at c.  A zero row is an infeasible
+    sentinel and maps to (inf, 0).
     """
-    evaluate = _zdiag_evaluator(p, q, n)
 
     def objective(w):
         norm = np.sqrt(_rowdot(w, w))[:, None]
@@ -638,12 +611,44 @@ def _zdiag_objective(p, q, n):
     return objective
 
 
-# stop rules of every code search, as scipy's L-BFGS-B options, which the
-# lockstep theta_n search applies too; ftol is relative to max(|f|, 1),
-# so absolute for the sub-bit values near the thresholds
+def _zdiag_objective(p, q, n):
+    """Minus the coherent information of Z-diagonal codes c = w / |w|,
+    with its gradient in w, for a stack (B, 2^n) of rows w."""
+    return _on_sphere(_zdiag_evaluator(p, q, n))
+
+
+def _code_objective(n, ref_dim, p, q, linear):
+    """Minus the coherent information of a stack (B, d) of parameter rows,
+    with its exact gradient.
+
+    The real parameters x are the (Re, Im) pairs of a complex vector
+    z = _complex(x); the fixed real ``linear`` map sends z to the
+    amplitudes z @ linear of an (n, ref_dim) code, which ``_on_sphere``
+    normalizes, in their (Re, Im) view, before evaluation.
+    """
+    value_and_grad = _ci_gradient(n, ref_dim, p, q)
+
+    def evaluate(amps):
+        value, grad = value_and_grad(_complex(amps))
+        return value, grad.view(float)
+
+    on_sphere = _on_sphere(evaluate)
+
+    def objective(x):
+        # each row its own (1, d) @ linear matmul, so no row sees the stack
+        raw = (_complex(x)[:, None] @ linear)[:, 0]
+        value, grad = on_sphere(raw.view(float))
+        return value, (_complex(grad)[:, None] @ linear.T)[:, 0].view(float)
+
+    return objective
+
+
+# stop rules of every code search, named as scipy's L-BFGS-B options:
+# maxiter is the default iteration budget; ftol is relative to
+# max(|f|, 1), so absolute for the sub-bit values near the thresholds
 _LBFGS_OPTIONS = {"maxiter": 200, "ftol": 1e-15, "gtol": 1e-10}
-# the lockstep L-BFGS of the theta_n search: curvature pairs kept (scipy's
-# maxcor), the Armijo constant and the step halvings before a row stops
+# the lockstep L-BFGS: curvature pairs kept (scipy's maxcor), the Armijo
+# constant and the step halvings before a row stops
 _LBFGS_MEMORY = 10
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 4
@@ -674,7 +679,7 @@ def _two_loop(grad, pairs_s, pairs_y, rho):
     return vec
 
 
-def _lockstep_lbfgs(objective, starts):
+def _lockstep_lbfgs(objective, starts, max_iterations=_LBFGS_OPTIONS["maxiter"]):
     """L-BFGS from every start at once; the final (f, x) of each start.
 
     ``objective`` maps a stack (B, d) of points to their B values and
@@ -684,11 +689,11 @@ def _lockstep_lbfgs(objective, starts):
     L-BFGS-B skips it) and an Armijo backtracking step from 1, halved
     at most _MAX_HALVINGS times.  A row stops, keeping its last point,
     when its line search fails or its direction is not downhill; it
-    also stops on _LBFGS_OPTIONS's rules: ``maxiter`` iterations, a step
-    lowering f by at most ``ftol`` max(|f|, |f_new|, 1), or a gradient
-    of max-norm at most ``gtol``.  Stopped rows leave the stack.  Each
-    step is elementwise, a sum within a row or one objective call on
-    the rows, so a row's result does not depend on the others.
+    also stops after ``max_iterations`` iterations or on _LBFGS_OPTIONS's
+    rules: a step lowering f by at most ``ftol`` max(|f|, |f_new|, 1), or
+    a gradient of max-norm at most ``gtol``.  Stopped rows leave the
+    stack.  Each step is elementwise, a sum within a row or one objective
+    call on the rows, so a row's result does not depend on the others.
     """
     x = np.array(starts, dtype=float)
     f, grad = objective(x)
@@ -697,7 +702,7 @@ def _lockstep_lbfgs(objective, starts):
     x, f, grad = x[alive], f[alive], grad[alive]
     pairs_s = np.zeros((len(alive), _LBFGS_MEMORY, x.shape[1]))
     pairs_y, rho = np.zeros_like(pairs_s), np.zeros((len(alive), _LBFGS_MEMORY))
-    for _ in range(_LBFGS_OPTIONS["maxiter"]):
+    for _ in range(max_iterations):
         if not alive.size:
             break
         direction = -_two_loop(grad, pairs_s, pairs_y, rho)
@@ -738,29 +743,11 @@ def _lockstep_lbfgs(objective, starts):
     return out_f, out_x
 
 
+# no search calls it: it stays only because perfbench/tracer.py wraps it by name
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first search: scipy's import
-    takes most of a command's start-up, and most commands never search."""
+    """scipy.optimize.minimize, with scipy imported on the first call."""
     from scipy.optimize import minimize as scipy_minimize
-
     return scipy_minimize(*args, **kwargs)
-
-
-def _multistart(objective, starts, max_iterations=_LBFGS_OPTIONS["maxiter"]):
-    """L-BFGS-B with the exact gradient from each start in turn.
-
-    ``objective`` maps x to (f, grad f).  Returns (f, x) at the lowest
-    minimum found, the first start's on a tie; (inf, starts[0]) if no
-    start reaches a finite value.
-    """
-    options = {**_LBFGS_OPTIONS, "maxiter": max_iterations}
-    best_fun, best_x = np.inf, starts[0]
-    for start in starts:
-        # through this module's binding, which a tracer may wrap
-        res = minimize(objective, start, jac=True, method="L-BFGS-B", options=options)
-        if res.fun < best_fun:
-            best_fun, best_x = res.fun, res.x
-    return best_fun, best_x
 
 
 def _check_budget(n_starts, max_iterations):
@@ -791,8 +778,7 @@ def optimize_zdiag(p, q, n, seed=0, n_starts=32):
     Deterministic per seed.  Returns (value, coefficients) with
     coefficients in lexicographic pattern order.  n is at most N_LIMIT.
     """
-    p = _check_prob(p, "p", hi=0.5)
-    q = _check_prob(q, "q", hi=0.5)
+    p, q = _check_prob(p, "p", hi=0.5), _check_prob(q, "q", hi=0.5)
     if n > N_LIMIT:
         raise ValueError(f"n = {n} exceeds the limit {N_LIMIT}")
     _check_budget(n_starts, _LBFGS_OPTIONS["maxiter"])
@@ -814,32 +800,37 @@ def optimize_zdiag(p, q, n, seed=0, n_starts=32):
     return float(-funs[best]), np.abs(w) / np.linalg.norm(w)
 
 
-def optimize_chi3(p, q, seed=0, n_starts=2, max_iterations=_LBFGS_OPTIONS["maxiter"]):
-    """Optimize the chi_3 code coefficients by multi-start L-BFGS-B.
-
-    The 8 real parameters are the (Re, Im) pairs of (c1, d1, c2, d2).
-    The starts are four structured warm starts, then ``n_starts`` seeded
-    draws uniform in (-1, 1)^8; each runs for at most ``max_iterations``
-    iterations.  Returns (value, (c1, d1, c2, d2)) for the normalized
-    best code.
-    """
-    p = _check_prob(p, "p", hi=0.5)
-    q = _check_prob(q, "q", hi=0.5)
-    _check_budget(n_starts, max_iterations)
-
-    # structured warm starts: the GHZ-flavored psi2 = 0 code, plus a
-    # family with small psi1 ~ |+> weight — near the threshold the
-    # optimum retreats into that narrow corner of the parameter space,
-    # mirroring the small-lambda behavior of the repetition codes
+def _chi3_starts(seed, n_starts):
+    """optimize_chi3's starts: four structured warm starts, then
+    ``n_starts`` seeded draws uniform in (-1, 1)^8."""
+    # the GHZ-flavored psi2 = 0 code, plus a family with small psi1 ~ |+>
+    # weight: near the threshold the optimum retreats into that narrow
+    # corner of the parameter space, mirroring the small-lambda behavior
+    # of the repetition codes
     starts = [np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]) / np.sqrt(2)]
     for eps in (0.3, 0.1, 0.03):
         starts.append(np.array([eps, 0.0, eps, 0.0, 1.0, 0.0, 0.0, 0.0]))
-    starts += _uniform_starts(seed, n_starts, 8)
-    fun, x = _multistart(
-        _code_objective(3, 4, p, q, _chi3_map()), starts, max_iterations
+    return starts + _uniform_starts(seed, n_starts, 8)
+
+
+def optimize_chi3(p, q, seed=0, n_starts=2, max_iterations=_LBFGS_OPTIONS["maxiter"]):
+    """Optimize the chi_3 code coefficients by lockstep L-BFGS.
+
+    The 8 real parameters are the (Re, Im) pairs of (c1, d1, c2, d2).
+    All starts (``_chi3_starts``) advance together for at most
+    ``max_iterations`` iterations; the first with the lowest value wins.
+    The family holds no product code, so unlike ``optimize_zdiag`` it
+    searches at antidegradable points too.  Returns (value, (c1, d1,
+    c2, d2)) for the normalized best code.
+    """
+    p, q = _check_prob(p, "p", hi=0.5), _check_prob(q, "q", hi=0.5)
+    _check_budget(n_starts, max_iterations)
+    funs, xs = _lockstep_lbfgs(
+        _code_objective(3, 4, p, q, _chi3_map()), _chi3_starts(seed, n_starts), max_iterations
     )
-    vec = _complex(x)
-    return -fun, tuple(vec / np.linalg.norm(vec))
+    best = np.argmin(funs)  # the first on a tie
+    vec = _complex(xs[best])
+    return float(-funs[best]), tuple(vec / np.linalg.norm(vec))
 
 
 def optimize_code_ci(
@@ -851,13 +842,15 @@ def optimize_code_ci(
     ``full`` optimizes all real and imaginary amplitude components of a
     rank-2^n code (reference dimension 2^n, n <= 3); ``chi3`` optimizes
     the 4-coefficient non-diagonal 3-use family (``optimize_chi3``).
-    Either runs multi-start L-BFGS-B from its warm starts and then
+    Either runs the lockstep L-BFGS from its warm starts and then
     ``n_starts`` seeded draws uniform in (-1, 1)^dim, each for at most
     ``max_iterations`` iterations.  Returns (value, CodeState).  ``full``
     never returns less than its warm starts, the optimal repetition code
     (valued by ``repetition_ci_opt``) and the optimized Z-diagonal code
     (valued by ``optimize_zdiag``); when one of them wins, it is
-    returned embedded in reference dimension 2^n.
+    returned embedded in reference dimension 2^n.  Where q >= k(p) the
+    channel is antidegradable and ``full`` returns optimize_zdiag's
+    (0.0, lambda = 0 product code), embedded so, without a search.
     """
     _check_budget(n_starts, max_iterations)
     if parametrization == "chi3":
@@ -875,21 +868,24 @@ def optimize_code_ci(
     amp_len = ref_dim * 2**n
     # good feasible points matter: every pure product input is a local
     # extremum with zero coherent information
+    zval, zcoeffs = optimize_zdiag(p, q, n, seed=seed, n_starts=8)
+    zdiag = np.diag(zcoeffs).astype(complex).reshape(-1).view(float)
+    if q >= region_k(p):  # antidegradable: optimize_zdiag did not search either
+        return zval, normalized_code(n, ref_dim, _complex(zdiag))
     rep_val, rep_lam = repetition_ci_opt(p, q, n)
     rep = _embed_code(repetition_code_state(n, rep_lam), ref_dim, n)
-    zval, zcoeffs = optimize_zdiag(p, q, n, seed=seed, n_starts=8)
-    zvec = np.zeros(amp_len, dtype=complex)
-    zvec[np.arange(2**n) * (2**n + 1)] = zcoeffs
-    zdiag = zvec.view(float)
 
     starts = [rep, zdiag] + _uniform_starts(seed, n_starts, 2 * amp_len)
-    fun, x = _multistart(
+    funs, xs = _lockstep_lbfgs(
         _code_objective(n, ref_dim, p, q, np.eye(amp_len)), starts, max_iterations
     )
+    best = np.argmin(funs)  # the first on a tie
     # each warm start keeps the value of its own route, which the block
     # engine can read a few ulps lower; on a tie the searched code is kept
-    value, best = max([(-fun, x), (rep_val, rep), (zval, zdiag)], key=lambda c: c[0])
-    return value, normalized_code(n, ref_dim, _complex(best))
+    value, code = max(
+        [(float(-funs[best]), xs[best]), (rep_val, rep), (zval, zdiag)], key=lambda c: c[0]
+    )
+    return value, normalized_code(n, ref_dim, _complex(code))
 
 
 def _embed_code(code, ref_dim, n):

@@ -399,14 +399,27 @@ def test_every_quantity_and_code_alias_prints_the_library_value(tmp_path, monkey
         assert value == sweeps[_ALIASES[alias]][f"{p},{q}"], alias
 
 
-def test_building_the_parser_does_not_import_scipy():
+def _imports_scipy(code):
+    """Whether ``code``, run in a fresh interpreter, leaves scipy imported."""
     src = os.path.dirname(os.path.dirname(dephrasure.__file__))
-    code = (
-        "import sys; import dephrasure.cli as cli; cli.build_parser(); "
-        "print('scipy.optimize' in sys.modules)"
-    )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", f"import sys; {code}; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_building_the_parser_does_not_import_scipy():
+    assert not _imports_scipy("import dephrasure.cli as cli; cli.build_parser()")
+
+
+def test_no_cli_search_imports_scipy(tmp_path):
+    searches = [
+        ["diagonal", "--codes", "chi3", "--p-range", "0.11:0.11:2"],  # one point, twice
+        ["optimize", "--p", "0.11", "--q", "0.33", "--n", "2"],
+    ]
+    for i, argv in enumerate(searches):
+        argv += ["--out", str(tmp_path / f"out{i}")]
+        assert not _imports_scipy(f"import dephrasure.cli as cli; assert cli.main({argv!r}) == 0")
+        assert (tmp_path / f"out{i}").stat().st_size > 0

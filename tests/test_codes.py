@@ -252,12 +252,21 @@ def test_code_objective_maps_zero_to_inf():
     rng = np.random.default_rng(9)
     p, q = 0.11, 0.33
     for objective, dim, code_of in _search_objectives(p, q):
-        for x in rng.uniform(-1.0, 1.0, (3, dim)):
-            value, _ = objective(x)
+        xs = rng.uniform(-1.0, 1.0, (3, dim))
+        values, grads = objective(xs)
+        assert values.shape == (3,) and grads.shape == xs.shape
+        for x, value in zip(xs, values):
             assert value == pytest.approx(-multiletter_ci(code_of(x), p, q), abs=1e-12)
-        value, grad = objective(np.zeros(dim))
-        assert value == np.inf
-        assert np.array_equal(grad, np.zeros(dim))
+        value, grad = objective(np.zeros((1, dim)))
+        assert value[0] == np.inf
+        assert np.array_equal(grad, np.zeros((1, dim)))
+        # a zero row inside a stack leaves the other rows' bits as they are
+        mixed = np.insert(xs, 1, 0.0, axis=0)
+        mixed_values, mixed_grads = objective(mixed)
+        assert mixed_values[1] == np.inf
+        assert np.array_equal(mixed_grads[1], np.zeros(dim))
+        assert np.array_equal(np.delete(mixed_values, 1), values)
+        assert np.array_equal(np.delete(mixed_grads, 1, axis=0), grads)
 
 
 # (p, q) corners and interior points of the gradient tests
@@ -265,8 +274,10 @@ GRADIENT_POINTS = [(p, q) for p in (0.0, 0.11, 0.5) for q in (0.0, 0.33, 1.0)]
 
 
 def _central_differences(f, x, h=1e-6):
+    """Central differences at x of f, which maps a stack of points to
+    their values: every displaced point is one row of a stack."""
     steps = np.eye(len(x)) * h
-    return np.array([(f(x + e) - f(x - e)) / (2 * h) for e in steps])
+    return (f(x + steps) - f(x - steps)) / (2 * h)
 
 
 @pytest.mark.parametrize("p, q", GRADIENT_POINTS)
@@ -279,23 +290,24 @@ def test_block_gradient_matches_finite_differences(p, q):
         amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         amps /= np.linalg.norm(amps)
         value_and_grad = _ci_gradient(n, ref_dim, p, q)
-        value, grad = value_and_grad(amps)
+        (value,), (grad,) = value_and_grad(amps[None])
         assert value == pytest.approx(
             multiletter_ci(CodeState(n, ref_dim, amps), p, q), abs=1e-12
         )
-        # real parameters (Re a, Im a) against Re and Im of the gradient
+        # real parameters (Re a, Im a) against Re and Im of the gradient,
+        # every displaced point a row of one stack
         x = np.concatenate([amps.real, amps.imag])
         fd = _central_differences(
-            lambda y: value_and_grad(y[:size] + 1j * y[size:])[0], x
+            lambda ys: value_and_grad(ys[:, :size] + 1j * ys[:, size:])[0], x
         )
         assert np.abs(fd - np.concatenate([grad.real, grad.imag])).max() <= 1e-6
 
     # the search objectives, through the normalization and the linear map
     for objective, dim, code_of in _search_objectives(p, q):
         x = rng.uniform(-1.0, 1.0, dim)
-        value, grad = objective(x)
+        (value,), (grad,) = objective(x[None])
         assert value == pytest.approx(-multiletter_ci(code_of(x), p, q), abs=1e-12)
-        fd = _central_differences(lambda y: objective(y)[0], x)
+        fd = _central_differences(lambda ys: objective(ys)[0], x)
         assert np.abs(fd - grad).max() <= 1e-6
 
 
@@ -369,10 +381,9 @@ def test_environment_side_entropies_match_full_blocks(p, q):
             amps = rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size))
             amps /= np.linalg.norm(amps, axis=1)[:, None]
             values = _ci_evaluator(n, ref_dim, p, q)(amps)
-            value_and_grad = _ci_gradient(n, ref_dim, p, q)
-            for row, batched in zip(amps, values):
+            grad_values, grads = _ci_gradient(n, ref_dim, p, q)(amps)
+            for row, batched, value, grad in zip(amps, values, grad_values, grads):
                 ref_value, ref_grad = _full_block_ci(row, n, ref_dim, p, q)
-                value, grad = value_and_grad(row)
                 assert abs(batched - ref_value) <= 1e-12
                 assert abs(value - ref_value) <= 1e-12
                 assert np.abs(grad - ref_grad).max() <= 1e-12
@@ -525,23 +536,51 @@ def test_lockstep_search_reaches_the_scipy_reference(p, q):
         assert optimize_zdiag(p, q, n)[0] >= _scipy_zdiag_reference(p, q, n) - 1e-12
 
 
+def _full_starts(p, q, n, seed=0, n_starts=2):
+    """The full search's repetition warm start, then seeded draws."""
+    from dephrasure.codes import _embed_code, _uniform_starts
+
+    rep = repetition_code_state(n, repetition_ci_opt(p, q, n)[1])
+    return [_embed_code(rep, 2**n, n)] + _uniform_starts(seed, n_starts, 2 * 4**n)
+
+
 @pytest.mark.parametrize("p, q, n", [(0.11, 0.33, 2), (0.1149, 0.3447, 3), (0.2, 0.1, 3)])
 def test_lockstep_rows_do_not_depend_on_their_stack(p, q, n):
-    from dephrasure.codes import _lockstep_lbfgs, _zdiag_objective
+    from dephrasure.codes import (
+        _chi3_map, _chi3_starts, _code_objective, _lockstep_lbfgs, _zdiag_objective,
+    )
 
-    objective = _zdiag_objective(p, q, n)
-    starts = _zdiag_starts(p, q, n)
-    funs, points = _lockstep_lbfgs(objective, starts)
-    for i, start in enumerate(starts):
-        fun, point = _lockstep_lbfgs(objective, [start])
-        assert fun[0] == funs[i]
-        assert np.array_equal(point[0], points[i])
-    # the search returns the first of the lowest, or the warm start's value
+    searches = [
+        (_zdiag_objective(p, q, n), _zdiag_starts(p, q, n)),
+        (_code_objective(3, 4, p, q, _chi3_map()), _chi3_starts(0, 2)),
+        (_code_objective(n, 2**n, p, q, np.eye(4**n)), _full_starts(p, q, n)),
+    ]
+    runs = []
+    for objective, starts in searches:
+        # one call on the stack, and each row alone in a one-row stack
+        values, grads = objective(np.array(starts))
+        for i, start in enumerate(starts):
+            (value,), (grad,) = objective(start[None])
+            assert value == values[i]
+            assert np.array_equal(grad, grads[i])
+        funs, points = _lockstep_lbfgs(objective, starts)
+        for i, start in enumerate(starts):
+            fun, point = _lockstep_lbfgs(objective, [start])
+            assert fun[0] == funs[i]
+            assert np.array_equal(point[0], points[i])
+        runs.append((funs, points))
+    # the searches return the first of the lowest, or the warm start's value
+    (funs, points), (chi3_funs, chi3_points) = runs[:2]
     value, coeffs = optimize_zdiag(p, q, n)
     best = points[np.argmin(funs)]
     if value != repetition_ci_opt(p, q, n)[0]:
         assert value == -funs.min()
         assert np.array_equal(coeffs, np.abs(best) / np.linalg.norm(best))
+    value, coeffs = optimize_chi3(p, q)
+    best = chi3_points[np.argmin(chi3_funs)]
+    best = best[0::2] + 1j * best[1::2]
+    assert value == -chi3_funs.min()
+    assert np.array_equal(coeffs, best / np.linalg.norm(best))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -589,6 +628,28 @@ def test_theta_n_is_zero_without_a_search_where_antidegradable(monkeypatch, p, q
             product_code[-1] = 1.0
             assert np.array_equal(coeffs, product_code)
             assert multiletter_ci(zdiag_code(coeffs), *point) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 0.01), (0.2, 0.45)])
+def test_full_search_is_zero_without_a_search_where_antidegradable(monkeypatch, p, q):
+    from dephrasure import codes
+    from dephrasure.channel import region_k
+
+    def unused(*args):
+        raise AssertionError("an objective was built")
+
+    for builder in ("_ci_gradient", "_zdiag_evaluator"):
+        monkeypatch.setattr(codes, builder, unused)
+    for point in ((p, q), (p, region_k(p))):  # the boundary q = k(p) too
+        for n in (1, 2, 3):
+            value, code = optimize_code_ci(*point, n)
+            assert type(value) is float and value == 0.0
+            # the lambda = 0 product code |1..1>|1..1>, at ref_dim 2^n
+            product_code = np.zeros((2**n, 2**n))
+            product_code[-1, -1] = 1.0
+            assert (code.n_uses, code.ref_dim) == (n, 2**n)
+            assert np.array_equal(code.amplitudes, product_code.reshape(-1))
+            assert multiletter_ci(code, *point) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_chi3_still_searches_where_antidegradable():
