@@ -13,17 +13,23 @@ from dephrasure.channel import single_letter_ci
 from dephrasure.codes import optimize_chi3, optimize_zdiag, repetition_ci_opt
 
 p_grid = np.linspace(0.107, 0.118, 12)
+q_grid = 3 * p_grid
+
+# one batched call per column, over all twelve points
+columns = [
+    p_grid,
+    q_grid,
+    single_letter_ci(p_grid, q_grid)[0],
+    repetition_ci_opt(p_grid, q_grid, 2)[0] / 2,
+    repetition_ci_opt(p_grid, q_grid, 3)[0] / 3,
+    repetition_ci_opt(p_grid, q_grid, 5)[0] / 5,
+    optimize_zdiag(p_grid, q_grid, 4, seed=0, n_starts=8)[0] / 4,
+    optimize_chi3(p_grid, q_grid, seed=0)[0] / 3,
+]
 
 print(f"{'p':>7} {'q':>7} {'single':>10} {'rep2':>10} {'rep3':>10} "
       f"{'rep5':>10} {'theta4':>10} {'chi3':>10}")
-for p in p_grid:
-    q = 3 * p
-    single, _ = single_letter_ci(p, q)
-    rep2 = repetition_ci_opt(p, q, 2)[0] / 2
-    rep3 = repetition_ci_opt(p, q, 3)[0] / 3
-    rep5 = repetition_ci_opt(p, q, 5)[0] / 5
-    theta4 = optimize_zdiag(p, q, 4, seed=0, n_starts=8)[0] / 4
-    chi3 = optimize_chi3(p, q, seed=0)[0] / 3
+for p, q, single, rep2, rep3, rep5, theta4, chi3 in zip(*columns):
     print(f"{p:7.4f} {q:7.4f} {single:10.6f} {rep2:10.6f} {rep3:10.6f} "
           f"{rep5:10.6f} {theta4:10.6f} {chi3:10.6f}")
 

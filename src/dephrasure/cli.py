@@ -47,11 +47,6 @@ class _Quantity(NamedTuple):
     values: Callable  # (P, Q, n, seed) -> the values at the points (P, Q)
 
 
-def _per_point(value):
-    """An evaluator calling ``value(p, q, n, seed)`` at one point at a time."""
-    return lambda P, Q, n, seed: [value(p, q, n, seed) for p, q in zip(P, Q)]
-
-
 def _repetition_gap(P, Q, n, seed):
     # single-letter first: its checks (p, then q <= 1/2, point by point)
     # raise the error that a loop over the points raised
@@ -72,8 +67,8 @@ def _comp_witness(P, Q, n, seed):
 
 # Every sweep quantity.  The evaluators look library functions up through
 # their modules at call time, so patching a module attribute reaches them;
-# all but the _per_point ones (the two code searches) take every point in
-# one call.
+# each makes one library call over all its points (the code searches too:
+# they stack every point's starts into lockstep L-BFGS runs).
 _QUANTITIES = {
     "single_ci": _Quantity(
         ["value"], False, lambda P, Q, *_: channel.single_letter_ci(P, Q)[0]
@@ -82,12 +77,12 @@ _QUANTITIES = {
     "repetition_rate": _Quantity(
         ["value"], True, lambda P, Q, n, _: codes.repetition_ci_opt(P, Q, n)[0] / n
     ),
-    "zdiag_rate": _Quantity(["value"], True, _per_point(
-        lambda p, q, n, seed: codes.optimize_zdiag(p, q, n, seed=seed)[0] / n
-    )),
-    "chi3_rate": _Quantity(["value"], False, _per_point(
-        lambda p, q, n, seed: codes.optimize_chi3(p, q, seed=seed)[0] / 3
-    )),
+    "zdiag_rate": _Quantity(
+        ["value"], True, lambda P, Q, n, seed: codes.optimize_zdiag(P, Q, n, seed=seed)[0] / n
+    ),
+    "chi3_rate": _Quantity(
+        ["value"], False, lambda P, Q, n, seed: codes.optimize_chi3(P, Q, seed=seed)[0] / 3
+    ),
     "private_lb": _Quantity(
         ["value"], False, lambda P, Q, *_: private_info.private_lower_bound(P, Q)[0]
     ),

@@ -10,6 +10,7 @@ information and is therefore omitted analytically.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -21,6 +22,7 @@ from .channel import (
     _check_prob,
     _in_prob,
     _libm_pow,
+    _points,
     _shaped,
     _small_eigenvalue,
     dephrasure_kraus,
@@ -357,12 +359,13 @@ def pattern_decompose(code, p, q):
 
 
 def _group_terms(n, ref_dim, p, q):
-    """(gather, weight, D, F, gram) for every plan group with nonzero weight.
+    """(gather, weight, D, F, gram) for every plan group.
 
     D is the survivors' dephasing mask and F = _dephasing_factors(p, m);
-    ``gram`` says to take the block entropy on the environment side
-    N^dagger N, which is 2^n-dimensional, because the block N N^dagger
-    (ref_dim 2^m) is larger.
+    a group's weight is 0 where it underflows or q is 0 or 1, and the
+    evaluators skip the group there.  ``gram`` says to take the block
+    entropy on the environment side N^dagger N, which is 2^n-dimensional,
+    because the block N N^dagger (ref_dim 2^m) is larger.
     """
     return [
         (
@@ -373,30 +376,31 @@ def _group_terms(n, ref_dim, p, q):
             ref_dim > 2**group.erased,
         )
         for group, weight, dephasing in _weighted_groups(n, ref_dim, p, q)
-        if weight != 0.0
     ]
 
 
 def _block_factor(mats, factors, ref_dim):
     """N = [sqrt(w_s) (1_ref (x) Z^s) M]_s, so that the block is N N^dagger.
 
-    ``mats`` is a stack (..., ref_dim 2^m, 2^e) of gathered matrices M;
-    N is (..., ref_dim 2^m, 2^m 2^e) with columns ordered (s, erased),
+    ``mats`` is a stack (B, patterns, ref_dim 2^m, 2^e) of gathered
+    matrices M and ``factors`` (B or 1, 2^m, 2^m) each row's F; N is
+    (B, patterns, ref_dim 2^m, 2^m 2^e) with columns ordered (s, erased),
     i.e. N[(r, x), (s, j)] = F[x, s] M[(r, x), j].
     """
     *lead, rows, cols = mats.shape
-    surv = len(factors)
-    split = mats.reshape(*lead, ref_dim, surv, 1, cols) * factors[:, :, None]
+    surv = factors.shape[-1]
+    split = mats.reshape(*lead, ref_dim, surv, 1, cols) * factors[:, None, None, :, :, None]
     return split.reshape(*lead, rows, surv * cols)
 
 
 def _input_parts(mats, dephasing, ref_dim):
-    """tr_ref of the blocks, (sum_r M_r M_r^dagger) o D, straight from M."""
+    """tr_ref of the blocks, (sum_r M_r M_r^dagger) o D, straight from M,
+    with D (B or 1, 2^m, 2^m) each row's mask."""
     *lead, _, cols = mats.shape
-    surv = len(dephasing)
+    surv = dephasing.shape[-1]
     rows = mats.reshape(*lead, ref_dim, surv, cols).swapaxes(-3, -2)
     rows = rows.reshape(*lead, surv, ref_dim * cols)
-    return (rows @ rows.conj().swapaxes(-1, -2)) * dephasing
+    return (rows @ rows.conj().swapaxes(-1, -2)) * dephasing[:, None]
 
 
 def _block_side(factor, gram):
@@ -419,7 +423,11 @@ def _ci_evaluator(n, ref_dim, p, q):
     patterns this is one stacked entropy call for each of the two, over
     all rows at once; zero-weight groups are skipped.
     """
-    terms = _group_terms(n, ref_dim, p, q)
+    terms = [
+        (gather, weight, dephasing[None], factors[None], gram)
+        for gather, weight, dephasing, factors, gram in _group_terms(n, ref_dim, p, q)
+        if weight != 0.0
+    ]
 
     def evaluate(amps):
         total = np.zeros(len(amps))
@@ -439,11 +447,13 @@ def _ci_evaluator(n, ref_dim, p, q):
 def _ci_gradient(n, ref_dim, p, q):
     """Coherent information of (n, ref_dim) codes and its exact gradient.
 
-    Returns ``value_and_grad(amps)`` for a stack (B, ref_dim 2^n) of
-    unit-norm amplitude rows a: B values and the (B, ref_dim 2^n)
-    gradients df/d(Re a) + i df/d(Im a), taken from the same
-    eigendecompositions as the values, on the same side of each block as
-    ``_ci_evaluator``.  With rho = N N^dagger, rho_in = tr_ref(rho) and
+    p and q are one point or 1-d arrays of points.  Returns
+    ``value_and_grad(amps, points=None)`` for a stack (B, ref_dim 2^n) of
+    unit-norm amplitude rows a, row i at point ``points[i]`` (at the
+    first point without ``points``): B values and the (B,
+    ref_dim 2^n) gradients df/d(Re a) + i df/d(Im a), taken from the
+    same eigendecompositions as the values, on the same side of each
+    block as ``_ci_evaluator``.  With rho = N N^dagger, rho_in = tr_ref(rho) and
     N[(r, x), (s, j)] = F[x, s] M[(r, x), j] (F real),
 
         grad_N [-S(rho)] = 2 N log2(N^dagger N) = 2 log2(N N^dagger) N,
@@ -452,31 +462,52 @@ def _ci_gradient(n, ref_dim, p, q):
 
     the 1/ln 2 terms of dS = -tr[(log2 rho + 1/ln 2) d rho] cancelling
     because tr rho = tr rho_in.  Each pattern's term is scattered back
-    into its row through the gather indices.  Every step is a stacked
-    matmul or eigh over the leading axes, elementwise, or a sum within
-    one row, so each row has the bits of its one-row stack.
+    into its row through the gather indices.  A row takes a group only
+    where its point gives the group a nonzero weight, with that point's
+    weight, D and F, so it sees the groups, in order, and the arithmetic
+    of a one-point evaluator.  Every step is a stacked matmul or eigh
+    over the leading axes, elementwise, or a sum within one row, so each
+    row has the bits of its one-row stack.
     """
-    terms = _group_terms(n, ref_dim, p, q)
+    p, q = np.ravel(p).tolist(), np.ravel(q).tolist()
+    points = [_group_terms(n, ref_dim, *point) for point in zip(p, q)]
+    # each group's weights, D and F stacked on a leading point axis, each
+    # point's built from its scalar p and q as for that point alone
+    terms = [
+        (gather, *(np.array(part) for part in zip(*(point[g][1:4] for point in points))), gram)
+        for g, (gather, *_, gram) in enumerate(points[0] if points else [])
+    ]
 
-    def value_and_grad(amps):
+    def value_and_grad(amps, points=None):
+        if points is None:  # every row at the first point
+            points = np.zeros(len(amps), dtype=int)
         value, grad = np.zeros(len(amps)), np.zeros(amps.shape, dtype=complex)
-        rows = np.arange(len(amps))[:, None, None, None]
-        for gather, weight, dephasing, factors, gram in terms:
-            mats = np.take(amps, gather, axis=1)  # C order, whatever B is
+        for gather, weights, dephasing, factors, gram in terms:
+            weight = weights[points]
+            rows = np.flatnonzero(weight != 0.0)
+            if not rows.size:
+                continue
+            at, weight = points[rows], weight[rows]
+            factors, dephasing = factors[at], dephasing[at]
+            mats = np.take(amps[rows], gather, axis=1)  # C order, whatever B is
             factor = _block_factor(mats, factors, ref_dim)
             evals, vecs = _hermitian_eigh(_block_side(factor, gram))
             in_evals, in_vecs = _hermitian_eigh(_input_parts(mats, dephasing, ref_dim))
-            value += weight * np.sum(shannon_entropy(in_evals) - shannon_entropy(evals), axis=-1)
+            value[rows] += weight * np.sum(
+                shannon_entropy(in_evals) - shannon_entropy(evals), axis=-1
+            )
             log_side = _log2_matrix(evals, vecs)
             d_factor = factor @ log_side if gram else log_side @ factor
-            surv = len(factors)
+            surv = factors.shape[-1]
             d_mats = np.sum(
-                d_factor.reshape(*mats.shape[:2], ref_dim, surv, surv, -1) * factors[:, :, None],
+                d_factor.reshape(*mats.shape[:2], ref_dim, surv, surv, -1)
+                * factors[:, None, None, :, :, None],
                 axis=-2,
             )
-            log_in = _log2_matrix(in_evals, in_vecs) * dephasing
+            log_in = _log2_matrix(in_evals, in_vecs) * dephasing[:, None]
             part = d_mats - log_in[:, :, None] @ mats.reshape(d_mats.shape)
-            np.add.at(grad, (rows, gather[None]), 2.0 * weight * part.reshape(mats.shape))
+            np.add.at(grad, (rows[:, None, None, None], gather[None]),
+                      np.reshape(2.0 * weight, (-1, 1, 1, 1)) * part.reshape(mats.shape))
         return value, grad
 
     return value_and_grad
@@ -517,69 +548,97 @@ def brute_force_ci(code, p, q):
     )
 
 
-# rows per stacked Z-diagonal evaluation: each (rows, patterns, 2^n, 2^n)
-# stack stays within this, so that n = 6 (2 MB a row) keeps its memory
-_ZDIAG_STACK_BYTES = 4 * 2**20
+# bytes a stacked evaluation or a lockstep run holds at once: a
+# Z-diagonal evaluation takes its rows in blocks that fit (so that n = 6,
+# 2 MB a row for each of its four arrays, keeps its memory), and a search
+# runs as many whole points' starts at once as fit with their L-BFGS
+# state and objective temporaries
+_STACK_BYTES = 4 * 2**20
+
+
+def _zdiag_row_bytes(n):
+    """Bytes a row holds in a Z-diagonal evaluation: four arrays of its
+    2^n patterns' 2^n by 2^n matrices (the matrices, their gathered
+    masks, the eigenvectors and log2 of the matrices)."""
+    return 4 * 8 * 8**n
 
 
 def _zdiag_evaluator(p, q, n):
-    """Coherent information of Z-diagonal n-use codes at fixed (p, q).
+    """Coherent information of Z-diagonal n-use codes at fixed points (p, q).
 
     For code sum_s c_s |s>|s> every pattern block is supported on the
     orthonormal set {|s>_ref (x) |s_surv>}, so its matrix in that basis
     is B_s = (c c^T) o K_s with K_s[s, s'] = [s_erased == s'_erased]
     (1-2p)^d(s_surv, s'_surv), and the eigenproblem is only
-    2^n-dimensional.  The masks of all nonzero-weight patterns are built
-    here, once; ``value_and_grad(coeffs)`` then makes one stacked eigh
-    call and one matmul for the reference-traced diagonals
-    g_s = G_s c^2, and returns the value with its exact gradient
+    2^n-dimensional.  p and q are one point or 1-d arrays of points; the
+    weights and masks of each point's patterns are built here, once,
+    from its scalar p and q as for that point alone.  A pattern of weight
+    0 (at q = 0, or where a weight underflows) keeps it: its terms add
+    exact zeros.  ``value_and_grad(coeffs, points=None)`` then takes a
+    stack (B, 2^n) of coefficient rows, row i at point ``points[i]`` (at
+    the first point without ``points``), makes one stacked eigh call and
+    one matmul for the reference-traced diagonals g_s = G_s c^2, and
+    returns the B values with their exact (B, 2^n) gradients
 
         dS(B_s)/dc = -2 ((log2 B_s) o K_s) c,
         dH(g_s)/dc_i = -2 c_i sum_t G_s[t, i] log2 g_s[t],
 
-    whose 1/ln 2 terms cancel between the two entropies.  A stack
-    (B, 2^n) of coefficient rows gives B values and (B, 2^n) gradients,
-    one eigh call for each block of rows whose matrices fit in
-    _ZDIAG_STACK_BYTES; every other step is elementwise or a matmul
-    within one row, so each row has the bits of its one-row call.
+    whose 1/ln 2 terms cancel between the two entropies; one row (2^n,)
+    gives a float and one gradient.  Each row takes its point's gathered
+    weights and masks, one eigh call for each block of rows within
+    _STACK_BYTES; every other step is elementwise or a matmul within one
+    row, so each row has the bits of its one-row call.
     """
     dim = 2**n
-    erased = np.arange(dim)  # erased-position bit masks, in pattern order
-    k = np.bitwise_count(erased)
-    weights = q**k * (1 - q) ** (n - k)
-    keep = weights != 0.0
-    erased, weights = erased[keep, None, None], weights[keep]
-    idx = np.arange(dim)
+    idx = np.arange(dim)  # also the erased-position bit masks, in pattern order
+    k = np.bitwise_count(idx)
+    p, q = np.ravel(p).tolist(), np.ravel(q).tolist()
+    weights = np.array([q_i**k * (1 - q_i) ** (n - k) for q_i in q]).reshape(-1, dim)
     diff = idx[:, None] ^ idx[None, :]
+    erased = idx[:, None, None]
     surv = (dim - 1) ^ erased
-    masks = ((diff & erased) == 0) * (1.0 - 2.0 * p) ** np.bitwise_count(diff & surv)
+    masks = np.array([
+        ((diff & erased) == 0) * (1.0 - 2.0 * p_i) ** np.bitwise_count(diff & surv)
+        for p_i in p
+    ]).reshape(-1, dim, dim, dim)
     # grouping[s, t, i] = [i & surv_s == t]: reference traced out, the
     # diagonal state is grouped by the surviving bits
     grouping = ((idx[None, None, :] & surv) == idx[None, :, None]).astype(float)
     grouping = grouping.reshape(-1, dim)
-    block = max(1, _ZDIAG_STACK_BYTES // masks.nbytes)
+    block = max(1, _STACK_BYTES // _zdiag_row_bytes(n))
 
-    def value_and_grad(coeffs):
+    def value_and_grad(coeffs, points=None):
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.ndim == 2 and len(coeffs) > block:
-            parts = [
-                value_and_grad(coeffs[i : i + block]) for i in range(0, len(coeffs), block)
-            ]
-            return tuple(np.concatenate(part) for part in zip(*parts))
-        rows = coeffs.reshape(-1, 1, dim)  # (B, 1, 2^n): one pattern axis
-        evals, vecs = _hermitian_eigh(rows[..., :, None] * rows[..., None, :] * masks)
-        grouped = (grouping @ (rows**2)[..., 0, :, None]).reshape(len(rows), -1, dim)
-        entropies = shannon_entropy(grouped) - shannon_entropy(evals)
-        value = (entropies[:, None, :] @ weights)[:, 0]
-        log_grouped = np.log2(np.where(grouped > 0, grouped, 1.0))
-        spectral = (_log2_matrix(evals, vecs) * masks) @ rows[..., None]
-        classical = (weights[:, None] * log_grouped).reshape(len(rows), 1, -1) @ grouping
-        grad = 2.0 * (weights @ spectral[..., 0] - rows[:, 0] * classical[:, 0])
+        rows = coeffs.reshape(-1, dim)
+        if points is None:  # every row at the first point
+            points = np.zeros(len(rows), dtype=int)
+        value, grad = np.empty(len(rows)), np.empty(rows.shape)
+        for i in range(0, len(rows), block):
+            at = slice(i, i + block)
+            value[at], grad[at] = _zdiag_rows(
+                rows[at], weights[points[at]], masks[points[at]], grouping
+            )
         if coeffs.ndim == 1:
             return float(value[0]), grad[0]
         return value, grad
 
     return value_and_grad
+
+
+def _zdiag_rows(coeffs, weights, masks, grouping):
+    """``_zdiag_evaluator``'s values and gradients of coefficient rows (B,
+    2^n), given each row's pattern weights (B or 1, K) and masks (B or 1,
+    K, 2^n, 2^n) and the patterns' grouping matrix (K 2^n, 2^n)."""
+    rows = coeffs[:, None, :]  # (B, 1, 2^n): one pattern axis
+    evals, vecs = _hermitian_eigh(rows[..., :, None] * rows[..., None, :] * masks)
+    grouped = (grouping @ (rows**2)[..., 0, :, None]).reshape(len(rows), -1, rows.shape[-1])
+    entropies = shannon_entropy(grouped) - shannon_entropy(evals)
+    value = (entropies[:, None, :] @ weights[:, :, None])[:, 0, 0]
+    log_grouped = np.log2(np.where(grouped > 0, grouped, 1.0))
+    spectral = (_log2_matrix(evals, vecs) * masks) @ rows[..., None]
+    classical = (weights[:, :, None] * log_grouped).reshape(len(rows), 1, -1) @ grouping
+    grad = 2.0 * ((weights[:, None, :] @ spectral[..., 0])[:, 0] - rows[:, 0] * classical[:, 0])
+    return value, grad
 
 
 def _zdiag_ci_fast(coeffs, p, q, n):
@@ -592,34 +651,38 @@ def _rowdot(a, b):
     return (a * b).sum(axis=-1)
 
 
-def _on_sphere(evaluate):
-    """Minus ``evaluate`` (unit rows to values and gradients) at c = w / |w|
-    for a stack (B, d) of real rows w, with the gradient in w: projected
-    onto the sphere's tangent at c.  A zero row is an infeasible
-    sentinel and maps to (inf, 0).
+def _on_sphere(evaluate, owner=None):
+    """Minus ``evaluate`` (unit rows and their points to values and
+    gradients) at c = w / |w| for a stack (B, d) of real rows w, with the
+    gradient in w: projected onto the sphere's tangent at c.  A zero row
+    is an infeasible sentinel and maps to (inf, 0).  The objective also
+    takes the rows' start indices, and ``owner[i]`` is start i's point;
+    without ``owner`` every row is at ``evaluate``'s first point.
     """
 
-    def objective(w):
+    def objective(w, starts=None):
         norm = np.sqrt(_rowdot(w, w))[:, None]
         feasible = norm > 0.0
         norm = np.where(feasible, norm, 1.0)
         coeffs = w / norm
-        value, grad = evaluate(coeffs)
+        value, grad = evaluate(coeffs, None if owner is None else owner[starts])
         tangent = (coeffs * _rowdot(coeffs, grad)[:, None] - grad) / norm
         return np.where(feasible[:, 0], -value, np.inf), tangent
 
     return objective
 
 
-def _zdiag_objective(p, q, n):
+def _zdiag_objective(p, q, n, owner=None):
     """Minus the coherent information of Z-diagonal codes c = w / |w|,
-    with its gradient in w, for a stack (B, 2^n) of rows w."""
-    return _on_sphere(_zdiag_evaluator(p, q, n))
+    with its gradient in w, for a stack (B, 2^n) of rows w and their
+    start indices; ``owner`` maps starts to points, as in ``_on_sphere``."""
+    return _on_sphere(_zdiag_evaluator(p, q, n), owner)
 
 
-def _code_objective(n, ref_dim, p, q, linear):
+def _code_objective(n, ref_dim, p, q, linear, owner=None):
     """Minus the coherent information of a stack (B, d) of parameter rows,
-    with its exact gradient.
+    with its exact gradient, given the rows' start indices; ``owner``
+    maps starts to points, as in ``_on_sphere``.
 
     The real parameters x are the (Re, Im) pairs of a complex vector
     z = _complex(x); the fixed real ``linear`` map sends z to the
@@ -628,16 +691,16 @@ def _code_objective(n, ref_dim, p, q, linear):
     """
     value_and_grad = _ci_gradient(n, ref_dim, p, q)
 
-    def evaluate(amps):
-        value, grad = value_and_grad(_complex(amps))
+    def evaluate(amps, points):
+        value, grad = value_and_grad(_complex(amps), points)
         return value, grad.view(float)
 
-    on_sphere = _on_sphere(evaluate)
+    on_sphere = _on_sphere(evaluate, owner)
 
-    def objective(x):
+    def objective(x, starts=None):
         # each row its own (1, d) @ linear matmul, so no row sees the stack
         raw = (_complex(x)[:, None] @ linear)[:, 0]
-        value, grad = on_sphere(raw.view(float))
+        value, grad = on_sphere(raw.view(float), starts)
         return value, (_complex(grad)[:, None] @ linear.T)[:, 0].view(float)
 
     return objective
@@ -682,8 +745,10 @@ def _two_loop(grad, pairs_s, pairs_y, rho):
 def _lockstep_lbfgs(objective, starts, max_iterations=_LBFGS_OPTIONS["maxiter"]):
     """L-BFGS from every start at once; the final (f, x) of each start.
 
-    ``objective`` maps a stack (B, d) of points to their B values and
-    (B, d) gradients, each row on its own.  Every row takes, per
+    ``objective(x, starts)`` maps a stack (B, d) of points, and the
+    indices into ``starts`` of the starts they came from, to their B
+    values and (B, d) gradients, each row on its own; an objective of
+    one point may ignore the indices.  Every row takes, per
     iteration, the two-loop direction over its last _LBFGS_MEMORY
     curvature pairs (a pair with s.y <= eps |s.grad| is skipped, as
     L-BFGS-B skips it) and an Armijo backtracking step from 1, halved
@@ -696,7 +761,7 @@ def _lockstep_lbfgs(objective, starts, max_iterations=_LBFGS_OPTIONS["maxiter"])
     call on the rows, so a row's result does not depend on the others.
     """
     x = np.array(starts, dtype=float)
-    f, grad = objective(x)
+    f, grad = objective(x, np.arange(len(x)))
     out_f, out_x = f.copy(), x.copy()
     alive = np.flatnonzero(~(np.abs(grad).max(axis=-1) <= _LBFGS_OPTIONS["gtol"]))
     x, f, grad = x[alive], f[alive], grad[alive]
@@ -709,7 +774,7 @@ def _lockstep_lbfgs(objective, starts, max_iterations=_LBFGS_OPTIONS["maxiter"])
         slope = _rowdot(grad, direction)
         step = np.ones(len(x))
         new_x = x + direction
-        new_f, new_grad = objective(new_x)
+        new_f, new_grad = objective(new_x, alive)
         accepted = new_f <= f + _ARMIJO * step * slope
         for _ in range(_MAX_HALVINGS):
             retry = np.flatnonzero(~accepted)
@@ -717,7 +782,7 @@ def _lockstep_lbfgs(objective, starts, max_iterations=_LBFGS_OPTIONS["maxiter"])
                 break
             step[retry] /= 2.0
             new_x[retry] = x[retry] + step[retry, None] * direction[retry]
-            new_f[retry], new_grad[retry] = objective(new_x[retry])
+            new_f[retry], new_grad[retry] = objective(new_x[retry], alive[retry])
             accepted[retry] = new_f[retry] <= f[retry] + _ARMIJO * step[retry] * slope[retry]
         accepted &= slope < 0.0
         s, y = new_x - x, new_grad - grad
@@ -762,6 +827,58 @@ def _uniform_starts(seed, n_starts, dim):
     return list(np.random.default_rng(seed).uniform(-1.0, 1.0, (n_starts, dim)))
 
 
+def _start_bytes(dim, row_bytes):
+    """Bytes a start of ``dim`` parameters holds in a lockstep run: its
+    L-BFGS state (the curvature pairs, twice while they shift, and about
+    16 vectors) and ``row_bytes`` of objective temporaries."""
+    return 8 * dim * (4 * _LBFGS_MEMORY + 16) + row_bytes
+
+
+def _ci_row_bytes(n, ref_dim):
+    """Bytes a row holds in a ``_ci_gradient`` call: about six complex
+    arrays the size of its largest group's N factors, C(n, m) patterns
+    of ref_dim 2^m by 2^n."""
+    return 6 * 16 * max(math.comb(n, m) * ref_dim * 2 ** (m + n) for m in range(n + 1))
+
+
+def _search_points(objective_of, starts, start_bytes, max_iterations=_LBFGS_OPTIONS["maxiter"]):
+    """(objective value, parameters) of each point's first lowest start.
+
+    ``starts`` (P, S, d) holds each point's S starts, each holding
+    ``start_bytes`` in a run; they run in lockstep runs of as many whole
+    points as fit in _STACK_BYTES, one point at least.
+    ``objective_of(points, owner)`` builds the objective of the 1-d array
+    ``points`` of point indices, owner[i] being the index into ``points``
+    of the run's start i.  Rows do not depend on their stack, so each
+    point gets the bits of its one-point run.
+    """
+    n_points, per_point, dim = starts.shape
+    funs, xs = np.empty((n_points, per_point)), np.empty(starts.shape)
+    size = max(1, _STACK_BYTES // (start_bytes * per_point))
+    for first in range(0, n_points, size):
+        points = np.arange(first, min(first + size, n_points))
+        owner = np.repeat(np.arange(len(points)), per_point)
+        run_f, run_x = _lockstep_lbfgs(
+            objective_of(points, owner), starts[points].reshape(-1, dim), max_iterations
+        )
+        funs[points], xs[points] = run_f.reshape(-1, per_point), run_x.reshape(-1, per_point, dim)
+    best = np.argmin(funs, axis=1)  # the first on a tie
+    return funs[np.arange(n_points), best], xs[np.arange(n_points), best]
+
+
+def _unit_rows(rows):
+    """Each row over its own norm, taken as for that row alone."""
+    return np.array([row / np.linalg.norm(row) for row in rows]).reshape(rows.shape)
+
+
+def _search_result(shape, values, coeffs):
+    """Per-point values and coefficient rows in the points' shape: a
+    Python float and one coefficient vector for a single point."""
+    if shape == ():
+        return float(values[0]), coeffs[0]
+    return values.reshape(shape), coeffs.reshape(shape + coeffs.shape[1:])
+
+
 def optimize_zdiag(p, q, n, seed=0, n_starts=32):
     """Optimize the Schmidt coefficients of the Z-diagonal n-use code.
 
@@ -777,27 +894,46 @@ def optimize_zdiag(p, q, n, seed=0, n_starts=32):
     the optimum: (0.0, that code) is returned without a search.
     Deterministic per seed.  Returns (value, coefficients) with
     coefficients in lexicographic pattern order.  n is at most N_LIMIT.
+
+    p and q broadcast.  Every point is checked, in C order, p before q,
+    before any search; the points searched take their warm starts from
+    one batched ``repetition_ci_opt`` call and stack all their starts
+    into lockstep runs (``_search_points``), and each gets the bits of
+    its one-point search.  Scalars give a float and a (2^n,) array,
+    arrays a value array of the broadcast shape and a coefficient stack
+    (..., 2^n).
     """
-    p, q = _check_prob(p, "p", hi=0.5), _check_prob(q, "q", hi=0.5)
+    shape, p, q = _points(p, q, 0.5)
+    p, q = p[:, 0], q[:, 0]
     if n > N_LIMIT:
         raise ValueError(f"n = {n} exceeds the limit {N_LIMIT}")
     _check_budget(n_starts, _LBFGS_OPTIONS["maxiter"])
-    dim = 2**n
-    warm = np.zeros(dim)
-    if q >= region_k(p):
-        warm[-1] = 1.0
-        return 0.0, warm
-    rep_val, rep_lam = repetition_ci_opt(p, q, n)
-    warm[0], warm[-1] = np.sqrt(rep_lam), np.sqrt(1 - rep_lam)
-    rng = np.random.default_rng(seed)
-    starts = [warm] + [np.abs(rng.standard_normal(dim)) for _ in range(n_starts)]
+    values, coeffs = np.zeros(len(p)), np.zeros((len(p), 2**n))
+    coeffs[:, -1] = 1.0  # the lambda = 0 product code
+    live = np.flatnonzero(q < region_k(p))
+    if live.size:
+        rep = repetition_ci_opt(p[live], q[live], n)
+        values[live], coeffs[live] = _zdiag_search(p[live], q[live], n, seed, n_starts, rep)
+    return _search_result(shape, values, coeffs)
 
-    funs, ws = _lockstep_lbfgs(_zdiag_objective(p, q, n), starts)
-    best = np.argmin(funs)  # the first on a tie
-    if rep_val > -funs[best]:  # warm-start value is always feasible
-        return rep_val, warm
-    w = ws[best]
-    return float(-funs[best]), np.abs(w) / np.linalg.norm(w)
+
+def _zdiag_search(p, q, n, seed, n_starts, rep):
+    """optimize_zdiag's search at 1-d arrays of checked points below k(p),
+    given ``rep``, repetition_ci_opt's (values, lambdas) there: (values,
+    coefficient rows)."""
+    dim = 2**n
+    rep_val, rep_lam = (np.asarray(part, dtype=float) for part in rep)
+    warm = np.zeros((len(p), dim))
+    warm[:, 0], warm[:, -1] = np.sqrt(rep_lam), np.sqrt(1 - rep_lam)
+    draws = np.abs(np.random.default_rng(seed).standard_normal((n_starts, dim)))
+    starts = np.concatenate([warm[:, None], np.broadcast_to(draws, (len(p), n_starts, dim))], 1)
+    funs, ws = _search_points(
+        lambda points, owner: _zdiag_objective(p[points], q[points], n, owner),
+        starts, _start_bytes(dim, _zdiag_row_bytes(n)),
+    )
+    warm_wins = rep_val > -funs  # the warm start's own value is always feasible
+    coeffs = np.where(warm_wins[:, None], warm, _unit_rows(np.abs(ws)))
+    return np.where(warm_wins, rep_val, -funs), coeffs
 
 
 def _chi3_starts(seed, n_starts):
@@ -822,15 +958,24 @@ def optimize_chi3(p, q, seed=0, n_starts=2, max_iterations=_LBFGS_OPTIONS["maxit
     The family holds no product code, so unlike ``optimize_zdiag`` it
     searches at antidegradable points too.  Returns (value, (c1, d1,
     c2, d2)) for the normalized best code.
+
+    p and q broadcast as in ``optimize_zdiag``: every point is checked
+    first, all points' starts are stacked into lockstep runs, and each
+    point gets the bits of its one-point search.  Arrays give a value
+    array of the broadcast shape and a complex coefficient stack
+    (..., 4).
     """
-    p, q = _check_prob(p, "p", hi=0.5), _check_prob(q, "q", hi=0.5)
+    shape, p, q = _points(p, q, 0.5)
     _check_budget(n_starts, max_iterations)
-    funs, xs = _lockstep_lbfgs(
-        _code_objective(3, 4, p, q, _chi3_map()), _chi3_starts(seed, n_starts), max_iterations
+    p, q = p[:, 0], q[:, 0]
+    funs, xs = _search_points(
+        lambda points, owner: _code_objective(3, 4, p[points], q[points], _chi3_map(), owner),
+        np.tile(_chi3_starts(seed, n_starts), (len(p), 1, 1)),
+        _start_bytes(8, _ci_row_bytes(3, 4)),
+        max_iterations,
     )
-    best = np.argmin(funs)  # the first on a tie
-    vec = _complex(xs[best])
-    return float(-funs[best]), tuple(vec / np.linalg.norm(vec))
+    value, coeffs = _search_result(shape, -funs, _unit_rows(_complex(xs)))
+    return (value, tuple(coeffs)) if shape == () else (value, coeffs)
 
 
 def optimize_code_ci(
@@ -846,11 +991,13 @@ def optimize_code_ci(
     ``n_starts`` seeded draws uniform in (-1, 1)^dim, each for at most
     ``max_iterations`` iterations.  Returns (value, CodeState).  ``full``
     never returns less than its warm starts, the optimal repetition code
-    (valued by ``repetition_ci_opt``) and the optimized Z-diagonal code
-    (valued by ``optimize_zdiag``); when one of them wins, it is
-    returned embedded in reference dimension 2^n.  Where q >= k(p) the
-    channel is antidegradable and ``full`` returns optimize_zdiag's
-    (0.0, lambda = 0 product code), embedded so, without a search.
+    (valued by ``repetition_ci_opt``), the optimized Z-diagonal code
+    (valued by ``optimize_zdiag``) and, at n = 3, the chi_3 code
+    ``optimize_chi3`` finds with the same seed and budget; when one of
+    them wins, it is returned embedded in reference dimension 2^n.
+    Where q >= k(p) the channel is antidegradable and ``full`` returns
+    optimize_zdiag's (0.0, lambda = 0 product code), embedded so,
+    without a search.  p and q are one point.
     """
     _check_budget(n_starts, max_iterations)
     if parametrization == "chi3":
@@ -864,32 +1011,40 @@ def optimize_code_ci(
     if n > 3:
         raise ValueError("full parametrization supports n <= 3")
 
+    p, q = _check_prob(p, "p", hi=0.5), _check_prob(q, "q", hi=0.5)
     ref_dim = 2**n
     amp_len = ref_dim * 2**n
+    if q >= region_k(p):  # antidegradable: the lambda = 0 product code
+        return 0.0, normalized_code(n, ref_dim, np.eye(amp_len)[-1])
     # good feasible points matter: every pure product input is a local
     # extremum with zero coherent information
-    zval, zcoeffs = optimize_zdiag(p, q, n, seed=seed, n_starts=8)
-    zdiag = np.diag(zcoeffs).astype(complex).reshape(-1).view(float)
-    if q >= region_k(p):  # antidegradable: optimize_zdiag did not search either
-        return zval, normalized_code(n, ref_dim, _complex(zdiag))
     rep_val, rep_lam = repetition_ci_opt(p, q, n)
-    rep = _embed_code(repetition_code_state(n, rep_lam), ref_dim, n)
+    (zval,), (zcoeffs,) = _zdiag_search(
+        np.array([p]), np.array([q]), n, seed, 8, ([rep_val], [rep_lam])
+    )
+    # each warm start keeps the value of its own route, which the block
+    # engine can read a few ulps lower
+    warm = [
+        (rep_val, _embed_code(repetition_code_state(n, rep_lam), ref_dim, n)),
+        (float(zval), np.diag(zcoeffs).astype(complex).reshape(-1).view(float)),
+    ]
+    if n == 3:  # the chi_3 family lies in the full 3-use codes
+        chi_val, chi_coeffs = optimize_chi3(p, q, seed, n_starts, max_iterations)
+        warm.append((chi_val, _embed_code(chi3_code(*chi_coeffs), ref_dim, n)))
 
-    starts = [rep, zdiag] + _uniform_starts(seed, n_starts, 2 * amp_len)
+    starts = [x for _, x in warm] + _uniform_starts(seed, n_starts, 2 * amp_len)
     funs, xs = _lockstep_lbfgs(
         _code_objective(n, ref_dim, p, q, np.eye(amp_len)), starts, max_iterations
     )
     best = np.argmin(funs)  # the first on a tie
-    # each warm start keeps the value of its own route, which the block
-    # engine can read a few ulps lower; on a tie the searched code is kept
-    value, code = max(
-        [(float(-funs[best]), xs[best]), (rep_val, rep), (zval, zdiag)], key=lambda c: c[0]
-    )
+    # on a tie the searched code is kept
+    value, code = max([(float(-funs[best]), xs[best])] + warm, key=lambda c: c[0])
     return value, normalized_code(n, ref_dim, _complex(code))
 
 
 def _embed_code(code, ref_dim, n):
-    """Real (Re, Im)-pair parameters embedding a rank-2 code into ref_dim 2^n."""
+    """Real (Re, Im)-pair parameters embedding a code of a smaller
+    reference dimension into ref_dim 2^n."""
     amps = np.zeros((ref_dim, 2**n), dtype=complex)
     amps[: code.ref_dim] = code.amplitudes.reshape(code.ref_dim, 2**n)
     return amps.view(float).reshape(-1)

@@ -1,5 +1,4 @@
 import csv
-import functools
 import json
 import os
 import subprocess
@@ -209,6 +208,30 @@ def test_diagonal_theta4_column(tmp_path):
     assert rep4 < theta4 == pytest.approx(0.01253, abs=1e-5)
 
 
+@pytest.mark.parametrize("quantity", ["zdiag_rate(2)", "zdiag_rate(3)", "chi3_rate"])
+def test_search_rows_lie_under_the_degradable_bounds(tmp_path, quantity):
+    # the channel is erasure o dephasing and dephasing o erasure, both
+    # degradable, so no code beats either factor's capacity; where q >=
+    # k(p) it is antidegradable and no code is positive.  The 6x6 grid
+    # holds q = 0, p = 1/2, q = 1/2 and antidegradable points
+    from dephrasure.qinfo import binary_entropy
+
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--quantity", quantity, "--p-range", "0:0.5:6",
+                 "--q-range", "0:0.5:6", "--out", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    assert header == ["p", "q", "value"] and len(rows) == 36
+    grid = np.linspace(0.0, 0.5, 6)
+    p, q = np.repeat(grid, 6), np.tile(grid, 6)
+    rates = np.array([float(row[2]) for row in rows])
+    upper = np.minimum(np.maximum(0.0, 1 - 2 * q), 1 - binary_entropy(p)) + 1e-12
+    assert (rates <= upper).all()
+    if quantity.startswith("zdiag_rate"):
+        antidegradable = q >= channel.region_k(p)
+        assert antidegradable.sum() == 17
+        assert (rates[antidegradable] == 0.0).all()
+
+
 def test_optimize_writes_the_schmidt_form(tmp_path, monkeypatch):
     # two codes that differ by a unitary on the reference are written alike
     rng = np.random.default_rng(47)
@@ -367,10 +390,26 @@ _SEARCH_GRID = ("0.0859375:0.0859375:2", "0.34375:0.34375:2")
 _SEARCHES = ("zdiag_rate(4)", "chi3_rate")
 
 
+def _searched_once(search):
+    """``search`` with each distinct call made once; a call's points are
+    keyed by their values and shape, since arrays are unhashable."""
+    results = {}
+
+    def cached(p, q, *args, **kwargs):
+        key = tuple((np.shape(v), np.asarray(v, dtype=float).tobytes()) for v in (p, q))
+        key += (args, tuple(sorted(kwargs.items())))
+        if key not in results:
+            results[key] = search(p, q, *args, **kwargs)
+        return results[key]
+
+    return cached
+
+
 def test_every_quantity_and_code_alias_prints_the_library_value(tmp_path, monkeypatch):
-    # the searches are deterministic per seed: each point is searched once
+    # the searches are deterministic per seed: each call is made once, the
+    # CLI's over all its points and the library's at one point
     for search in ("optimize_zdiag", "optimize_chi3"):
-        monkeypatch.setattr(codes, search, functools.cache(getattr(codes, search)))
+        monkeypatch.setattr(codes, search, _searched_once(getattr(codes, search)))
     assert {spec.split("(")[0] for spec in _LIBRARY} == set(cli._QUANTITIES)
     assert set(cli._CODES) | {f"rep{n}" for n in range(1, 10)} == set(_ALIASES)
 

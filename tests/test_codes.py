@@ -449,6 +449,14 @@ def test_optimize_chi3_reaches_the_best_known_value():
     assert abs(brute_force_ci(chi3_code(*coeffs), p, q) - value) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_full_three_use_search_reaches_chi3(seed):
+    # the chi_3 codes are full 3-use codes of Schmidt rank 4, and the full
+    # search starts from optimize_chi3's code at its seed
+    p, q = 0.1149, 0.3447
+    assert optimize_code_ci(p, q, 3, seed=seed)[0] >= optimize_chi3(p, q, seed=seed)[0] - 1e-12
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_full_code_search_leaves_the_z_diagonal_family(n):
     # theta_2 reaches 0.0016471828395 here, 9.0e-9 below the best full
@@ -602,13 +610,171 @@ def test_stacked_zdiag_rows_equal_one_row_calls(n, monkeypatch):
         assert np.array_equal(part_values, values[2:5])
         assert np.array_equal(part_grads, grads[2:5])
         # and in blocks of two rows, as a large n takes them: the masks
-        # are 2^n by 2^n for each pattern of nonzero weight
-        patterns = 2**n if q > 0 else 1
+        # are 2^n by 2^n for each of the 2^n patterns, and a block holds
+        # four arrays of that size a row
         with monkeypatch.context() as patch:
-            patch.setattr(codes, "_ZDIAG_STACK_BYTES", 2 * patterns * 4**n * 8)
+            patch.setattr(codes, "_STACK_BYTES", 4 * 2 * 2**n * 4**n * 8)
             block_values, block_grads = codes._zdiag_evaluator(p, q, n)(rows)
         assert np.array_equal(block_values, values)
         assert np.array_equal(block_grads, grads)
+
+
+# points of the mixed stacks: searched points, q = 0 (one pattern keeps
+# its weight), a q at which every pattern erasing two or more uses has
+# weight 0, q = k(p), antidegradable points, p = 1/2 and q = 1/2
+MIXED_POINTS = [
+    (0.11, 0.33), (0.2, 0.0), (0.118, 1e-200), (0.3, 0.4 / 1.4), (0.2, 0.45),
+    (0.5, 0.1), (0.05, 0.5), (0.0, 0.2), (0.5, 0.0),
+]
+
+
+def _mixed_orders():
+    """Orders of MIXED_POINTS to stack: as listed, reversed, shuffled."""
+    listed = np.arange(len(MIXED_POINTS))
+    return [listed, listed[::-1], np.random.default_rng(59).permutation(listed)]
+
+
+def test_stacked_evaluators_give_each_row_its_one_point_bits(monkeypatch):
+    from dephrasure import codes
+
+    rng = np.random.default_rng(61)
+    # q = 1 keeps only the all-erased pattern; the searches stop at 1/2
+    points = np.array(MIXED_POINTS + [(0.3, 1.0)])
+    p, q = points.T
+    for n in (1, 2, 3, 4):
+        rows = np.abs(rng.standard_normal((3 * len(points), 2**n)))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        owner = rng.permutation(np.repeat(np.arange(len(points)), 3))
+        for stack_bytes in (codes._STACK_BYTES, 1):  # one row a block
+            monkeypatch.setattr(codes, "_STACK_BYTES", stack_bytes)
+            values, grads = codes._zdiag_evaluator(p, q, n)(rows, owner)
+            for row, at, value, grad in zip(rows, owner, values, grads):
+                one_value, one_grad = codes._zdiag_evaluator(*points[at], n)(row)
+                assert one_value == value
+                assert np.array_equal(one_grad, grad)
+    monkeypatch.undo()
+    for n, ref_dim in ((1, 2), (2, 4), (3, 4), (3, 8)):
+        size = ref_dim * 2**n
+        amps = rng.standard_normal((2 * len(points), size)) + 1j * rng.standard_normal(
+            (2 * len(points), size)
+        )
+        amps /= np.linalg.norm(amps, axis=1)[:, None]
+        owner = rng.permutation(np.repeat(np.arange(len(points)), 2))
+        values, grads = codes._ci_gradient(n, ref_dim, p, q)(amps, owner)
+        for row, at, value, grad in zip(amps, owner, values, grads):
+            (one_value,), (one_grad,) = codes._ci_gradient(n, ref_dim, *points[at])(row[None])
+            assert one_value == value
+            assert np.array_equal(one_grad, grad)
+
+
+def _nonzero_pattern_rows(rows, p, q, n):
+    """Z-diagonal values and gradients of coefficient rows at one point,
+    summed over its nonzero-weight patterns alone."""
+    from dephrasure import codes
+
+    dim = 2**n
+    erased = np.arange(dim)
+    k = np.bitwise_count(erased)
+    weights = q**k * (1 - q) ** (n - k)
+    keep = weights != 0.0
+    erased, weights = erased[keep, None, None], weights[keep]
+    idx = np.arange(dim)
+    diff = idx[:, None] ^ idx[None, :]
+    surv = (dim - 1) ^ erased
+    masks = ((diff & erased) == 0) * (1.0 - 2.0 * p) ** np.bitwise_count(diff & surv)
+    grouping = ((idx[None, None, :] & surv) == idx[None, :, None]).astype(float)
+    return codes._zdiag_rows(rows, weights[None], masks[None], grouping.reshape(-1, dim))
+
+
+def test_zero_weight_patterns_leave_the_bits_of_the_other_patterns():
+    from dephrasure import codes
+
+    rng = np.random.default_rng(67)
+    # q = 0 keeps one pattern; at q = 1e-200 (and 1e-300) every pattern
+    # erasing two (three) or more uses has weight 0; q = 1 keeps the
+    # all-erased pattern alone
+    points = [(0.2, 0.0), (0.5, 0.0), (0.0, 0.0), (0.118, 1e-200), (0.3, 1e-300), (0.3, 1.0)]
+    for n in (1, 2, 3, 4):
+        rows = np.abs(rng.standard_normal((7, 2**n)))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        for p, q in points:
+            values, grads = codes._zdiag_evaluator(p, q, n)(rows)
+            kept_values, kept_grads = _nonzero_pattern_rows(rows, p, q, n)
+            assert np.array_equal(values, kept_values)
+            assert np.array_equal(grads, kept_grads)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mixed_point_searches_equal_one_point_searches(n, monkeypatch):
+    from dephrasure import codes
+
+    p, q = np.array(MIXED_POINTS).T
+    zdiag = [optimize_zdiag(*point, n, n_starts=4) for point in MIXED_POINTS]
+    chi3 = [optimize_chi3(*point, n_starts=1) for point in MIXED_POINTS] if n == 3 else []
+    # a point's starts may share a lockstep run with other points' or not:
+    # at the larger budget every point's starts run at once, at the
+    # smaller a theta_n run holds two points (five starts each) and a
+    # chi_3 run one
+    two_points = 2 * 5 * codes._start_bytes(2**n, codes._zdiag_row_bytes(n))
+    for stack_bytes in (2**30, two_points):
+        monkeypatch.setattr(codes, "_STACK_BYTES", stack_bytes)
+        for order in _mixed_orders():
+            values, coeffs = optimize_zdiag(p[order], q[order], n, n_starts=4)
+            assert values.shape == (len(order),) and coeffs.shape == (len(order), 2**n)
+            for i, value, coeff in zip(order, values, coeffs):
+                assert value == zdiag[i][0]
+                assert np.array_equal(coeff, zdiag[i][1])
+            if chi3:
+                values, coeffs = optimize_chi3(p[order], q[order], n_starts=1)
+                assert values.shape == (len(order),) and coeffs.shape == (len(order), 4)
+                for i, value, coeff in zip(order, values, coeffs):
+                    assert value == chi3[i][0]
+                    assert np.array_equal(coeff, chi3[i][1])
+    # stacks of one point, and the points' shape kept
+    for i in (0, 1, 4):
+        values, coeffs = optimize_zdiag(p[i : i + 1], q[i : i + 1], n, n_starts=4)
+        assert values.shape == (1,) and values[0] == zdiag[i][0]
+        assert np.array_equal(coeffs[0], zdiag[i][1])
+        assert type(zdiag[i][0]) is float and zdiag[i][1].shape == (2**n,)
+    values, coeffs = optimize_zdiag(p[:6].reshape(2, 3), q[:6].reshape(2, 3), n, n_starts=4)
+    assert values.shape == (2, 3) and coeffs.shape == (2, 3, 2**n)
+    assert list(values.reshape(-1)) == [value for value, _ in zdiag[:6]]
+    # Z-diagonal evaluations in blocks of one row, and runs of one point,
+    # give the same searches
+    if n == 2:
+        monkeypatch.setattr(codes, "_STACK_BYTES", 1)
+        values, coeffs = optimize_zdiag(p, q, n, n_starts=4)
+        assert list(values) == [value for value, _ in zdiag]
+        assert np.array_equal(coeffs, np.array([coeff for _, coeff in zdiag]))
+
+
+@pytest.mark.parametrize("search, args", [("optimize_zdiag", (2,)), ("optimize_chi3", ())])
+def test_searches_check_every_point_before_searching(monkeypatch, search, args):
+    from dephrasure import codes
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    def run(p, q):
+        return getattr(codes, search)(p, q, *args)
+
+    monkeypatch.setattr(codes, "_lockstep_lbfgs", unused)
+    monkeypatch.setattr(codes, "repetition_ci_opt", unused)
+    cases = [
+        # the first bad point in C order is (0.6, 0.9): its p fails first
+        (np.array([[0.11, 0.6], [0.7, 0.2]]), np.array([[0.33, 0.9], [0.1, 0.8]])),
+        # (0.2, 0.8) comes before (0.7, 0.9): its q fails
+        (np.array([0.11, 0.2, 0.7]), np.array([0.33, 0.8, 0.9])),
+        (np.array([0.11, np.nan]), np.array([-0.1, 0.2])),
+    ]
+    for p, q in cases:
+        ok = (0 <= p) & (p <= 0.5) & (0 <= q) & (q <= 0.5)
+        bad = np.flatnonzero(~ok)[0]
+        with pytest.raises(ValueError) as one_point:
+            run(p.flat[bad], q.flat[bad])
+        with pytest.raises(ValueError) as stacked:
+            run(p, q)
+        assert str(stacked.value) == str(one_point.value)
 
 
 @pytest.mark.parametrize("p, q", [(0.5, 0.01), (0.2, 0.45), (0.15, 0.45), (0.0, 0.5)])
