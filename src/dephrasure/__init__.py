@@ -14,7 +14,6 @@ from .antideg import (
     DegradingMapReport,
     NotAntidegradableHere,
     antidegrading_map,
-    usd_povm,
     verify_antidegradable,
 )
 from .channel import (
@@ -61,9 +60,7 @@ from .compci import (
 from .private_info import (
     ensemble_private_info,
     plusminus_ensemble,
-    plusminus_private_info,
     private_lower_bound,
-    random_ensemble_search,
 )
 from .pso import PsoConfig, PsoResult, pso_minimize, rowwise
 from .qinfo import (
@@ -73,7 +70,6 @@ from .qinfo import (
     check_density_matrix,
     choi_of,
     coherent_information,
-    partial_trace,
     purify,
     shannon_entropy,
     von_neumann_entropy,

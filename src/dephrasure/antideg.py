@@ -60,21 +60,6 @@ class DegradingMapReport:
     antidegradable: bool
 
 
-def usd_povm(p):
-    """Unambiguous discrimination POVM for the environment state pair.
-
-    Returns (Pi_0, Pi_1, Pi_e): outcome x certifies the state phi_p^x,
-    and the inconclusive effect Pi_e carries the minimal failure
-    probability |<phi^0|phi^1>| = 1 - 2p.
-    """
-    p = _check_prob(p, "p", hi=0.5)
-    root = np.sqrt(p * (1 - p))
-    pi0 = np.array([[p, root], [root, 1 - p]], dtype=complex) / (2 * (1 - p))
-    pi1 = np.array([[p, -root], [-root, 1 - p]], dtype=complex) / (2 * (1 - p))
-    pie = np.array([[(1 - 2 * p) / (1 - p), 0], [0, 0]], dtype=complex)
-    return pi0, pi1, pie
-
-
 def _map_stack(p, q):
     """(x, weights, ops) of the degrading map at broadcast p and q > 0.
 

@@ -110,15 +110,6 @@ class ErasurePatternBlock:
     block: np.ndarray  # state on ref_dim * 2^(n - |pattern|)
 
 
-def u_value(lam, p, n):
-    """u = sqrt(1 - 4 lam (1-lam) (1 - (1-2p)^(2n)))."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda = {lam} outside [0, 1]")
-    c = _repetition_terms(p, 0.0, n)[1]  # q does not enter c
-    return float(np.sqrt(max(0.0, 1.0 - 4 * lam * (1 - lam) * c)))
-
-
 def _c_value(p, n):
     """c = 1 - (1-2p)^(2n), computed without cancellation for small p."""
     below = p < 0.5
@@ -126,7 +117,8 @@ def _c_value(p, n):
 
 
 def _rep_small_eig(lam, c):
-    """(1-u)/2 = 2 lam (1-lam) c / (1+u), stable for tiny lam; c = _c_value(p, n)."""
+    """(1-u)/2 = 2 lam (1-lam) c / (1+u), u = sqrt(1 - 4 lam (1-lam) c), stable
+    for tiny lam; c = _c_value(p, n)."""
     return _small_eigenvalue(4 * lam * (1 - lam) * c)
 
 
@@ -179,18 +171,6 @@ def repetition_ci_opt(p, q, n):
         lambda lam: _repetition_closed_form(lam, c, kept, erased), 1e-4, 1e-12
     )
     return _shaped(shape, value, lam)
-
-
-def threshold_f(p, lam, n):
-    """The ratio h((1-u)/2) / h(lambda) governing the repetition threshold.
-
-    Monotonically decreasing to 1 - (1-2p)^(2n) as lambda -> 0.
-    """
-    lam = float(lam)
-    if not 0.0 < lam < 1.0:
-        raise ValueError("threshold_f requires lambda in (0, 1)")
-    small = _rep_small_eig(lam, _repetition_terms(p, 0.0, n)[1])
-    return float(binary_entropy(small) / binary_entropy(lam))
 
 
 def repetition_code_state(n, lam):
@@ -893,7 +873,7 @@ def optimize_zdiag(p, q, n, seed=0, n_starts=32):
     information and the product code |1..1>|1..1> (lambda = 0) attains
     the optimum: (0.0, that code) is returned without a search.
     Deterministic per seed.  Returns (value, coefficients) with
-    coefficients in lexicographic pattern order.  n is at most N_LIMIT.
+    coefficients in lexicographic pattern order.  1 <= n <= N_LIMIT.
 
     p and q broadcast.  Every point is checked, in C order, p before q,
     before any search; the points searched take their warm starts from
@@ -905,6 +885,8 @@ def optimize_zdiag(p, q, n, seed=0, n_starts=32):
     """
     shape, p, q = _points(p, q, 0.5)
     p, q = p[:, 0], q[:, 0]
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > N_LIMIT:
         raise ValueError(f"n = {n} exceeds the limit {N_LIMIT}")
     _check_budget(n_starts, _LBFGS_OPTIONS["maxiter"])
@@ -985,7 +967,7 @@ def optimize_code_ci(
     """Maximize the n-use coherent information over code states.
 
     ``full`` optimizes all real and imaginary amplitude components of a
-    rank-2^n code (reference dimension 2^n, n <= 3); ``chi3`` optimizes
+    rank-2^n code (reference dimension 2^n, 1 <= n <= 3); ``chi3`` optimizes
     the 4-coefficient non-diagonal 3-use family (``optimize_chi3``).
     Either runs the lockstep L-BFGS from its warm starts and then
     ``n_starts`` seeded draws uniform in (-1, 1)^dim, each for at most
@@ -1008,6 +990,8 @@ def optimize_code_ci(
 
     if parametrization != "full":
         raise ValueError(f"unknown parametrization {parametrization!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > 3:
         raise ValueError("full parametrization supports n <= 3")
 

@@ -3,8 +3,7 @@
 The private information of an input ensemble is the difference of the
 Holevo quantities seen by the receiver and by the environment.  The
 plus/minus-basis two-member family is the canonical private code for
-this channel; a randomized purification-and-measurement search is
-provided to probe for anything better.
+this channel, with a closed form that the Holevo route checks.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import (
-    _check_prob,
     _points,
     _shaped,
     complementary_apply,
@@ -89,22 +87,6 @@ def _plusminus_closed_form(lam, p, q):
     return (1 - q) * (1 - binary_entropy(mix)) - q * (1 - binary_entropy(lam))
 
 
-def plusminus_private_info(lam, p, q):
-    """Closed form of the +/- family private information.
-
-    (1-q)[1 - h(p + (1-lam)(1-2p))] - q[1 - h(lam)]; reduces to the
-    single-letter coherent information of the maximally mixed state at
-    lam in {0, 1}, and to 0 at lam = 1/2.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0) or np.any(lam > 1):
-        raise ValueError("lambda outside [0, 1]")
-    p = _check_prob(p, "p")
-    q = _check_prob(q, "q")
-    out = _plusminus_closed_form(lam, p, q)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def private_lower_bound(p, q):
     """Maximize the +/- family private information over the weight.
 
@@ -120,65 +102,3 @@ def private_lower_bound(p, q):
         lambda m: _plusminus_closed_form(1.0 - m, p, q), 1e-3, 1e-10
     )
     return _shaped(shape, value, 1.0 - mu)
-
-
-def _ensemble_from_state(psi):
-    """App-style private code from a pure state on S (x) R (x) A.
-
-    Measuring the 4-dimensional S register in the computational basis
-    leaves subnormalized pure states on R (x) A; their norms are the
-    code probabilities and the reduced A states the code states.
-    """
-    blocks = psi.reshape(4, 2, 2)
-    members = []
-    for x in range(4):
-        mat = blocks[x]  # rows R, columns A
-        px = float(np.sum(np.abs(mat) ** 2))
-        if px < 1e-15:
-            members.append((0.0, np.eye(2, dtype=complex) / 2))
-            continue
-        rho = (mat.T @ mat.conj()) / px
-        rho = (rho + rho.conj().T) / 2
-        members.append((px, rho))
-    return members
-
-
-def random_ensemble_search(p, q, seed=0, trials=100, refine_steps=200):
-    """Randomized search for private codes, deterministic per seed.
-
-    Samples Haar-random pure states on the 16-dimensional S (x) R (x) A
-    space, derives the induced 4-member ensemble from a computational
-    measurement of S, and keeps the best private information found,
-    followed by a bounded local perturbation refinement.  Returns
-    (best_value, best_ensemble).
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    p = _check_prob(p, "p")
-    q = _check_prob(q, "q")
-
-    def haar_state(rng):
-        vec = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        return vec / np.linalg.norm(vec)
-
-    best_val = -np.inf
-    best_psi = None
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        psi = haar_state(rng)
-        val = ensemble_private_info(_ensemble_from_state(psi), p, q)
-        if val > best_val:
-            best_val, best_psi = val, psi
-
-    rng = np.random.default_rng([seed, trials])
-    sigma = 0.1
-    for step in range(refine_steps):
-        delta = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        cand = best_psi + sigma * delta
-        cand = cand / np.linalg.norm(cand)
-        val = ensemble_private_info(_ensemble_from_state(cand), p, q)
-        if val > best_val:
-            best_val, best_psi = val, cand
-        else:
-            sigma *= 0.98
-    return best_val, _ensemble_from_state(best_psi)

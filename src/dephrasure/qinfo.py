@@ -2,8 +2,7 @@
 
 States are plain numpy arrays: density matrices are square complex
 arrays, pure states are complex vectors.  Channels are represented by
-:class:`KrausSet`.  Everything here is a pure function over immutable
-inputs, so all of it is safe to call from parallel sweep workers.
+:class:`KrausSet`.
 
 All entropies are in bits (log base 2).
 """
@@ -206,31 +205,6 @@ def tensor_power_kraus(kraus, n):
     return out
 
 
-def partial_trace(rho, dims, keep):
-    """Reduced state on the subsystems listed in ``keep``.
-
-    ``dims`` lists the subsystem dimensions; their product must equal
-    the dimension of ``rho``.  Subsystem order is preserved.
-    """
-    rho = _as_square(rho)
-    dims = [int(d) for d in dims]
-    n = len(dims)
-    if int(np.prod(dims)) != rho.shape[0]:
-        raise ValueError(f"product of dims {dims} != state dim {rho.shape[0]}")
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-    t = rho.reshape(dims + dims)
-    m = n
-    for i in [j for j in range(n - 1, -1, -1) if j not in keep]:
-        t = np.trace(t, axis1=i, axis2=i + m)
-        m -= 1
-    d_keep = int(np.prod([dims[k] for k in keep]))
-    return t.reshape(d_keep, d_keep)
-
-
 def purify(rho):
     """A purification of ``rho`` with the reference system first.
 
@@ -263,14 +237,6 @@ def _choi_of_terms(weights, ops):
     v = ops.swapaxes(-1, -2).reshape(*lead, in_dim * out_dim)  # K_i.T flattened
     w = weights[..., None, None]
     return np.sum(w * (v[..., :, None] * v.conj()[..., None, :]), axis=-3)
-
-
-def is_completely_positive(choi, tol=1e-10):
-    """CP test: the (Hermitian) Choi matrix has min eigenvalue >= -tol."""
-    choi = _as_square(choi)
-    if np.max(np.abs(choi - choi.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("Choi matrix is not Hermitian")
-    return bool(np.linalg.eigvalsh(choi).min() >= -tol)
 
 
 def coherent_information(kraus, rho):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import antideg, channel, codes, compci
+from . import antideg, channel, codes, compci, private_info
 from .qinfo import coherent_information
 
 
@@ -115,11 +115,31 @@ def compci_suite(tol=1e-10):
     }
 
 
+def private_suite(tol=1e-10):
+    """The +/- family's private lower bound against the Holevo route.
+
+    On an 11 x 11 grid of [0, 1/2]^2, private_lower_bound's closed-form
+    value must match ensemble_private_info of the +/- ensemble at the
+    lambda* it returns.
+    """
+    grid = np.linspace(0.0, 0.5, 11)
+    p, q = np.repeat(grid, 11), np.tile(grid, 11)
+    value, lam = private_info.private_lower_bound(p, q)
+    holevo = [
+        private_info.ensemble_private_info(private_info.plusminus_ensemble(li), pi, qi)
+        for pi, qi, li in zip(p, q, lam)
+    ]
+    worst = float(np.abs(value - holevo).max())
+    checks = [_check("closed_form_vs_holevo", worst <= tol, worst)]
+    return {"suite": "private", "passed": all(c["passed"] for c in checks), "checks": checks}
+
+
 SUITES = {
     "oracle": oracle_suite,
     "antideg": antideg_suite,
     "thresholds": thresholds_suite,
     "compci": compci_suite,
+    "private": private_suite,
 }
 
 

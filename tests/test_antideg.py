@@ -8,44 +8,14 @@ from dephrasure.antideg import (
     NotAntidegradableHere,
     _map_stack,
     antidegrading_map,
-    usd_povm,
     verify_antidegradable,
 )
 from dephrasure.channel import (
     complementary_kraus,
     dephrasure_kraus,
-    phi_states,
     region_k,
 )
 from dephrasure.qinfo import _choi_of_terms, apply_kraus, choi_of, compose_kraus
-
-
-def test_usd_povm_completeness_and_positivity():
-    for p in (0.05, 0.2, 0.4):
-        pi0, pi1, pie = usd_povm(p)
-        assert np.allclose(pi0 + pi1 + pie, np.eye(2), atol=1e-12)
-        for pi in (pi0, pi1, pie):
-            assert np.min(np.linalg.eigvalsh(pi)) >= -1e-12
-
-
-def test_usd_povm_unambiguous():
-    # outcome x never fires on phi^(1-x); failure probability is 1 - 2p
-    for p in (0.1, 0.3):
-        w0, w1 = phi_states(p)
-        pi0, pi1, pie = usd_povm(p)
-        assert abs(w1.conj() @ pi0 @ w1) < 1e-12
-        assert abs(w0.conj() @ pi1 @ w0) < 1e-12
-        fail0 = (w0.conj() @ pie @ w0).real
-        fail1 = (w1.conj() @ pie @ w1).real
-        assert fail0 == pytest.approx(1 - 2 * p, abs=1e-12)
-        assert fail1 == pytest.approx(1 - 2 * p, abs=1e-12)
-
-
-def test_usd_success_probability():
-    p = 0.2
-    w0, _ = phi_states(p)
-    pi0, _, _ = usd_povm(p)
-    assert (w0.conj() @ pi0 @ w0).real == pytest.approx(2 * p, abs=1e-12)
 
 
 def test_x_param_value():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dephrasure.channel import (
     bloch_state,
@@ -95,6 +97,15 @@ def test_region_ordering_and_endpoints():
     assert region_g(0.0) == pytest.approx(0.5, abs=1e-12)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.floats(0.0, 0.5), st.floats(0.0, 1e-300), st.floats(0.5 - 1e-12, 0.5)))
+@example(5e-324)
+@example(0.5 - 1e-12)
+def test_region_curves_are_ordered_on_the_whole_range(p):
+    g, j, k = region_curves(p)
+    assert j <= g <= k
+
+
 def test_region_j_takes_its_p0_limit_at_subnormal_p():
     # (1-p)/p overflows below p = 5.6e-309; the closed form is 1/2 there
     assert region_j(np.array([5e-324, 1e-310, 2e-308, 1e-300])).tolist() == [0.5] * 4
@@ -113,6 +124,13 @@ def test_coherent_info_z_closed_form_vs_kraus():
         z = rng.uniform(-1, 1)
         direct = coherent_information(dephrasure_kraus(p, q), bloch_state(0, 0, z))
         assert coherent_info_z(p, q, z) == pytest.approx(direct, abs=1e-11)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(-1.0, 1.0))
+def test_coherent_info_z_is_even_in_z(p, q, z):
+    # the X flip maps the Bloch vector z to -z and commutes with the channel
+    assert abs(coherent_info_z(p, q, z) - coherent_info_z(p, q, -z)) <= 2e-15
 
 
 def test_coherent_info_maximally_mixed_closed_form():

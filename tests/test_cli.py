@@ -104,6 +104,16 @@ def test_verify_thresholds_takes_tol(tmp_path):
     assert [c["name"] for c in checks if not c["passed"]] == ["repetition_zero_above_g"]
 
 
+def test_verify_private_fails_when_the_closed_form_drifts(tmp_path, monkeypatch):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "private", "--out", str(out)]) == 0
+    closed_form = private_info._plusminus_closed_form
+    monkeypatch.setattr(private_info, "_plusminus_closed_form",
+                        lambda lam, p, q: closed_form(lam, p, q) + 1e-9)
+    assert main(["verify", "private", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["passed"] is False
+
+
 def test_optimize_subcommand(tmp_path):
     out = tmp_path / "opt.json"
     rc = main([
@@ -143,6 +153,20 @@ def test_optimize_bad_search_budget_is_a_one_line_error(tmp_path, capsys, flags,
     out = tmp_path / "opt.json"
     assert main(["optimize", "--p", "0.11", "--q", "0.33", *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # every point antidegradable: no search runs, and n is still checked
+    ("sweep", "--quantity", "zdiag_rate(0)", "--p-range", "0.4:0.5:2", "--q-range", "0.45:0.5:2"),
+    ("sweep", "--quantity", "zdiag_rate", "--n", "-2",
+     "--p-range", "0.4:0.5:2", "--q-range", "0.45:0.5:2"),
+    ("optimize", "--p", "0.1", "--q", "0.45", "--n", "-1"),
+])
+def test_search_with_n_below_one_is_a_one_line_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: n must be >= 1\n"
     assert not out.exists()
 
 

@@ -2,6 +2,9 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dephrasure.channel import region_g, single_letter_ci
 from dephrasure.codes import (
@@ -17,8 +20,6 @@ from dephrasure.codes import (
     repetition_ci,
     repetition_ci_opt,
     repetition_code_state,
-    threshold_f,
-    u_value,
     zdiag_code,
 )
 
@@ -39,11 +40,6 @@ def test_code_state_validation():
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert rho[0, 0].real == pytest.approx(0.3, abs=1e-12)
     assert rho[3, 3].real == pytest.approx(0.7, abs=1e-12)
-
-
-def test_u_value_frozen():
-    expect = np.sqrt(1 - 0.84 * (1 - 0.8**4))
-    assert u_value(0.3, 0.1, 2) == pytest.approx(expect, abs=1e-14)
 
 
 def test_repetition_n1_matches_single_letter_z():
@@ -87,14 +83,6 @@ def test_repetition_threshold_each_n():
             assert above <= 1e-12
 
 
-def test_threshold_f_limit():
-    # f decreases to 1 - (1-2p)^(2n) as lambda -> 0
-    p, n = 0.2, 2
-    limit = 1 - 0.6 ** (2 * n)
-    assert threshold_f(p, 1e-12, n) == pytest.approx(limit, rel=1e-1)
-    assert threshold_f(p, 1e-3, n) > threshold_f(p, 1e-6, n) > limit
-
-
 def test_multiletter_vs_brute_force_random_codes():
     rng = np.random.default_rng(17)
     for _ in range(20):
@@ -131,17 +119,41 @@ def test_zdiag_code_matches_repetition():
     )
 
 
-def test_zdiag_fast_path_agrees_with_general():
-    rng = np.random.default_rng(23)
+@st.composite
+def _zdiag_cases(draw):
+    """(n, a nonnegative unit c, p, q) with n = 1..4 and (p, q) in [0, 1/2]^2."""
+    n = draw(st.integers(1, 4))
+    c = draw(hnp.arrays(float, 2**n, elements=st.floats(0.0, 1.0)).filter(
+        lambda c: c.sum() > 1e-2
+    ))
+    return n, c / np.linalg.norm(c), draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_zdiag_cases())
+def test_zdiag_fast_path_agrees_with_general(case):
     from dephrasure.codes import _zdiag_ci_fast
 
-    for n in (2, 3, 1, 4):
-        coeffs = np.abs(rng.standard_normal(2**n))
-        coeffs /= np.linalg.norm(coeffs)
-        p, q = rng.uniform(0.05, 0.5, 2)
-        fast = _zdiag_ci_fast(coeffs, p, q, n)
-        general = multiletter_ci(zdiag_code(coeffs), p, q)
-        assert fast == pytest.approx(general, abs=1e-10)
+    n, coeffs, p, q = case
+    fast = _zdiag_ci_fast(coeffs, p, q, n)
+    assert fast == pytest.approx(multiletter_ci(zdiag_code(coeffs), p, q), abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_zdiag_cases(), st.data())
+def test_zdiag_ci_is_invariant_under_xor_relabelling_and_use_permutations(case, data):
+    # X^t on the inputs commutes with the channel, and the n uses are alike
+    from dephrasure.codes import _zdiag_ci_fast
+
+    n, coeffs, p, q = case
+    s = np.arange(2**n)
+    t = data.draw(st.integers(0, 2**n - 1))
+    order = data.draw(st.permutations(range(n)))
+    bits = (s[:, None] >> np.arange(n)) & 1
+    permuted = (bits[:, order] << np.arange(n)).sum(axis=1)
+    value = _zdiag_ci_fast(coeffs, p, q, n)
+    assert abs(_zdiag_ci_fast(coeffs[s ^ t], p, q, n) - value) <= 1e-12
+    assert abs(_zdiag_ci_fast(coeffs[permuted], p, q, n) - value) <= 1e-12
 
 
 def test_optimize_zdiag_beats_repetition():

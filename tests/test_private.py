@@ -4,11 +4,10 @@ from scipy.optimize import brentq
 
 from dephrasure.channel import region_g, single_letter_ci
 from dephrasure.private_info import (
+    _plusminus_closed_form,
     ensemble_private_info,
     plusminus_ensemble,
-    plusminus_private_info,
     private_lower_bound,
-    random_ensemble_search,
 )
 from dephrasure.qinfo import binary_entropy
 
@@ -19,7 +18,7 @@ def test_closed_form_matches_holevo_route():
         lam = float(rng.uniform(0, 1))
         p, q = rng.uniform(0.02, 0.5, 2)
         direct = ensemble_private_info(plusminus_ensemble(lam), p, q)
-        assert plusminus_private_info(lam, p, q) == pytest.approx(
+        assert _plusminus_closed_form(lam, p, q) == pytest.approx(
             direct, abs=1e-10
         )
 
@@ -28,11 +27,11 @@ def test_endpoints_and_symmetry():
     p, q = 0.15, 0.2
     mixed_ci = 1 - 2 * q - (1 - q) * binary_entropy(p)
     # lam in {0, 1} reproduces the maximally mixed coherent information
-    assert plusminus_private_info(0.0, p, q) == pytest.approx(mixed_ci, abs=1e-12)
-    assert plusminus_private_info(1.0, p, q) == pytest.approx(mixed_ci, abs=1e-12)
-    assert plusminus_private_info(0.5, p, q) == pytest.approx(0.0, abs=1e-12)
-    assert plusminus_private_info(0.3, p, q) == pytest.approx(
-        plusminus_private_info(0.7, p, q), abs=1e-12
+    assert _plusminus_closed_form(0.0, p, q) == pytest.approx(mixed_ci, abs=1e-12)
+    assert _plusminus_closed_form(1.0, p, q) == pytest.approx(mixed_ci, abs=1e-12)
+    assert _plusminus_closed_form(0.5, p, q) == pytest.approx(0.0, abs=1e-12)
+    assert _plusminus_closed_form(0.3, p, q) == pytest.approx(
+        _plusminus_closed_form(0.7, p, q), abs=1e-12
     )
 
 
@@ -85,20 +84,3 @@ def test_ensemble_private_info_validation():
         ensemble_private_info(
             [(1.0, np.eye(3) / 3)], 0.1, 0.1
         )  # not a qubit ensemble
-
-
-def test_random_search_deterministic_and_bounded():
-    v1, ens1 = random_ensemble_search(0.1, 0.3, seed=3, trials=10, refine_steps=20)
-    v2, ens2 = random_ensemble_search(0.1, 0.3, seed=3, trials=10, refine_steps=20)
-    assert v1 == v2
-    probs = [pr for pr, _ in ens1]
-    assert sum(probs) == pytest.approx(1.0, abs=1e-10)
-    # the dedicated two-member family is at least as good as a short
-    # random search
-    best, _ = private_lower_bound(0.1, 0.3)
-    assert v1 <= best + 1e-6
-
-
-def test_random_search_rejects_bad_args():
-    with pytest.raises(ValueError):
-        random_ensemble_search(0.1, 0.3, trials=0)
