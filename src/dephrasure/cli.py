@@ -98,9 +98,9 @@ _QUANTITIES = {
 }
 
 
-def _parse_quantity(text, flag_n):
-    """(name, n) of a quantity spelled ``name`` or ``name(n)``; ``flag_n``
-    is --n, which the (n) suffix overrides, and n falls back to 2."""
+def _parse_quantity(text):
+    """(name, n) of a quantity spelled ``name`` or ``name(n)``; a bare
+    name that takes n means n = 2."""
     match = _QUANTITY_RE.match(text)
     if not match or match.group(1) not in _QUANTITIES:
         raise argparse.ArgumentTypeError(f"unknown quantity {text!r}")
@@ -108,12 +108,8 @@ def _parse_quantity(text, flag_n):
     if not _QUANTITIES[name].takes_n:
         if n is not None:
             raise argparse.ArgumentTypeError(f"quantity {name!r} takes no (n)")
-        if flag_n is not None:
-            raise argparse.ArgumentTypeError(f"quantity {name!r} takes no --n")
         return name, None
-    if n is not None:
-        return name, int(n)
-    return name, 2 if flag_n is None else flag_n
+    return name, 2 if n is None else int(n)
 
 
 def _write(path, text):
@@ -162,7 +158,7 @@ def _table(columns, P, Q, seed):
 
 
 def cmd_sweep(args):
-    name, n = _parse_quantity(args.quantity, args.n)
+    name, n = _parse_quantity(args.quantity)
     columns = _QUANTITIES[name].columns
     if name == "regions":
         P, Q, header = args.p_range, None, ["p", *columns]
@@ -241,16 +237,14 @@ def build_parser():
 
     def common(sp):
         sp.add_argument("--p-range", type=_parse_range, default=_parse_range("0:0.5:201"))
-        sp.add_argument("--q-range", type=_parse_range, default=_parse_range("0:0.5:201"))
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sweep = sub.add_parser("sweep", help="grid sweep of one quantity")
     common(sweep)
-    sweep.add_argument("--quantity", required=True)
-    sweep.add_argument("--n", type=int, default=None,
-                       help="n of a quantity that takes one (default 2)")
+    sweep.add_argument("--q-range", type=_parse_range, default=_parse_range("0:0.5:201"))
+    sweep.add_argument("--quantity", required=True, help="name or name(n); n defaults to 2")
     sweep.set_defaults(func=cmd_sweep)
 
     diag = sub.add_parser("diagonal", help="per-letter rates along q = slope*p")
@@ -261,7 +255,7 @@ def build_parser():
 
     regions = sub.add_parser("regions", help="the boundary curves g, j, k")
     common(regions)
-    regions.set_defaults(func=cmd_sweep, quantity="regions", n=None)
+    regions.set_defaults(func=cmd_sweep, quantity="regions")
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("suite", choices=sorted(verify.SUITES))

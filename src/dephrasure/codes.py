@@ -116,12 +116,6 @@ def _c_value(p, n):
     return np.where(below, -np.expm1(2 * n * np.log1p(-2 * np.where(below, p, 0.0))), 1.0)
 
 
-def _rep_small_eig(lam, c):
-    """(1-u)/2 = 2 lam (1-lam) c / (1+u), u = sqrt(1 - 4 lam (1-lam) c), stable
-    for tiny lam; c = _c_value(p, n)."""
-    return _small_eigenvalue(4 * lam * (1 - lam) * c)
-
-
 def _repetition_terms(p, q, n):
     """(shape, c, (1-q)^n, q^n) at broadcast p, q and n, each point checked
     in C order for p in [0, 1/2], q in [0, 1] and n >= 1, in turn; the
@@ -149,9 +143,11 @@ def repetition_ci(p, q, n, lam):
 
 
 def _repetition_closed_form(lam, c, kept, erased):
-    """repetition_ci from c = _c_value(p, n), kept = (1-q)^n, erased = q^n."""
+    """repetition_ci from c = _c_value(p, n), kept = (1-q)^n, erased = q^n;
+    the block's small eigenvalue (1-u)/2, u = sqrt(1 - 4 lam (1-lam) c),
+    is taken stably for tiny lam."""
     return (kept - erased) * binary_entropy(lam) - kept * binary_entropy(
-        _rep_small_eig(lam, c)
+        _small_eigenvalue(4 * lam * (1 - lam) * c)
     )
 
 
@@ -269,25 +265,6 @@ def _block_plan(n, ref_dim):
     return tuple(plan)
 
 
-def _weighted_groups(n, ref_dim, p, q):
-    """(group, classical weight, survivors' dephasing mask) for every plan group.
-
-    The weight of a pattern erasing k uses is q^k (1-q)^(n-k); the mask
-    D scales the survivors' coherences by (1-2p)^(Hamming distance), and
-    a block is (M M^dagger) o (1_ref (x) D) for its gathered matrix M.
-    """
-    p = _check_prob(p, "p")
-    q = _check_prob(q, "q")
-    return [
-        (
-            group,
-            q**group.erased * (1 - q) ** (n - group.erased),
-            _dephasing_mask(p, n - group.erased),
-        )
-        for group in _block_plan(n, ref_dim)
-    ]
-
-
 def _dephasing_factors(p, m):
     """F[x, s] = sqrt(w_s) (-1)^(s.x) for m dephased qubits.
 
@@ -326,7 +303,7 @@ def pattern_decompose(code, p, q):
     """
     ref_dim = code.ref_dim
     blocks = []
-    for group, weight, dephasing in _weighted_groups(code.n_uses, ref_dim, p, q):
+    for group, weight, dephasing, _, _ in _group_terms(code.n_uses, ref_dim, p, q):
         mats = code.amplitudes[group.gather]
         stack = (mats @ mats.conj().swapaxes(-1, -2)) * np.kron(
             np.ones((ref_dim, ref_dim)), dephasing
@@ -339,23 +316,26 @@ def pattern_decompose(code, p, q):
 
 
 def _group_terms(n, ref_dim, p, q):
-    """(gather, weight, D, F, gram) for every plan group.
+    """(group, weight, D, F, gram) for every plan group.
 
-    D is the survivors' dephasing mask and F = _dephasing_factors(p, m);
-    a group's weight is 0 where it underflows or q is 0 or 1, and the
-    evaluators skip the group there.  ``gram`` says to take the block
-    entropy on the environment side N^dagger N, which is 2^n-dimensional,
-    because the block N N^dagger (ref_dim 2^m) is larger.
+    The weight of a pattern erasing k uses is q^k (1-q)^(n-k), 0 where it
+    underflows or q is 0 or 1, and the evaluators skip the group there.
+    D, the survivors' dephasing mask, scales their coherences by
+    (1-2p)^(Hamming distance), so a block is (M M^dagger) o (1_ref (x) D)
+    for its gathered matrix M; F = _dephasing_factors(p, m).  ``gram``
+    says to take the block entropy on the environment side N^dagger N
+    (2^n-dimensional) because the block N N^dagger (ref_dim 2^m) is larger.
     """
+    p, q = _check_prob(p, "p"), _check_prob(q, "q")
     return [
         (
-            group.gather,
-            weight,
-            dephasing,
+            group,
+            q**group.erased * (1 - q) ** (n - group.erased),
+            _dephasing_mask(p, n - group.erased),
             _dephasing_factors(p, n - group.erased),
             ref_dim > 2**group.erased,
         )
-        for group, weight, dephasing in _weighted_groups(n, ref_dim, p, q)
+        for group in _block_plan(n, ref_dim)
     ]
 
 
@@ -404,8 +384,8 @@ def _ci_evaluator(n, ref_dim, p, q):
     all rows at once; zero-weight groups are skipped.
     """
     terms = [
-        (gather, weight, dephasing[None], factors[None], gram)
-        for gather, weight, dephasing, factors, gram in _group_terms(n, ref_dim, p, q)
+        (group.gather, weight, dephasing[None], factors[None], gram)
+        for group, weight, dephasing, factors, gram in _group_terms(n, ref_dim, p, q)
         if weight != 0.0
     ]
 
@@ -447,15 +427,16 @@ def _ci_gradient(n, ref_dim, p, q):
     weight, D and F, so it sees the groups, in order, and the arithmetic
     of a one-point evaluator.  Every step is a stacked matmul or eigh
     over the leading axes, elementwise, or a sum within one row, so each
-    row has the bits of its one-row stack.
+    row has the bits of its one-row stack.  The points' tables are built
+    here, once: 1.4 KB a point at n = 3.
     """
     p, q = np.ravel(p).tolist(), np.ravel(q).tolist()
     points = [_group_terms(n, ref_dim, *point) for point in zip(p, q)]
     # each group's weights, D and F stacked on a leading point axis, each
     # point's built from its scalar p and q as for that point alone
     terms = [
-        (gather, *(np.array(part) for part in zip(*(point[g][1:4] for point in points))), gram)
-        for g, (gather, *_, gram) in enumerate(points[0] if points else [])
+        (group.gather, *(np.array(part) for part in zip(*(point[g][1:4] for point in points))), gram)
+        for g, (group, *_, gram) in enumerate(points[0] if points else [])
     ]
 
     def value_and_grad(amps, points=None):
@@ -528,19 +509,26 @@ def brute_force_ci(code, p, q):
     )
 
 
-# bytes a stacked evaluation or a lockstep run holds at once: a
-# Z-diagonal evaluation takes its rows in blocks that fit (so that n = 6,
-# 2 MB a row for each of its four arrays, keeps its memory), and a search
-# runs as many whole points' starts at once as fit with their L-BFGS
-# state and objective temporaries
+# bytes a code search holds at once in each of two places: a lockstep run
+# takes as many rows, any point's, as fit with their L-BFGS state
+# (_search_points), and an objective call takes its rows in blocks that
+# fit with their evaluator's temporaries (_on_sphere), one row at least,
+# so that n = 6, 2 MB a row for each of its four arrays, keeps its memory
 _STACK_BYTES = 4 * 2**20
 
 
 def _zdiag_row_bytes(n):
     """Bytes a row holds in a Z-diagonal evaluation: four arrays of its
-    2^n patterns' 2^n by 2^n matrices (the matrices, their gathered
-    masks, the eigenvectors and log2 of the matrices)."""
+    2^n patterns' 2^n by 2^n matrices (the matrices, masks, eigenvectors
+    and log2 of the matrices); a call also holds one mask a point."""
     return 4 * 8 * 8**n
+
+
+def _ci_row_bytes(n, ref_dim):
+    """Bytes a row holds in a ``_ci_gradient`` call: about six complex
+    arrays the size of its largest group's N factors, C(n, m) patterns
+    of ref_dim 2^m by 2^n."""
+    return 6 * 16 * max(math.comb(n, m) * ref_dim * 2 ** (m + n) for m in range(n + 1))
 
 
 def _zdiag_evaluator(p, q, n):
@@ -550,54 +538,53 @@ def _zdiag_evaluator(p, q, n):
     orthonormal set {|s>_ref (x) |s_surv>}, so its matrix in that basis
     is B_s = (c c^T) o K_s with K_s[s, s'] = [s_erased == s'_erased]
     (1-2p)^d(s_surv, s'_surv), and the eigenproblem is only
-    2^n-dimensional.  p and q are one point or 1-d arrays of points; the
-    weights and masks of each point's patterns are built here, once,
-    from its scalar p and q as for that point alone.  A pattern of weight
-    0 (at q = 0, or where a weight underflows) keeps it: its terms add
-    exact zeros.  ``value_and_grad(coeffs, points=None)`` then takes a
-    stack (B, 2^n) of coefficient rows, row i at point ``points[i]`` (at
-    the first point without ``points``), makes one stacked eigh call and
-    one matmul for the reference-traced diagonals g_s = G_s c^2, and
-    returns the B values with their exact (B, 2^n) gradients
+    2^n-dimensional.  p and q are one point or 1-d arrays of points.
+    ``value_and_grad(coeffs, points=None)`` takes a stack (B, 2^n) of
+    coefficient rows, row i at point ``points[i]`` (at the first point
+    without ``points``), builds the pattern weights and masks (2 MB at
+    n = 6) of the call's own points, each from its scalar p and q as for
+    that point alone, unless the previous call had the same points,
+    makes one stacked eigh call and one matmul for the reference-traced
+    diagonals g_s = G_s c^2, and returns the B values with their exact
+    (B, 2^n) gradients
 
         dS(B_s)/dc = -2 ((log2 B_s) o K_s) c,
         dH(g_s)/dc_i = -2 c_i sum_t G_s[t, i] log2 g_s[t],
 
     whose 1/ln 2 terms cancel between the two entropies; one row (2^n,)
-    gives a float and one gradient.  Each row takes its point's gathered
-    weights and masks, one eigh call for each block of rows within
-    _STACK_BYTES; every other step is elementwise or a matmul within one
-    row, so each row has the bits of its one-row call.
+    gives a float and one gradient.  A pattern of weight 0 (at q = 0, or
+    where a weight underflows) keeps it: its terms add exact zeros.  Each
+    row takes its point's weights and masks, and every step past the one
+    eigh call is elementwise or a matmul within one row, so each row has
+    the bits of its one-row call.  ``_on_sphere`` bounds a call's rows.
     """
     dim = 2**n
     idx = np.arange(dim)  # also the erased-position bit masks, in pattern order
     k = np.bitwise_count(idx)
     p, q = np.ravel(p).tolist(), np.ravel(q).tolist()
-    weights = np.array([q_i**k * (1 - q_i) ** (n - k) for q_i in q]).reshape(-1, dim)
     diff = idx[:, None] ^ idx[None, :]
     erased = idx[:, None, None]
     surv = (dim - 1) ^ erased
-    masks = np.array([
-        ((diff & erased) == 0) * (1.0 - 2.0 * p_i) ** np.bitwise_count(diff & surv)
-        for p_i in p
-    ]).reshape(-1, dim, dim, dim)
+    # a mask is same * (1-2p)^distance
+    same, distance = (diff & erased) == 0, np.bitwise_count(diff & surv)
     # grouping[s, t, i] = [i & surv_s == t]: reference traced out, the
     # diagonal state is grouped by the surviving bits
-    grouping = ((idx[None, None, :] & surv) == idx[None, :, None]).astype(float)
-    grouping = grouping.reshape(-1, dim)
-    block = max(1, _STACK_BYTES // _zdiag_row_bytes(n))
+    grouping = ((idx[None, None, :] & surv) == idx[None, :, None]).astype(float).reshape(-1, dim)
+    last = {}  # the last call's points' (weights, masks), kept while they repeat
 
     def value_and_grad(coeffs, points=None):
         coeffs = np.asarray(coeffs, dtype=float)
         rows = coeffs.reshape(-1, dim)
         if points is None:  # every row at the first point
             points = np.zeros(len(rows), dtype=int)
-        value, grad = np.empty(len(rows)), np.empty(rows.shape)
-        for i in range(0, len(rows), block):
-            at = slice(i, i + block)
-            value[at], grad[at] = _zdiag_rows(
-                rows[at], weights[points[at]], masks[points[at]], grouping
-            )
+        at, row_point = np.unique(points, return_inverse=True)
+        key = at.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = (np.array([q[i] ** k * (1 - q[i]) ** (n - k) for i in at.tolist()]),
+                         np.array([same * (1.0 - 2.0 * p[i]) ** distance for i in at.tolist()]))
+        weights, masks = last[key]
+        value, grad = _zdiag_rows(rows, weights[row_point], masks[row_point], grouping)
         if coeffs.ndim == 1:
             return float(value[0]), grad[0]
         return value, grad
@@ -631,21 +618,28 @@ def _rowdot(a, b):
     return (a * b).sum(axis=-1)
 
 
-def _on_sphere(evaluate, owner=None):
+def _on_sphere(evaluate, row_bytes, owner=None):
     """Minus ``evaluate`` (unit rows and their points to values and
     gradients) at c = w / |w| for a stack (B, d) of real rows w, with the
     gradient in w: projected onto the sphere's tangent at c.  A zero row
     is an infeasible sentinel and maps to (inf, 0).  The objective also
     takes the rows' start indices, and ``owner[i]`` is start i's point;
     without ``owner`` every row is at ``evaluate``'s first point.
+    ``evaluate`` takes the rows in blocks of as many as fit in
+    _STACK_BYTES at ``row_bytes`` a row, one at least.
     """
+    block = max(1, _STACK_BYTES // row_bytes)
 
     def objective(w, starts=None):
         norm = np.sqrt(_rowdot(w, w))[:, None]
         feasible = norm > 0.0
         norm = np.where(feasible, norm, 1.0)
         coeffs = w / norm
-        value, grad = evaluate(coeffs, None if owner is None else owner[starts])
+        points = np.zeros(len(w), dtype=int) if owner is None else owner[starts]
+        value, grad = np.empty(len(w)), np.empty(w.shape)
+        for first in range(0, len(w), block):
+            at = slice(first, first + block)
+            value[at], grad[at] = evaluate(coeffs[at], points[at])
         tangent = (coeffs * _rowdot(coeffs, grad)[:, None] - grad) / norm
         return np.where(feasible[:, 0], -value, np.inf), tangent
 
@@ -656,7 +650,7 @@ def _zdiag_objective(p, q, n, owner=None):
     """Minus the coherent information of Z-diagonal codes c = w / |w|,
     with its gradient in w, for a stack (B, 2^n) of rows w and their
     start indices; ``owner`` maps starts to points, as in ``_on_sphere``."""
-    return _on_sphere(_zdiag_evaluator(p, q, n), owner)
+    return _on_sphere(_zdiag_evaluator(p, q, n), _zdiag_row_bytes(n), owner)
 
 
 def _code_objective(n, ref_dim, p, q, linear, owner=None):
@@ -675,7 +669,7 @@ def _code_objective(n, ref_dim, p, q, linear, owner=None):
         value, grad = value_and_grad(_complex(amps), points)
         return value, grad.view(float)
 
-    on_sphere = _on_sphere(evaluate, owner)
+    on_sphere = _on_sphere(evaluate, _ci_row_bytes(n, ref_dim), owner)
 
     def objective(x, starts=None):
         # each row its own (1, d) @ linear matmul, so no row sees the stack
@@ -807,41 +801,29 @@ def _uniform_starts(seed, n_starts, dim):
     return list(np.random.default_rng(seed).uniform(-1.0, 1.0, (n_starts, dim)))
 
 
-def _start_bytes(dim, row_bytes):
-    """Bytes a start of ``dim`` parameters holds in a lockstep run: its
-    L-BFGS state (the curvature pairs, twice while they shift, and about
-    16 vectors) and ``row_bytes`` of objective temporaries."""
-    return 8 * dim * (4 * _LBFGS_MEMORY + 16) + row_bytes
-
-
-def _ci_row_bytes(n, ref_dim):
-    """Bytes a row holds in a ``_ci_gradient`` call: about six complex
-    arrays the size of its largest group's N factors, C(n, m) patterns
-    of ref_dim 2^m by 2^n."""
-    return 6 * 16 * max(math.comb(n, m) * ref_dim * 2 ** (m + n) for m in range(n + 1))
-
-
-def _search_points(objective_of, starts, start_bytes, max_iterations=_LBFGS_OPTIONS["maxiter"]):
+def _search_points(objective_of, starts, max_iterations=_LBFGS_OPTIONS["maxiter"]):
     """(objective value, parameters) of each point's first lowest start.
 
-    ``starts`` (P, S, d) holds each point's S starts, each holding
-    ``start_bytes`` in a run; they run in lockstep runs of as many whole
-    points as fit in _STACK_BYTES, one point at least.
-    ``objective_of(points, owner)`` builds the objective of the 1-d array
-    ``points`` of point indices, owner[i] being the index into ``points``
-    of the run's start i.  Rows do not depend on their stack, so each
-    point gets the bits of its one-point run.
+    ``starts`` (P, S, d) holds each point's S starts.  Their P S rows, in
+    order, run in lockstep runs of as many rows as fit in _STACK_BYTES
+    with their L-BFGS state (the curvature pairs, twice while they shift,
+    and about 16 vectors of d), one row at least, so a point's starts may
+    span two runs.  ``objective_of(points, owner)`` builds the objective
+    of the 1-d array ``points`` of point indices, owner[i] being the
+    index into ``points`` of the run's start i.  Rows do not depend on
+    their stack, so each point gets the bits of its one-point run.
     """
     n_points, per_point, dim = starts.shape
-    funs, xs = np.empty((n_points, per_point)), np.empty(starts.shape)
-    size = max(1, _STACK_BYTES // (start_bytes * per_point))
-    for first in range(0, n_points, size):
-        points = np.arange(first, min(first + size, n_points))
-        owner = np.repeat(np.arange(len(points)), per_point)
-        run_f, run_x = _lockstep_lbfgs(
-            objective_of(points, owner), starts[points].reshape(-1, dim), max_iterations
+    rows, owner = starts.reshape(-1, dim), np.repeat(np.arange(n_points), per_point)
+    funs, xs = np.empty(len(rows)), np.empty(rows.shape)
+    size = max(1, _STACK_BYTES // (8 * dim * (4 * _LBFGS_MEMORY + 16)))
+    for first in range(0, len(rows), size):
+        run = slice(first, first + size)
+        points = np.arange(owner[run][0], owner[run][-1] + 1)
+        funs[run], xs[run] = _lockstep_lbfgs(
+            objective_of(points, owner[run] - points[0]), rows[run], max_iterations
         )
-        funs[points], xs[points] = run_f.reshape(-1, per_point), run_x.reshape(-1, per_point, dim)
+    funs, xs = funs.reshape(n_points, per_point), xs.reshape(starts.shape)
     best = np.argmin(funs, axis=1)  # the first on a tie
     return funs[np.arange(n_points), best], xs[np.arange(n_points), best]
 
@@ -910,8 +892,7 @@ def _zdiag_search(p, q, n, seed, n_starts, rep):
     draws = np.abs(np.random.default_rng(seed).standard_normal((n_starts, dim)))
     starts = np.concatenate([warm[:, None], np.broadcast_to(draws, (len(p), n_starts, dim))], 1)
     funs, ws = _search_points(
-        lambda points, owner: _zdiag_objective(p[points], q[points], n, owner),
-        starts, _start_bytes(dim, _zdiag_row_bytes(n)),
+        lambda points, owner: _zdiag_objective(p[points], q[points], n, owner), starts,
     )
     warm_wins = rep_val > -funs  # the warm start's own value is always feasible
     coeffs = np.where(warm_wins[:, None], warm, _unit_rows(np.abs(ws)))
@@ -953,7 +934,6 @@ def optimize_chi3(p, q, seed=0, n_starts=2, max_iterations=_LBFGS_OPTIONS["maxit
     funs, xs = _search_points(
         lambda points, owner: _code_objective(3, 4, p[points], q[points], _chi3_map(), owner),
         np.tile(_chi3_starts(seed, n_starts), (len(p), 1, 1)),
-        _start_bytes(8, _ci_row_bytes(3, 4)),
         max_iterations,
     )
     value, coeffs = _search_result(shape, -funs, _unit_rows(_complex(xs)))
@@ -1017,12 +997,12 @@ def optimize_code_ci(
         warm.append((chi_val, _embed_code(chi3_code(*chi_coeffs), ref_dim, n)))
 
     starts = [x for _, x in warm] + _uniform_starts(seed, n_starts, 2 * amp_len)
-    funs, xs = _lockstep_lbfgs(
-        _code_objective(n, ref_dim, p, q, np.eye(amp_len)), starts, max_iterations
+    (fun,), (x,) = _search_points(
+        lambda points, owner: _code_objective(n, ref_dim, p, q, np.eye(amp_len), owner),
+        np.array(starts)[None], max_iterations,
     )
-    best = np.argmin(funs)  # the first on a tie
     # on a tie the searched code is kept
-    value, code = max([(float(-funs[best]), xs[best])] + warm, key=lambda c: c[0])
+    value, code = max([(float(-fun), x)] + warm, key=lambda c: c[0])
     return value, normalized_code(n, ref_dim, _complex(code))
 
 

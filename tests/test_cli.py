@@ -159,14 +159,30 @@ def test_optimize_bad_search_budget_is_a_one_line_error(tmp_path, capsys, flags,
 @pytest.mark.parametrize("argv", [
     # every point antidegradable: no search runs, and n is still checked
     ("sweep", "--quantity", "zdiag_rate(0)", "--p-range", "0.4:0.5:2", "--q-range", "0.45:0.5:2"),
-    ("sweep", "--quantity", "zdiag_rate", "--n", "-2",
-     "--p-range", "0.4:0.5:2", "--q-range", "0.45:0.5:2"),
+    # no point antidegradable: n is checked before any search starts
+    ("sweep", "--quantity", "zdiag_rate(0)", "--p-range", "0.1:0.2:2", "--q-range", "0.1:0.2:2"),
     ("optimize", "--p", "0.1", "--q", "0.45", "--n", "-1"),
 ])
 def test_search_with_n_below_one_is_a_one_line_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: n must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # n is spelled name(n) alone: --n on a sweep is no flag
+    ("sweep", "--quantity", "zdiag_rate(1)", "--n", "3"),
+    # only sweep reads a q-range
+    ("diagonal", "--q-range", "0:0.5:3"),
+    ("regions", "--q-range", "0:0.5:3"),
+])
+def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--p-range", "0.1:0.2:2", "--out", str(out)])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -318,10 +334,6 @@ def test_provenance_falls_back_to_the_process_arguments(tmp_path, monkeypatch, c
         ("single_ci(3)", "quantity 'single_ci' takes no (n)"),
         ("chi3_rate(5)", "quantity 'chi3_rate' takes no (n)"),
         ("regions(2)", "quantity 'regions' takes no (n)"),
-        # --n likewise, and --n reaches a quantity that takes n
-        ("single_ci --n 5", "quantity 'single_ci' takes no --n"),
-        ("chi3_rate --n 3", "quantity 'chi3_rate' takes no --n"),
-        ("repetition_rate --n 0", "n must be >= 1"),
     ],
 )
 def test_out_of_domain_sweep_point_is_a_one_line_error(tmp_path, capsys, quantity, message):

@@ -621,12 +621,30 @@ def test_stacked_zdiag_rows_equal_one_row_calls(n, monkeypatch):
         part_values, part_grads = evaluate(rows[2:5])
         assert np.array_equal(part_values, values[2:5])
         assert np.array_equal(part_grads, grads[2:5])
-        # and in blocks of two rows, as a large n takes them: the masks
-        # are 2^n by 2^n for each of the 2^n patterns, and a block holds
-        # four arrays of that size a row
-        with monkeypatch.context() as patch:
-            patch.setattr(codes, "_STACK_BYTES", 4 * 2 * 2**n * 4**n * 8)
-            block_values, block_grads = codes._zdiag_evaluator(p, q, n)(rows)
+        # the objective hands the evaluator its rows in blocks: all nine
+        # at once, and in blocks of two rows, as a large n takes them (a
+        # row holds four arrays of its 2^n patterns' 2^n by 2^n masks)
+        evaluator = codes._zdiag_evaluator
+        objectives = []
+        for stack_bytes, blocks in ((codes._STACK_BYTES, [9]),
+                                    (2 * codes._zdiag_row_bytes(n), [2, 2, 2, 2, 1])):
+            calls = []
+
+            def recorded(*point):
+                value_and_grad = evaluator(*point)
+
+                def counted(rows, points=None):
+                    calls.append(len(rows))
+                    return value_and_grad(rows, points)
+
+                return counted
+
+            with monkeypatch.context() as patch:
+                patch.setattr(codes, "_STACK_BYTES", stack_bytes)
+                patch.setattr(codes, "_zdiag_evaluator", recorded)
+                objectives.append(codes._zdiag_objective(p, q, n)(rows))
+            assert calls == blocks
+        (values, grads), (block_values, block_grads) = objectives
         assert np.array_equal(block_values, values)
         assert np.array_equal(block_grads, grads)
 
@@ -657,14 +675,14 @@ def test_stacked_evaluators_give_each_row_its_one_point_bits(monkeypatch):
         rows = np.abs(rng.standard_normal((3 * len(points), 2**n)))
         rows /= np.linalg.norm(rows, axis=1)[:, None]
         owner = rng.permutation(np.repeat(np.arange(len(points)), 3))
-        for stack_bytes in (codes._STACK_BYTES, 1):  # one row a block
-            monkeypatch.setattr(codes, "_STACK_BYTES", stack_bytes)
-            values, grads = codes._zdiag_evaluator(p, q, n)(rows, owner)
-            for row, at, value, grad in zip(rows, owner, values, grads):
-                one_value, one_grad = codes._zdiag_evaluator(*points[at], n)(row)
-                assert one_value == value
-                assert np.array_equal(one_grad, grad)
-    monkeypatch.undo()
+        values, grads = codes._zdiag_evaluator(p, q, n)(rows, owner)
+        for row, at, value, grad in zip(rows, owner, values, grads):
+            one_value, one_grad = codes._zdiag_evaluator(*points[at], n)(row)
+            assert one_value == value
+            assert np.array_equal(one_grad, grad)
+        _assert_blocks_keep_the_bits(
+            lambda owner: codes._zdiag_objective(p, q, n, owner), rows, owner, monkeypatch
+        )
     for n, ref_dim in ((1, 2), (2, 4), (3, 4), (3, 8)):
         size = ref_dim * 2**n
         amps = rng.standard_normal((2 * len(points), size)) + 1j * rng.standard_normal(
@@ -677,6 +695,24 @@ def test_stacked_evaluators_give_each_row_its_one_point_bits(monkeypatch):
             (one_value,), (one_grad,) = codes._ci_gradient(n, ref_dim, *points[at])(row[None])
             assert one_value == value
             assert np.array_equal(one_grad, grad)
+        _assert_blocks_keep_the_bits(
+            lambda owner: codes._code_objective(n, ref_dim, p, q, np.eye(size), owner),
+            amps.view(float), owner, monkeypatch,
+        )
+
+
+def _assert_blocks_keep_the_bits(objective_of, rows, owner, monkeypatch):
+    """The objective ``objective_of(owner)`` of mixed-point rows gives
+    the same bits evaluated in blocks of one row as in one block."""
+    from dephrasure import codes
+
+    starts = np.arange(len(rows))
+    values, grads = objective_of(owner)(rows, starts)
+    with monkeypatch.context() as patch:
+        patch.setattr(codes, "_STACK_BYTES", 1)
+        block_values, block_grads = objective_of(owner)(rows, starts)
+    assert np.array_equal(block_values, values)
+    assert np.array_equal(block_grads, grads)
 
 
 def _nonzero_pattern_rows(rows, p, q, n):
@@ -723,12 +759,12 @@ def test_mixed_point_searches_equal_one_point_searches(n, monkeypatch):
     p, q = np.array(MIXED_POINTS).T
     zdiag = [optimize_zdiag(*point, n, n_starts=4) for point in MIXED_POINTS]
     chi3 = [optimize_chi3(*point, n_starts=1) for point in MIXED_POINTS] if n == 3 else []
-    # a point's starts may share a lockstep run with other points' or not:
-    # at the larger budget every point's starts run at once, at the
-    # smaller a theta_n run holds two points (five starts each) and a
-    # chi_3 run one
-    two_points = 2 * 5 * codes._start_bytes(2**n, codes._zdiag_row_bytes(n))
-    for stack_bytes in (2**30, two_points):
+    # a point's starts may share a lockstep run with other points' or be
+    # split across two: at the larger budget every point's starts run at
+    # once, at the smaller a run holds seven rows of 2^n parameters and a
+    # point has five starts (chi_3's 8 parameters are theta_3's 2^3)
+    seven_rows = 7 * 8 * 2**n * (4 * codes._LBFGS_MEMORY + 16)
+    for stack_bytes in (2**30, seven_rows):
         monkeypatch.setattr(codes, "_STACK_BYTES", stack_bytes)
         for order in _mixed_orders():
             values, coeffs = optimize_zdiag(p[order], q[order], n, n_starts=4)
@@ -751,7 +787,7 @@ def test_mixed_point_searches_equal_one_point_searches(n, monkeypatch):
     values, coeffs = optimize_zdiag(p[:6].reshape(2, 3), q[:6].reshape(2, 3), n, n_starts=4)
     assert values.shape == (2, 3) and coeffs.shape == (2, 3, 2**n)
     assert list(values.reshape(-1)) == [value for value, _ in zdiag[:6]]
-    # Z-diagonal evaluations in blocks of one row, and runs of one point,
+    # Z-diagonal evaluations in blocks of one row, and runs of one row,
     # give the same searches
     if n == 2:
         monkeypatch.setattr(codes, "_STACK_BYTES", 1)
@@ -828,6 +864,49 @@ def test_full_search_is_zero_without_a_search_where_antidegradable(monkeypatch, 
             assert (code.n_uses, code.ref_dim) == (n, 2**n)
             assert np.array_equal(code.amplitudes, product_code.reshape(-1))
             assert multiletter_ci(code, *point) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_full_search_runs_within_the_stack_budget(monkeypatch):
+    from dephrasure import codes
+
+    p, q, n = 0.1149, 0.3447, 3
+    value, code = optimize_code_ci(p, q, n)
+    lockstep, runs = codes._lockstep_lbfgs, []
+
+    def recorded(objective, starts, *args):
+        runs.append(np.shape(starts))
+        return lockstep(objective, starts, *args)
+
+    monkeypatch.setattr(codes, "_lockstep_lbfgs", recorded)
+    # two rows of 128 parameters a run (five starts: three warm, two
+    # drawn), and blocks of one row in each objective call
+    monkeypatch.setattr(codes, "_STACK_BYTES", 2 * 8 * 128 * (4 * codes._LBFGS_MEMORY + 16))
+    small_value, small_code = optimize_code_ci(p, q, n)
+    assert [shape for shape in runs if shape[1] == 128] == [(2, 128), (2, 128), (1, 128)]
+    assert small_value == value
+    assert np.array_equal(small_code.amplitudes, code.amplitudes)
+
+
+def test_many_point_zdiag_search_holds_one_block_of_masks():
+    import tracemalloc
+
+    from dephrasure import codes
+
+    # 64 points with distinct p, one start each, share one lockstep run;
+    # a mask is 256 KiB at n = 5, so 64 of them alone would be 16 MiB
+    n, points = 5, 64
+    p, q = np.linspace(0.05, 0.12, points), np.full(points, 0.2)
+    starts = np.abs(np.random.default_rng(0).standard_normal((points, 1, 2**n)))
+    tracemalloc.start()
+    try:
+        codes._search_points(
+            lambda at, owner: codes._zdiag_objective(p[at], q[at], n, owner),
+            starts, max_iterations=1,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * codes._STACK_BYTES
 
 
 def test_chi3_still_searches_where_antidegradable():
