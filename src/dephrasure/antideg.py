@@ -61,7 +61,7 @@ class DegradingMapReport:
 
 
 def _map_stack(p, q):
-    """(x, weights, ops) of the degrading map at broadcast p and q > 0.
+    """(x, weights, ops) of the degrading map at broadcast p and q.
 
     The trivial map serves q >= 1/2, where it is CP, and the USD map
     q < 1/2, CP exactly when its erasure parameter x is >= 0; weights
@@ -69,10 +69,11 @@ def _map_stack(p, q):
     """
     p, q = _broadcast(p, q)
     trivial = q >= 0.5
-    # the trivial branch divides by q >= 1/2 only: a tiny q cannot overflow it
-    x = np.where(
-        trivial, (2.0 * q - 1.0) / np.maximum(q, 0.5), 1.0 - (1.0 - q) * (1.0 - 2.0 * p) / q
-    )
+    # where q = 0 or a subnormal q leaves the USD map's x not finite, x = 1,
+    # its value at p = 1/2 (at q = 0 the copy that x erases is empty)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        usd = 1.0 - (1.0 - q) * (1.0 - 2.0 * p) / q
+        x = np.where(trivial, (2.0 * q - 1.0) / q, np.where(np.isfinite(usd), usd, 1.0))
     one, povm = np.ones_like(x), 1.0 / (2 * (1 - p))
     weights = np.where(
         trivial[..., None],
@@ -90,12 +91,11 @@ def antidegrading_map(p, q):
     Returned as an explicit KrausSet; uses the trivial construction for
     q >= 1/2 and the USD construction for k(p) <= q < 1/2.  Below k(p)
     neither construction is completely positive and
-    NotAntidegradableHere is raised.
+    NotAntidegradableHere is raised; at q = 0 that leaves p = 1/2, where
+    complete dephasing is recovered by the USD map with x = 1.
     """
     p = _check_prob(p, "p", hi=0.5)
     q = _check_prob(q, "q")
-    if q <= 0.0:
-        raise NotAntidegradableHere("q = 0 has no degrading construction")
     if q < region_k(p) - 1e-15:
         raise NotAntidegradableHere(
             f"(p, q) = ({p}, {q}) is below the constructive boundary k(p)"
@@ -107,7 +107,7 @@ def antidegrading_map(p, q):
 
 def _verify_block(p, q):
     """Rows (x, composition residual, CP min eigenvalue) at the points
-    p, q > 0 of two 1-d arrays."""
+    p, q of two 1-d arrays."""
     x, weights, ops = _map_stack(p, q)
     cp_min = np.linalg.eigvalsh(_choi_of_terms(weights, ops)).min(axis=-1)
     comp = _complement_ops(p, q)  # term (i, j): weights_i, ops_i @ comp_j
@@ -128,8 +128,8 @@ def verify_antidegradable(p, q, tol=1e-10):
     construction is still evaluated with its forced x < 0, so the report
     shows exactly how complete positivity fails; ``antidegradable``
     False then only means "not witnessed by these constructions".  At
-    q = 0 no map is built: the report reads usd, -inf, inf, -inf, False,
-    as it does at a subnormal q too small for x to be finite.
+    q = 0, or a subnormal q where x is not finite, x = 1 gives residual
+    1 - 2p (the inconclusive mass) and CP eigenvalue ~0: only p = 1/2 passes.
 
     p in [0, 1/2] and q in [0, 1] broadcast, checked in C order, p before
     q, as a loop of one-point calls would.  Scalars give a report of
@@ -139,18 +139,10 @@ def verify_antidegradable(p, q, tol=1e-10):
     """
     shape, p, q = _points(p, q, 1.0)
     p, q = p[:, 0], q[:, 0]
-    # the USD map's x is not finite at q = 0, nor where a subnormal q
-    # overflows it; such points get no map
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        erased = ~np.isfinite(1.0 - (1.0 - q) * (1.0 - 2.0 * p) / q)
-    # q = 1 keeps their rows finite; their fields are set below
-    q_map = np.where(erased, 1.0, q)
-    blocks = [  # one empty block for no points
-        _verify_block(p[i : i + _BLOCK_POINTS], q_map[i : i + _BLOCK_POINTS])
+    x, residual, cp_min = np.concatenate([  # one empty block for no points
+        _verify_block(p[i : i + _BLOCK_POINTS], q[i : i + _BLOCK_POINTS])
         for i in range(0, len(p) or 1, _BLOCK_POINTS)
-    ]
-    fill = [[-np.inf], [np.inf], [-np.inf]]
-    x, residual, cp_min = np.where(erased, fill, np.concatenate(blocks, axis=1))
+    ], axis=1)
     kind = np.where(q >= 0.5, "trivial", "usd")
     fields = (p, q, kind, x, residual, cp_min, (residual <= tol) & (cp_min >= -tol))
     if shape == ():

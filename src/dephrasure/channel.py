@@ -238,12 +238,11 @@ def _lambda_grid(step):
     return np.unique(np.concatenate([lin, logs]))
 
 
-# bytes of one (points, lambda block) array of the weight scan.  The value
-# functions hold a few such temporaries: unblocked, the three scans of a
-# 15x15 grid took a process from 77 to 170 MB (78 MB in 64 KB blocks), and
-# on 225 points 64 KB blocks (36 weights) ran faster than 256 KB or 1 MB
-# ones, their temporaries staying in cache
-_SCAN_BYTES = 1 << 16
+# bytes of one (points, lambda block) array of the weight scan, which holds
+# three such arrays at once.  On a 15x15 grid (145 weights a block at 256 KB)
+# the three factored scans take 32 ms in 64 KB blocks, 25 in 128 KB and 22 in
+# 256 KB; tracemalloc peaks 0.5 / 0.9 MB at 128 / 256 KB, 0.55 MB unfactored
+_SCAN_BYTES = 1 << 18
 
 
 def _golden_lockstep(value_fn, a, b, tol):
@@ -277,32 +276,47 @@ def _golden_lockstep(value_fn, a, b, tol):
     return x, value_fn(x)
 
 
-def maximize_over_weights(value_fn, step, tol):
+def _factored_scan(terms, key, a, b):
+    """(value_fn, scan_fn) for maximize_over_weights of a A - b B, (A, B) =
+    terms(key, lam), at (P, 1) columns key, a, b; scan_fn takes a term that
+    reads key once per distinct key, and one that does not once a block."""
+    keys, at = np.unique(key.reshape(-1), return_inverse=True)
+
+    def value(lam, key=key, at=None):
+        A, B = (t[at] if at is not None and np.ndim(t) == 2 else t for t in terms(key, lam))
+        out = a * A
+        out -= b * B  # in place: one (P, k) temporary fewer
+        return out
+
+    return value, lambda lam: value(lam, keys[:, None], at)
+
+
+def maximize_over_weights(value_fn, step, tol, scan_fn=None):
     """Maximize value_fn over lambda in [0, 1/2] for many points at once.
 
     value_fn(lam) holds the points' parameters as (P, 1) columns and maps
-    a (k,) block of weights to (P, k) values, or a (P, 1) array of weights
-    to (P, 1) values.  The scan over the linear-plus-log grid runs in
-    blocks of at most _SCAN_BYTES per (P, k) array, keeping each point's
-    first maximum (as np.argmax over the whole row); a golden section in
-    lockstep then refines between the maximum's grid neighbours.  Returns
-    (values, lambdas) of shape (P,); a value_fn over a single point with
-    no point axis, (k,) -> (k,), gives 0-d arrays.
+    (P, 1) weights to (P, 1) values; scan_fn (value_fn if None) maps a (k,)
+    block of weights to value_fn's (P, k) values.  The scan over the
+    linear-plus-log grid runs in blocks of at most _SCAN_BYTES per (P, k)
+    array, keeping each point's first maximum (as np.argmax over the whole
+    row); a golden section of value_fn in lockstep then refines between the
+    maximum's grid neighbours.  Returns (values, lambdas) of shape (P,); a
+    value_fn over one point with no point axis, (k,) -> (k,), gives 0-d arrays.
     """
+    scan_fn = scan_fn or value_fn
     grid = _lambda_grid(step)
     # the first column gives the points' shape, which sizes the blocks
-    first = np.asarray(value_fn(grid[:1]))
+    first = np.asarray(scan_fn(grid[:1]))
     shape = first.shape[:-1]
     best_val = first.reshape(-1)
     best_idx = np.zeros(best_val.size, dtype=int)
     rows = np.arange(best_val.size)
     cols = max(1, _SCAN_BYTES // (8 * max(1, best_val.size)))
     for start in range(1, len(grid), cols):
-        vals = np.asarray(value_fn(grid[start : start + cols]))
+        vals = np.asarray(scan_fn(grid[start : start + cols]))
         vals = vals.reshape(-1, vals.shape[-1])
         if vals.shape[1] == 1:
-            # one weight per block on large batches, where a row-wise
-            # argmax costs far more than the elementwise compare below
+            # one weight a block on large batches: a row-wise argmax costs far more
             idx, top = 0, vals[:, 0]
         else:
             idx = np.argmax(vals, axis=1)
@@ -310,6 +324,7 @@ def maximize_over_weights(value_fn, step, tol):
         better = top > best_val
         best_val = np.where(better, top, best_val)
         best_idx = np.where(better, idx + start, best_idx)
+        del vals  # freed before the next block is made
     lo = grid[np.maximum(best_idx - 1, 0)].reshape(shape + (1,))
     hi = grid[np.minimum(best_idx + 1, len(grid) - 1)].reshape(shape + (1,))
     lam, val = _golden_lockstep(value_fn, lo, hi, tol)
@@ -349,12 +364,13 @@ def single_letter_ci(p, q):
     """
     shape, p, q = _points(p, q, 0.5)
 
-    def value(lam):
+    def terms(p, lam):
         # 1 - z^2 = 4 lam (1 - lam) for z = 1 - 2 lam
         small = _small_eigenvalue(16 * p * (1 - p) * lam * (1 - lam))
-        return (1 - 2 * q) * binary_entropy(lam) - (1 - q) * binary_entropy(small)
+        return binary_entropy(lam), binary_entropy(small)
 
-    val, lam = maximize_over_weights(value, 1e-3, 1e-10)
+    value, scan = _factored_scan(terms, p, 1 - 2 * q, 1 - q)
+    val, lam = maximize_over_weights(value, 1e-3, 1e-10, scan)
     return _shaped(shape, val, 1 - 2 * lam)
 
 

@@ -20,6 +20,7 @@ from .channel import (
     _broadcast,
     _check_points,
     _check_prob,
+    _factored_scan,
     _in_prob,
     _libm_pow,
     _points,
@@ -138,17 +139,16 @@ def repetition_ci(p, q, n, lam):
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0) or np.any(lam > 1):
         raise ValueError("lambda outside [0, 1]")
-    out = _repetition_closed_form(lam, c, kept, erased)
+    code, block = _repetition_entropies(c, lam)
+    out = (kept - erased) * code - kept * block
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _repetition_closed_form(lam, c, kept, erased):
-    """repetition_ci from c = _c_value(p, n), kept = (1-q)^n, erased = q^n;
-    the block's small eigenvalue (1-u)/2, u = sqrt(1 - 4 lam (1-lam) c),
-    is taken stably for tiny lam."""
-    return (kept - erased) * binary_entropy(lam) - kept * binary_entropy(
-        _small_eigenvalue(4 * lam * (1 - lam) * c)
-    )
+def _repetition_entropies(c, lam):
+    """h(lam) and the entropy h((1-u)/2) of the dephased purification
+    block, u = sqrt(1 - 4 lam (1-lam) c), its small eigenvalue (1-u)/2
+    taken stably for tiny lam; c = _c_value(p, n)."""
+    return binary_entropy(lam), binary_entropy(_small_eigenvalue(4 * lam * (1 - lam) * c))
 
 
 def repetition_ci_opt(p, q, n):
@@ -163,9 +163,8 @@ def repetition_ci_opt(p, q, n):
     """
     shape, *terms = _repetition_terms(p, q, n)
     c, kept, erased = (np.reshape(term, (-1, 1)) for term in terms)
-    value, lam = maximize_over_weights(
-        lambda lam: _repetition_closed_form(lam, c, kept, erased), 1e-4, 1e-12
-    )
+    value_fn, scan = _factored_scan(_repetition_entropies, c, kept - erased, kept)
+    value, lam = maximize_over_weights(value_fn, 1e-4, 1e-12, scan)
     return _shaped(shape, value, lam)
 
 

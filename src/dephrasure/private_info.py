@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import (
+    _factored_scan,
     _points,
     _shaped,
     complementary_apply,
@@ -82,9 +83,15 @@ def plusminus_ensemble(lam):
     return [(0.5, rho1), (0.5, rho2)]
 
 
-def _plusminus_closed_form(lam, p, q):
+def _plusminus_entropies(p, lam):
+    """The Holevo terms 1 - h(mix) of a kept use and 1 - h(lam) of an erased one."""
     mix = p + (1 - lam) * (1 - 2 * p)
-    return (1 - q) * (1 - binary_entropy(mix)) - q * (1 - binary_entropy(lam))
+    return 1 - binary_entropy(mix), 1 - binary_entropy(lam)
+
+
+def _plusminus_closed_form(lam, p, q):
+    kept, erased = _plusminus_entropies(p, lam)
+    return (1 - q) * kept - q * erased
 
 
 def private_lower_bound(p, q):
@@ -98,7 +105,8 @@ def private_lower_bound(p, q):
     """
     shape, p, q = _points(p, q, 0.5)
     # scan mu = 1 - lam over [0, 1/2]
+    _, scan = _factored_scan(lambda r, m: _plusminus_entropies(r, 1.0 - m), p, 1 - q, q)
     value, mu = maximize_over_weights(
-        lambda m: _plusminus_closed_form(1.0 - m, p, q), 1e-3, 1e-10
+        lambda m: _plusminus_closed_form(1.0 - m, p, q), 1e-3, 1e-10, scan
     )
     return _shaped(shape, value, 1.0 - mu)

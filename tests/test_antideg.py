@@ -146,8 +146,12 @@ def test_stacked_report_matches_one_point_calls_bit_for_bit():
     q[:, 1] = [region_k(pi) for pi in p[:, 0]]
     report = verify_antidegradable(p, q)
     _assert_matches_one_point_calls(p, q, report)
-    assert report.map_kind[0, 0] == "usd" and report.x_param[0, 0] == -np.inf
-    assert report.composition_residual[:, 0].tolist() == [np.inf] * 41
+    # at q = 0 the USD map takes x = 1: the residual is the inconclusive
+    # mass 1 - 2p, and only complete dephasing, p = 1/2, is antidegradable
+    assert report.map_kind[0, 0] == "usd" and (report.x_param[:, 0] == 1.0).all()
+    assert np.allclose(report.composition_residual[:, 0], 1 - 2 * p[:, 0], atol=1e-15)
+    assert np.abs(report.cp_min_eigenvalue[:, 0]).max() <= 1e-15
+    assert report.antidegradable[:, 0].tolist() == [False] * 40 + [True]
     assert report.antidegradable[:-1, 1].all()  # k(1/2) = 0 is the q = 0 row
     assert (report.map_kind[:, 20:] == "trivial").all()
 

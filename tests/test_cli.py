@@ -358,13 +358,18 @@ def test_comp_witness_checks_every_point_before_evaluating(tmp_path, capsys):
 
 
 def test_antideg_sweep_gives_subnormal_q_the_q0_row(tmp_path):
-    # at q = 1e-310 the USD map's x = 1 - (1-q)(1-2p)/q overflows
+    # at q = 1e-310 the USD map's x = 1 - (1-q)(1-2p)/q overflows; there,
+    # as at q = 0, x = 1 and the residual is the inconclusive mass 1 - 2p
     out = tmp_path / "sweep.csv"
     rc = main(["sweep", "--quantity", "antideg", "--p-range", "0.1:0.2:2",
                "--q-range", "0:1e-310:2", "--out", str(out)])
     assert rc == 0
-    rows = out.read_text().splitlines()[2:]
-    assert rows == [f"{p},{q},0,inf,-inf" for p in ("0.1", "0.2") for q in ("0", "1e-310")]
+    rows = [row.split(",") for row in out.read_text().splitlines()[2:]]
+    assert [row[:4] for row in rows] == [
+        [p, q, "0", residual] for p, residual in (("0.1", "0.8"), ("0.2", "0.6"))
+        for q in ("0", "1e-310")
+    ]
+    assert all(abs(float(row[4])) <= 1e-15 for row in rows)
 
 
 def test_antideg_sweep_accepts_q_up_to_one(tmp_path):

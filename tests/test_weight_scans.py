@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dephrasure import channel
+from dephrasure import channel, codes
 from dephrasure.channel import maximize_over_weights, region_g, single_letter_ci
-from dephrasure.codes import repetition_ci_opt
+from dephrasure.codes import (
+    multiletter_ci,
+    repetition_ci,
+    repetition_ci_opt,
+    repetition_code_state,
+)
 from dephrasure.private_info import private_lower_bound
 from dephrasure.qinfo import binary_entropy
 
@@ -124,3 +131,82 @@ def test_lockstep_scan_reproduces_the_one_point_golden_section():
         assert _bits(lams[i]) == _bits(lam)
     # the log tail: below g(p) the best weight is far under the linear grid
     assert np.all(lams[-len(_NEAR_G):] < 1e-4)
+
+
+# The unfactored scans, each point's whole value taken at every weight of
+# the grid: the reference that the factored scans must match bit for bit.
+def _unfactored_single_letter(p, q):
+    p, q = (np.reshape(x, (-1, 1)) for x in (p, q))
+    values, lams = maximize_over_weights(_single_letter_value(p, q), 1e-3, 1e-10)
+    return values, 1 - 2 * lams
+
+
+def _unfactored_private(p, q):
+    p, q = (np.reshape(x, (-1, 1)) for x in (p, q))
+
+    def value(m):
+        lam = 1.0 - m
+        mix = p + (1 - lam) * (1 - 2 * p)
+        return (1 - q) * (1 - binary_entropy(mix)) - q * (1 - binary_entropy(lam))
+
+    values, mu = maximize_over_weights(value, 1e-3, 1e-10)
+    return values, 1.0 - mu
+
+
+def _unfactored_repetition(p, q, n):
+    _, *terms = codes._repetition_terms(p, q, n)
+    c, kept, erased = (np.reshape(term, (-1, 1)) for term in terms)
+
+    def value(lam):
+        small = channel._small_eigenvalue(4 * lam * (1 - lam) * c)
+        return (kept - erased) * binary_entropy(lam) - kept * binary_entropy(small)
+
+    return maximize_over_weights(value, 1e-4, 1e-12)
+
+
+# p = 0, p = 1/2, q = 0, q = 1/2 and the near-g(p) points, each p with
+# several q, so that the factored terms are shared between points
+_REFERENCE_SCANS = [
+    ("single_letter_ci", single_letter_ci, _unfactored_single_letter),
+    ("private_lower_bound", private_lower_bound, _unfactored_private),
+] + [
+    (f"repetition_ci_opt(n={n})", lambda p, q, n=n: repetition_ci_opt(p, q, n),
+     lambda p, q, n=n: _unfactored_repetition(p, q, n))
+    for n in range(1, 7)
+]
+
+
+@pytest.mark.parametrize("name,fn,reference", _REFERENCE_SCANS,
+                         ids=[s[0] for s in _REFERENCE_SCANS])
+def test_factored_scan_matches_the_unfactored_reference(name, fn, reference):
+    p, q = np.transpose(POINTS)
+    assert len(np.unique(p)) < len(p)
+    values, args = fn(p, q)
+    ref_values, ref_args = reference(p, q)
+    assert np.array_equal(_bits(values), _bits(ref_values))
+    assert np.array_equal(_bits(args), _bits(ref_args))
+
+
+def test_factored_repetition_scan_keys_on_c_of_p_and_n():
+    # the shape of verify thresholds: n in 1..5 over an 11 x 11 grid, where
+    # c(p, n) takes 47 distinct values (c = 0 at p = 0, 1 at p = 1/2) on
+    # 605 points
+    p, q = np.linspace(0.0, 0.5, 11)[:, None], np.linspace(0.0, 0.5, 11)
+    n = np.arange(1, 6)[:, None, None]
+    values, lams = repetition_ci_opt(p, q, n)
+    assert values.shape == (5, 11, 11)
+    assert len(np.unique(codes._repetition_terms(p, q, n)[1])) == 47
+    bp, bq, bn = np.broadcast_arrays(p, q, n)
+    ref_values, ref_lams = _unfactored_repetition(bp, bq, bn)
+    assert np.array_equal(_bits(values.reshape(-1)), _bits(ref_values))
+    assert np.array_equal(_bits(lams.reshape(-1)), _bits(ref_lams))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(0.0, 0.5), st.floats(0.0, 1.0), st.integers(1, 4), st.floats(0.0, 1.0))
+def test_repetition_closed_form_is_the_block_engine(p, q, n, lam):
+    # the closed form the factored scan splits into h(lam) and the block term
+    value = repetition_ci(p, q, n, lam)
+    assert value == pytest.approx(
+        multiletter_ci(repetition_code_state(n, lam), p, q), abs=1e-10
+    )
