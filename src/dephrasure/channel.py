@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .qinfo import KrausSet, binary_entropy, coherent_information
+from .qinfo import KrausSet, _check_points, _completeness, binary_entropy, coherent_information
 
 # Erasure flag: third basis vector of the qutrit output.
 KET_E = np.array([0.0, 0.0, 1.0], dtype=complex)
@@ -38,21 +38,6 @@ def _in_prob(name, values, hi):
     return (0.0 <= values) & (values <= hi + 1e-15), f"{name} = {{}} outside [0, {hi}]", values
 
 
-def _check_points(*checks):
-    """Raise the ValueError that a loop of one-point calls raises first.
-
-    Each check is (ok, message, values): a mask over the points, and the
-    error's message, formatted with the failing point's value.  The
-    first point in C order that fails a check raises the message of the
-    first check it fails.
-    """
-    bad = ~np.logical_and.reduce([ok for ok, _, _ in checks])
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        _, message, values = next(check for check in checks if not check[0].flat[i])
-        raise ValueError(message.format(float(values.flat[i])))
-
-
 # libm's pow elementwise (object arrays out), as Python's float ** takes it:
 # numpy's array power (SVML on AVX-512) differs in the last bit at times
 _libm_pow = np.frompyfunc(math.pow, 2, 1)
@@ -67,9 +52,19 @@ _CHANNEL_TABLE = np.array(
 
 def _channel_ops(p, q):
     """(..., 4, 3, 2) Kraus stacks of the channel at broadcast p and q."""
-    p, q = np.broadcast_arrays(p, q)
-    coef = [np.sqrt((1 - q) * (1 - p)), np.sqrt((1 - q) * p), np.sqrt(q), np.sqrt(q)]
-    return np.stack(coef, -1)[..., None, None] * _CHANNEL_TABLE
+    if np.shape(p) != np.shape(q):  # np.stack needs one shape
+        p, q = np.broadcast_arrays(p, q)
+    coef = np.sqrt(np.stack([(1 - q) * (1 - p), (1 - q) * p, q, q], -1))
+    return coef[..., None, None] * _CHANNEL_TABLE
+
+
+def _checked_ops(ops_fn, p, q):
+    """The Kraus stacks ops_fn(p, q) at points p and q, float arrays of
+    one shape, and, for _check_points, the checks that the KrausSet of
+    each point makes: p and q in [0, 1], then completeness."""
+    pq = np.array([p, q])
+    ops = ops_fn(*np.minimum(np.maximum(pq, 0.0), 1.0))
+    return ops, [_in_prob(name, v, 1.0) for name, v in zip("pq", pq)] + [_completeness(ops)]
 
 
 def dephrasure_kraus(p, q):
@@ -78,11 +73,13 @@ def dephrasure_kraus(p, q):
 
 
 def phi_states(p):
-    """The two environment states sqrt(1-p)|0> +/- sqrt(p)|1>."""
-    p = _check_prob(p, "p")
-    phi0 = np.array([np.sqrt(1 - p), np.sqrt(p)], dtype=complex)
-    phi1 = np.array([np.sqrt(1 - p), -np.sqrt(p)], dtype=complex)
-    return phi0, phi1
+    """The two environment states sqrt(1-p)|0> +/- sqrt(p)|1>, as (..., 2)
+    stacks over the points p, checked as _check_prob checks each."""
+    p = np.asarray(p, dtype=float)
+    _check_points(_in_prob("p", p, 1.0))
+    p = np.minimum(p, 1.0)
+    root = np.sqrt(np.stack([1 - p, p], -1)).astype(complex)
+    return root, root * [1, -1]
 
 
 def _complement_ops(p, q):
@@ -110,18 +107,20 @@ def complementary_kraus(p, q):
 
 
 def complementary_apply(p, q, rho):
-    """Direct block evaluation of the complementary channel on a qubit."""
+    """Direct block evaluation of the complementary channel on qubit states;
+    p, q and the leading axes of a stack rho (..., 2, 2) broadcast."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2):
         raise ValueError(f"expected a qubit state, got shape {rho.shape}")
-    p = _check_prob(p, "p")
-    q = _check_prob(q, "q")
-    phi0, phi1 = phi_states(p)
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = q * rho
-    out[2:, 2:] = (1 - q) * (
-        rho[0, 0].real * np.outer(phi0, phi0.conj())
-        + rho[1, 1].real * np.outer(phi1, phi1.conj())
+    p, q = _broadcast(p, q)
+    _check_points(_in_prob("p", p, 1.0), _in_prob("q", q, 1.0))
+    phi0, phi1 = (phi[..., None, :] for phi in phi_states(p))
+    q = np.minimum(q, 1.0)[..., None, None]
+    out = np.zeros(np.broadcast_shapes(p.shape, rho.shape[:-2]) + (4, 4), dtype=complex)
+    out[..., :2, :2] = q * rho
+    out[..., 2:, 2:] = (1 - q) * (
+        rho[..., :1, :1].real * (phi0.swapaxes(-1, -2) * phi0.conj())
+        + rho[..., 1:, 1:].real * (phi1.swapaxes(-1, -2) * phi1.conj())
     )
     return out
 

@@ -18,24 +18,26 @@ import numpy as np
 
 from .channel import (
     _broadcast,
-    _check_points,
+    _channel_ops,
     _check_prob,
+    _checked_ops,
     _factored_scan,
     _in_prob,
     _libm_pow,
     _points,
     _shaped,
     _small_eigenvalue,
-    dephrasure_kraus,
     maximize_over_weights,
     region_k,
 )
 from .qinfo import (
+    _check_points,
+    _ci_rows,
+    _completeness,
     _hermitian_eigh,
+    _tensor_ops,
     binary_entropy,
-    coherent_information,
     shannon_entropy,
-    tensor_power_kraus,
     von_neumann_entropy,
 )
 
@@ -217,13 +219,17 @@ def _chi3_map():
     return out
 
 
-def _dephasing_mask(p, m):
-    """(1-2p)^HammingDistance scaling matrix for m dephased qubits."""
-    if m == 0:
-        return np.ones((1, 1))
+@functools.cache
+def _qubit_tables(m):
+    """Read-only (Hamming distances, Hamming weights, m less the weights,
+    signs (-1)^(x.s)) of the 2^m basis states of m qubits."""
     idx = np.arange(2**m)
-    dist = np.bitwise_count(idx[:, None] ^ idx[None, :])
-    return (1.0 - 2.0 * p) ** dist
+    flips = np.bitwise_count(idx)
+    tables = (np.bitwise_count(idx[:, None] ^ idx), flips, m - flips,
+              1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx) & 1))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,6 +242,7 @@ class _PatternGroup:
     # (ref_dim * 2^(n - erased), 2^erased) matrix, rows ordered
     # (reference, survivors), columns the erased qubits
     gather: np.ndarray
+    gram: bool  # N^dagger N (2^n-dim) is smaller than the block N N^dagger
 
 
 @functools.lru_cache(maxsize=64)
@@ -260,7 +267,7 @@ def _block_plan(n, ref_dim):
     for k, members in sorted(by_erased.items()):
         gather = np.stack([g for _, g in members])
         gather.setflags(write=False)
-        plan.append(_PatternGroup(k, tuple(pat for pat, _ in members), gather))
+        plan.append(_PatternGroup(k, tuple(pat for pat, _ in members), gather, ref_dim > 2**k))
     return tuple(plan)
 
 
@@ -271,10 +278,8 @@ def _dephasing_factors(p, m):
     which multiplies basis state x by (-1)^(s.x); sum_s F[x, s] F[y, s]
     is the dephasing mask entry (1-2p)^(Hamming distance of x and y).
     """
-    idx = np.arange(2**m)
-    flips = np.bitwise_count(idx)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1)
-    return signs * np.sqrt(p**flips * (1 - p) ** (m - flips))
+    _, flips, kept, signs = _qubit_tables(m)
+    return signs * np.sqrt(p**flips * (1 - p) ** kept)
 
 
 def _log2_matrix(evals, vecs):
@@ -302,40 +307,61 @@ def pattern_decompose(code, p, q):
     """
     ref_dim = code.ref_dim
     blocks = []
-    for group, weight, dephasing, _, _ in _group_terms(code.n_uses, ref_dim, p, q):
+    for group, weights, dephasing, _ in _point_tables(code.n_uses, ref_dim, p, q, factors=False):
         mats = code.amplitudes[group.gather]
         stack = (mats @ mats.conj().swapaxes(-1, -2)) * np.kron(
-            np.ones((ref_dim, ref_dim)), dephasing
+            np.ones((ref_dim, ref_dim)), dephasing[0]
         )
         blocks += [
-            ErasurePatternBlock(pattern, weight, block)
+            ErasurePatternBlock(pattern, float(weights[0]), block)
             for pattern, block in zip(group.patterns, stack)
         ]
     return sorted(blocks, key=lambda blk: blk.pattern)
 
 
-def _group_terms(n, ref_dim, p, q):
-    """(group, weight, D, F, gram) for every plan group.
+def _point_tables(n, ref_dim, p, q, factors=True):
+    """(group, weights, D, F) of every plan group, on a leading axis of the
+    points p and q (one point or 1-d arrays), each point's from its own p
+    and q, checked as dephrasure_kraus checks them, as for it alone.
 
-    The weight of a pattern erasing k uses is q^k (1-q)^(n-k), 0 where it
-    underflows or q is 0 or 1, and the evaluators skip the group there.
-    D, the survivors' dephasing mask, scales their coherences by
+    The weight of a pattern erasing k uses is q^k (1-q)^(n-k), 0 where
+    it underflows or q is 0 or 1, and the evaluators skip the group
+    there.  D, the survivors' dephasing mask, scales their coherences by
     (1-2p)^(Hamming distance), so a block is (M M^dagger) o (1_ref (x) D)
-    for its gathered matrix M; F = _dephasing_factors(p, m).  ``gram``
-    says to take the block entropy on the environment side N^dagger N
-    (2^n-dimensional) because the block N N^dagger (ref_dim 2^m) is larger.
+    for its gathered matrix M; F = _dephasing_factors(p, m), or None.
     """
-    p, q = _check_prob(p, "p"), _check_prob(q, "q")
+    points = [(_check_prob(pi, "p"), _check_prob(qi, "q"))
+              for pi, qi in zip(np.ravel(p).tolist(), np.ravel(q).tolist())]
     return [
         (
             group,
-            q**group.erased * (1 - q) ** (n - group.erased),
-            _dephasing_mask(p, n - group.erased),
-            _dephasing_factors(p, n - group.erased),
-            ref_dim > 2**group.erased,
+            np.array([qi**group.erased * (1 - qi) ** (n - group.erased) for _, qi in points]),
+            np.array([(1.0 - 2.0 * pi) ** _qubit_tables(n - group.erased)[0] for pi, _ in points]),
+            np.array([_dephasing_factors(pi, n - group.erased) for pi, _ in points])
+            if factors else None,
         )
         for group in _block_plan(n, ref_dim)
     ]
+
+
+def _group_rows(tables, amps, points):
+    """(rows, weights, group, M, D, F) of each group's rows of nonzero
+    weight, row i at point ``points[i]`` (every row at the first point
+    without ``points``), M their gathered matrices: each row sees the
+    groups of its one-point call."""
+    if points is None:  # every row at the first point: nothing to gather
+        rows = np.arange(len(amps))
+        for group, weights, dephasing, factors in tables:
+            if weights[0] != 0.0:
+                yield rows, weights[0], group, amps[:, group.gather], dephasing[:1], factors[:1]
+        return
+    for group, weights, dephasing, factors in tables:
+        weight = weights[points]
+        rows = np.flatnonzero(weight != 0.0)
+        if rows.size:
+            at = points[rows]  # gathered in C order, whatever B is
+            mats = np.take(amps[rows], group.gather, axis=1)
+            yield rows, weight[rows], group, mats, dephasing[at], factors[at]
 
 
 def _block_factor(mats, factors, ref_dim):
@@ -369,10 +395,12 @@ def _block_side(factor, gram):
 
 
 def _ci_evaluator(n, ref_dim, p, q):
-    """Batched coherent information of (n, ref_dim) codes at fixed (p, q).
+    """Batched coherent information of (n, ref_dim) codes.
 
-    Returns ``evaluate(amps)`` mapping unit-norm amplitude rows (B,
-    ref_dim 2^n) to B values.  Each pattern block is rho = N N^dagger
+    p and q are one point or 1-d arrays of points.  Returns
+    ``evaluate(amps, points=None)`` mapping unit-norm amplitude rows (B,
+    ref_dim 2^n), row i at point ``points[i]``, to B values, as
+    ``_ci_gradient`` does.  Each pattern block is rho = N N^dagger
     with N = [sqrt(w_s) (1_ref (x) Z^s) M]_s over the dephasing Kraus
     operators of its m survivors, and S(rho) = S(N^dagger N): that Gram
     matrix is the state of the pattern's 2^n-dim environment (the erased
@@ -380,20 +408,15 @@ def _ci_evaluator(n, ref_dim, p, q):
     blocks (ref_dim 2^m) are larger than 2^n takes its entropy there;
     the input parts tr_ref(rho) come straight from M.  Per group of
     patterns this is one stacked entropy call for each of the two, over
-    all rows at once; zero-weight groups are skipped.
+    its rows, so each row has the bits of its one-row call.
     """
-    terms = [
-        (group.gather, weight, dephasing[None], factors[None], gram)
-        for group, weight, dephasing, factors, gram in _group_terms(n, ref_dim, p, q)
-        if weight != 0.0
-    ]
+    tables = _point_tables(n, ref_dim, p, q)
 
-    def evaluate(amps):
+    def evaluate(amps, points=None):
         total = np.zeros(len(amps))
-        for gather, weight, dephasing, factors, gram in terms:
-            mats = amps[..., gather]
-            side = _block_side(_block_factor(mats, factors, ref_dim), gram)
-            total += weight * np.sum(
+        for rows, weight, group, mats, dephasing, factors in _group_rows(tables, amps, points):
+            side = _block_side(_block_factor(mats, factors, ref_dim), group.gram)
+            total[rows] += weight * np.sum(
                 von_neumann_entropy(_input_parts(mats, dephasing, ref_dim))
                 - von_neumann_entropy(side),
                 axis=-1,
@@ -421,43 +444,26 @@ def _ci_gradient(n, ref_dim, p, q):
 
     the 1/ln 2 terms of dS = -tr[(log2 rho + 1/ln 2) d rho] cancelling
     because tr rho = tr rho_in.  Each pattern's term is scattered back
-    into its row through the gather indices.  A row takes a group only
-    where its point gives the group a nonzero weight, with that point's
-    weight, D and F, so it sees the groups, in order, and the arithmetic
-    of a one-point evaluator.  Every step is a stacked matmul or eigh
-    over the leading axes, elementwise, or a sum within one row, so each
-    row has the bits of its one-row stack.  The points' tables are built
-    here, once: 1.4 KB a point at n = 3.
+    into its row through the gather indices.  A row sees the groups, in
+    order, and the arithmetic of a one-point evaluator (_group_rows).
+    Every step is a stacked matmul or eigh over the leading axes,
+    elementwise, or a sum within one row, so each row has the bits of
+    its one-row stack.  The points' tables are built here, once: 1.4 KB
+    a point at n = 3.
     """
-    p, q = np.ravel(p).tolist(), np.ravel(q).tolist()
-    points = [_group_terms(n, ref_dim, *point) for point in zip(p, q)]
-    # each group's weights, D and F stacked on a leading point axis, each
-    # point's built from its scalar p and q as for that point alone
-    terms = [
-        (group.gather, *(np.array(part) for part in zip(*(point[g][1:4] for point in points))), gram)
-        for g, (group, *_, gram) in enumerate(points[0] if points else [])
-    ]
+    tables = _point_tables(n, ref_dim, p, q)
 
     def value_and_grad(amps, points=None):
-        if points is None:  # every row at the first point
-            points = np.zeros(len(amps), dtype=int)
         value, grad = np.zeros(len(amps)), np.zeros(amps.shape, dtype=complex)
-        for gather, weights, dephasing, factors, gram in terms:
-            weight = weights[points]
-            rows = np.flatnonzero(weight != 0.0)
-            if not rows.size:
-                continue
-            at, weight = points[rows], weight[rows]
-            factors, dephasing = factors[at], dephasing[at]
-            mats = np.take(amps[rows], gather, axis=1)  # C order, whatever B is
+        for rows, weight, group, mats, dephasing, factors in _group_rows(tables, amps, points):
             factor = _block_factor(mats, factors, ref_dim)
-            evals, vecs = _hermitian_eigh(_block_side(factor, gram))
+            evals, vecs = _hermitian_eigh(_block_side(factor, group.gram))
             in_evals, in_vecs = _hermitian_eigh(_input_parts(mats, dephasing, ref_dim))
             value[rows] += weight * np.sum(
                 shannon_entropy(in_evals) - shannon_entropy(evals), axis=-1
             )
             log_side = _log2_matrix(evals, vecs)
-            d_factor = factor @ log_side if gram else log_side @ factor
+            d_factor = factor @ log_side if group.gram else log_side @ factor
             surv = factors.shape[-1]
             d_mats = np.sum(
                 d_factor.reshape(*mats.shape[:2], ref_dim, surv, surv, -1)
@@ -466,7 +472,7 @@ def _ci_gradient(n, ref_dim, p, q):
             )
             log_in = _log2_matrix(in_evals, in_vecs) * dephasing[:, None]
             part = d_mats - log_in[:, :, None] @ mats.reshape(d_mats.shape)
-            np.add.at(grad, (rows[:, None, None, None], gather[None]),
+            np.add.at(grad, (rows[:, None, None, None], group.gather[None]),
                       np.reshape(2.0 * weight, (-1, 1, 1, 1)) * part.reshape(mats.shape))
         return value, grad
 
@@ -498,14 +504,35 @@ def brute_force_ci(code, p, q):
     ``qinfo.coherent_information`` of the 4^n tensor-power Kraus
     operators on the code's input state, with no erasure-pattern
     grouping: S of the 3^n-dim output less S of the 4^n-dim environment
-    state.  Exponential in n, so n <= BRUTE_FORCE_N_LIMIT only.
+    state.  Exponential in n, so n <= BRUTE_FORCE_N_LIMIT only:
+    ``_brute_force_rows`` on one code.
     """
-    n = code.n_uses
+    return _brute_force_rows(code.n_uses, code.input_state(), p, q)
+
+
+def _brute_force_rows(n, states, p, q):
+    """``brute_force_ci`` of n-use codes with input states (R, 2^n, 2^n),
+    row i at (p[i], q[i]), or of one code without the row axis: each
+    row's tensor power of its own point's Kraus stack, by tensor_kraus's
+    products, with KrausSet's checks of the stack and of the power
+    (_check_points).  Rows run in blocks of half of _STACK_BYTES: at
+    n = 3 a row's own 2 ms of products and eigh dwarf a block's set-up,
+    and one row, 1.1 MB, stays the peak.
+    """
     if n > BRUTE_FORCE_N_LIMIT:
         raise ValueError(f"brute force supports n <= {BRUTE_FORCE_N_LIMIT}")
-    return coherent_information(
-        tensor_power_kraus(dephrasure_kraus(p, q), n), code.input_state()
-    )
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    block = max(1, _STACK_BYTES // (2 * _brute_force_row_bytes(n)))
+    if states.ndim > 2 and len(states) > block:
+        return np.concatenate([
+            _brute_force_rows(n, states[at], p[at], q[at])
+            for at in (slice(i, i + block) for i in range(0, len(states), block))
+        ])
+    single, checks = _checked_ops(_channel_ops, p, q)
+    ops = functools.reduce(_tensor_ops, [single] * n)
+    if n > 1:  # the first power is the stack, checked once
+        checks.append(_completeness(ops))
+    return _ci_rows(ops, states, *checks)
 
 
 # bytes a code search holds at once in each of two places: a lockstep run
@@ -514,6 +541,11 @@ def brute_force_ci(code, p, q):
 # fit with their evaluator's temporaries (_on_sphere), one row at least,
 # so that n = 6, 2 MB a row for each of its four arrays, keeps its memory
 _STACK_BYTES = 4 * 2**20
+
+
+def _brute_force_row_bytes(n):
+    """Peak bytes of a ``_brute_force_rows`` row: five arrays of 4^n 3^n x 2^n."""
+    return 5 * 16 * 24**n
 
 
 def _zdiag_row_bytes(n):

@@ -11,14 +11,16 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import (
+    _channel_ops,
+    _checked_ops,
     _factored_scan,
     _points,
     _shaped,
     complementary_apply,
-    dephrasure_kraus,
     maximize_over_weights,
 )
-from .qinfo import apply_kraus, binary_entropy, check_density_matrix, von_neumann_entropy
+from .qinfo import (_check_points, _kraus_action, _state_checks, binary_entropy,
+                    check_density_matrix, von_neumann_entropy)
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 _MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
@@ -51,24 +53,29 @@ def ensemble_private_info(members, p, q):
     members = _check_ensemble(members)
     if members[0][1].shape[0] != 2:
         raise ValueError("dephrasure private information needs a qubit ensemble")
-    kraus = dephrasure_kraus(p, q)
+    probs, states = zip(*members)
+    return float(_private_info_rows(probs, np.array(states)[None], [p], [q])[0])
 
-    avg_b = np.zeros((3, 3), dtype=complex)
-    avg_e = np.zeros((4, 4), dtype=complex)
-    mean_s_b = 0.0
-    mean_s_e = 0.0
-    for prob, rho in members:
-        if prob == 0.0:
-            continue
-        out_b = apply_kraus(kraus, rho)
-        out_e = complementary_apply(p, q, rho)
-        avg_b += prob * out_b
-        avg_e += prob * out_e
-        mean_s_b += prob * von_neumann_entropy(out_b)
-        mean_s_e += prob * von_neumann_entropy(out_e)
-    holevo_b = von_neumann_entropy(avg_b) - mean_s_b
-    holevo_e = von_neumann_entropy(avg_e) - mean_s_e
-    return holevo_b - holevo_e
+
+def _private_info_rows(probs, states, p, q):
+    """ensemble_private_info of ensembles with probabilities ``probs`` (m,)
+    and qubit states (R, m, 2, 2), row i at (p[i], q[i]), each row checked
+    and computed as its one-row call (_check_points), so with its bits."""
+    p, q = (np.reshape(np.asarray(v, dtype=float), (-1, 1)) for v in (p, q))
+    ops, checks = _checked_ops(_channel_ops, p[:, 0], q[:, 0])
+    # a row's states member by member, then its channel, as its one-row call
+    state_checks = _state_checks(states)
+    _check_points(*[(ok[:, k], text, v[:, k])
+                    for k in range(len(probs)) for ok, text, v in state_checks], *checks)
+    holevo = []
+    for outs in (_kraus_action(ops[:, None], states)[1], complementary_apply(p, q, states)):
+        avg, mean = np.zeros(outs[:, 0].shape, dtype=complex), 0.0
+        for k, prob in enumerate(probs):
+            if prob != 0.0:
+                avg += prob * outs[:, k]
+                mean += prob * von_neumann_entropy(outs[:, k])
+        holevo.append(von_neumann_entropy(avg) - mean)
+    return holevo[0] - holevo[1]
 
 
 def plusminus_ensemble(lam):

@@ -29,17 +29,44 @@ def _as_square(mat):
     return mat
 
 
+def _check_points(*checks):
+    """Raise the ValueError that a loop of one-point calls raises first.
+
+    Each check is (ok, message, values): a mask over the points, and the
+    error's message, formatted with the failing point's value.  The
+    first point in C order that fails a check raises the message of the
+    first check it fails.
+    """
+    ok = np.array([ok for ok, _, _ in checks])
+    if not ok.all():
+        i = np.flatnonzero(~ok.all(axis=0))[0]
+        _, message, values = next(check for check in checks if not check[0].flat[i])
+        raise ValueError(message.format(float(values.flat[i])))
+
+
+def _state_checks(rho):
+    """check_density_matrix's checks of each matrix of a stack (..., d, d),
+    for _check_points: unit trace, Hermiticity, then positivity; a NaN
+    fails them."""
+    tr = rho.trace(0, -2, -1).real
+    herm = rho.conj().swapaxes(-1, -2)
+    asym = np.abs(rho - herm).reshape(rho.shape[:-2] + (-1,)).max(-1)
+    low = np.linalg.eigvalsh((rho + herm) / 2)[..., 0]
+    return (
+        (np.abs(tr - 1.0) <= max(TRACE_TOL, 1e-12 * rho.shape[-1]), "trace is {}, expected 1", tr),
+        (asym <= HERMITICITY_TOL, "matrix is not Hermitian (asymmetry {:.3g})", asym),
+        (low >= EIGENVALUE_FLOOR, "negative eigenvalue {:.3g}", low),
+    )
+
+
 def check_density_matrix(rho):
-    """Validate unit trace, then Hermiticity and positivity (_hermitian_eigh).
+    """Validate unit trace, then Hermiticity and positivity.
 
     Returns the validated matrix (as a complex array).  Raises
     ``ValueError`` on violation.
     """
     rho = _as_square(rho)
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > max(TRACE_TOL, 1e-12 * rho.shape[0]):
-        raise ValueError(f"trace is {tr}, expected 1")
-    _hermitian_eigh(rho, vectors=False)
+    _check_points(*_state_checks(rho))
     return rho
 
 
@@ -141,11 +168,7 @@ class KrausSet:
                     f"({self.out_dim}, {self.in_dim})"
                 )
         ops = np.array(self.operators, dtype=complex)
-        # sum_k K_k^dagger K_k as one product of the operators stacked by rows
-        rows = ops.reshape(-1, self.in_dim)
-        defect = np.max(np.abs(rows.conj().T @ rows - np.eye(self.in_dim)))
-        if defect > max(KRAUS_TOL, 1e-13 * self.in_dim * len(ops)):
-            raise ValueError(f"Kraus completeness violated by {defect:.3g}")
+        _check_points(_completeness(ops))
         ops.flags.writeable = False
         object.__setattr__(self, "operators", ops)
 
@@ -153,24 +176,36 @@ class KrausSet:
         return apply_kraus(self, rho)
 
 
-def _kraus_action(kraus, rho):
-    """(K_k rho stacked, N(rho)) for a square ``rho``; N(rho) is one product
-    of the K_k rho and the K_k^dagger placed side by side."""
-    if rho.shape[0] != kraus.in_dim:
+def _completeness(ops):
+    """KrausSet's check of each Kraus stack (..., m, out, in), for
+    _check_points: sum_k K_k^dagger K_k, one product of the operators
+    stacked by rows, is the identity; a NaN fails it."""
+    *lead, m, _, in_dim = ops.shape
+    rows = ops.reshape(*lead, -1, in_dim)
+    defect = np.abs(rows.conj().swapaxes(-1, -2) @ rows - np.eye(in_dim)).reshape(*lead, -1).max(-1)
+    tol = max(KRAUS_TOL, 1e-13 * in_dim * m)
+    return defect <= tol, "Kraus completeness violated by {:.3g}", defect
+
+
+def _kraus_action(ops, rho):
+    """(K_k rho stacked, N(rho)) for Kraus stacks ``ops`` (..., m, out, in)
+    and square states ``rho`` (..., in, in), leading axes broadcast; N(rho)
+    is one product of the K_k rho and the K_k^dagger placed side by side."""
+    if rho.shape[-1] != ops.shape[-1]:
         raise ValueError(
-            f"state dim {rho.shape[0]} != channel input dim {kraus.in_dim}"
+            f"state dim {rho.shape[-1]} != channel input dim {ops.shape[-1]}"
         )
-    ops = kraus.operators
-    kr = ops @ rho
-    out = kr.transpose(1, 0, 2).reshape(kraus.out_dim, -1) @ (
-        ops.transpose(1, 0, 2).reshape(kraus.out_dim, -1).conj().T
+    kr = ops @ rho[..., None, :, :]
+    side = (ops.shape[-2], -1)
+    out = kr.swapaxes(-3, -2).reshape(kr.shape[:-3] + side) @ (
+        ops.swapaxes(-3, -2).reshape(ops.shape[:-3] + side).conj().swapaxes(-1, -2)
     )
     return kr, out
 
 
 def apply_kraus(kraus, rho):
     """Channel action sum_k K_k rho K_k^dagger."""
-    return _kraus_action(kraus, _as_square(rho))[1]
+    return _kraus_action(kraus.operators, _as_square(rho))[1]
 
 
 def compose_kraus(outer, inner):
@@ -190,19 +225,16 @@ def tensor_kraus(a, b):
     Operator (i, j) is kron(a_i, b_j), in (i, j)-lexicographic order;
     the whole stack is one broadcast product.
     """
-    A, B = a.operators, b.operators
-    ops = A[:, None, :, None, :, None] * B[None, :, None, :, None, :]
-    out_dim, in_dim = a.out_dim * b.out_dim, a.in_dim * b.in_dim
-    return KrausSet(in_dim, out_dim, ops.reshape(-1, out_dim, in_dim))
+    return KrausSet(a.in_dim * b.in_dim, a.out_dim * b.out_dim,
+                    _tensor_ops(a.operators, b.operators))
 
 
-def tensor_power_kraus(kraus, n):
-    if n < 1:
-        raise ValueError("tensor power needs n >= 1")
-    out = kraus
-    for _ in range(n - 1):
-        out = tensor_kraus(out, kraus)
-    return out
+def _tensor_ops(A, B):
+    """tensor_kraus's operators of Kraus stacks A and B (..., m, out, in),
+    leading axes broadcast."""
+    out_a, in_a = A.shape[-2:]
+    ops = A[..., :, None, :, None, :, None] * B[..., None, :, None, :, None, :]
+    return ops.reshape(*ops.shape[:-6], -1, out_a * B.shape[-2], in_a * B.shape[-1])
 
 
 def purify(rho):
@@ -240,15 +272,27 @@ def _choi_of_terms(weights, ops):
 
 
 def coherent_information(kraus, rho):
-    """I_c(rho, N) = S(N(rho)) - S(N^c(rho)).
+    """I_c(rho, N) = S(N(rho)) - S(N^c(rho)): _ci_rows on one channel and state."""
+    return _ci_rows(kraus.operators, _as_square(rho))
+
+
+def _ci_rows(ops, rho, *checks):
+    """I_c of row i's channel, Kraus stack ops[i], on its state rho[i], for
+    stacks ops (..., m, out, in) and rho (..., in, in); no leading axes
+    give one float.
 
     The environment state N^c(rho)[k, l] = tr(K_k rho K_l^dagger) has
     the nonzero spectrum of (id (x) N)(psi) for any purification psi of
     rho, so its dimension is the number of Kraus operators rather than
     the reference's times the output's.  Both states come from the
-    stacked products K_k rho of apply_kraus, with one matmul each.
+    stacked products K_k rho of apply_kraus, with one matmul each.  Rows
+    are checked with ``checks``, then as states (_check_points); every
+    step is stacked, so each row has the bits of its one-row call.
     """
-    kr, out = _kraus_action(kraus, check_density_matrix(rho))
-    m = len(kr)
-    env = kr.reshape(m, -1) @ kraus.operators.reshape(m, -1).conj().T
+    _check_points(*checks, *_state_checks(rho))
+    kr, out = _kraus_action(ops, rho)
+    rows = (ops.shape[-3], -1)
+    env = kr.reshape(kr.shape[:-3] + rows) @ (
+        ops.reshape(ops.shape[:-3] + rows).conj().swapaxes(-1, -2)
+    )
     return von_neumann_entropy(out) - von_neumann_entropy(env)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -222,3 +224,17 @@ def test_parameter_validation():
         dephrasure_kraus(0.1, 1.2)
     with pytest.raises(ValueError):
         bloch_state(1.0, 1.0, 1.0)
+
+
+def test_complementary_apply_broadcasts_with_the_bits_of_single_states():
+    rng = np.random.default_rng(73)
+    mats = rng.standard_normal((4, 3, 2, 2)) + 1j * rng.standard_normal((4, 3, 2, 2))
+    rhos = mats @ mats.conj().swapaxes(-1, -2)
+    rhos /= np.trace(rhos, axis1=-2, axis2=-1).real[..., None, None]
+    p, q = rng.uniform(0.0, 0.5, (2, 4, 1))
+    out = complementary_apply(p, q, rhos)
+    assert out.shape == (4, 3, 4, 4)
+    for i, j in product(range(4), range(3)):
+        assert np.array_equal(out[i, j], complementary_apply(p[i, 0], q[i, 0], rhos[i, j]))
+    with pytest.raises(ValueError, match="q = 1.7 outside"):
+        complementary_apply(0.1, [0.2, 1.7], rhos[0, :2])

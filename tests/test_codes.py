@@ -230,6 +230,76 @@ def test_batched_engine_matches_repetition_closed_form(p, q):
             assert value == pytest.approx(single, abs=1e-12)
 
 
+def test_stacked_engine_rows_have_the_bits_of_one_code_calls():
+    # rows at mixed points, the q = 0 and q = 1 ones included, where whole
+    # groups of patterns have weight 0 and are skipped row by row
+    from dephrasure.codes import _ci_evaluator
+
+    rng = np.random.default_rng(47)
+    points = np.array(ENGINE_POINTS + [(0.07, 0.41), (0.0, 0.2)])
+    for n in range(1, 7):
+        ref_dim = 2**n if n <= 3 else 2
+        size = ref_dim * 2**n
+        amps = rng.standard_normal((12, size)) + 1j * rng.standard_normal((12, size))
+        amps /= np.linalg.norm(amps, axis=1)[:, None]
+        at = rng.permutation(np.arange(12) % len(points))
+        values = _ci_evaluator(n, ref_dim, points[:, 0], points[:, 1])(amps, at)
+        for row, i, value in zip(amps, at, values):
+            assert value == multiletter_ci(CodeState(n, ref_dim, row), *points[i])
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 2])
+def test_stacked_brute_force_rows_have_the_bits_of_one_code_calls(rows_per_block, monkeypatch):
+    # None: the suite's blocks, every row at n <= 2 and one at n = 3
+    from dephrasure import codes
+
+    rng = np.random.default_rng(53)
+    for n in (1, 2, 3):
+        if rows_per_block:
+            row_bytes = codes._brute_force_row_bytes(n)
+            monkeypatch.setattr(codes, "_STACK_BYTES", 2 * row_bytes * rows_per_block)
+        found = [_random_code(rng, n) for _ in range(5)]
+        p, q = rng.uniform(0.0, 0.5, (2, 5))
+        p[0], q[1], q[2] = 0.5, 0.0, 1.0
+        values = codes._brute_force_rows(n, np.array([c.input_state() for c in found]), p, q)
+        assert list(values) == [brute_force_ci(c, pi, qi) for c, pi, qi in zip(found, p, q)]
+
+
+def _raised(call, *args):
+    with pytest.raises(ValueError) as raised:
+        call(*args)
+    return str(raised.value)
+
+
+def test_stacked_brute_force_rows_raise_the_first_bad_rows_one_code_error():
+    # the one-code route of a row: its point's tensor-power KrausSet on
+    # its state; a row that fails a check raises that call's error, and
+    # an earlier row's error comes first whichever check it fails
+    from dephrasure.channel import dephrasure_kraus
+    from dephrasure.codes import _brute_force_rows
+    from dephrasure.qinfo import coherent_information, tensor_kraus
+
+    def one_code(p, q, rho):
+        kraus = dephrasure_kraus(p, q)
+        return coherent_information(tensor_kraus(kraus, kraus), rho)
+
+    rng = np.random.default_rng(59)
+    states = np.array([_random_code(rng, 2).input_state() for _ in range(4)])
+    p, q = np.full(4, 0.1), np.full(4, 0.2)
+    trace, nonhermitian, negative = states.copy(), states.copy(), states.copy()
+    trace[2] *= 1.5
+    nonhermitian[1, 0, 1] += 1e-3
+    negative[2] = np.diag([0.7, 0.4, 0.0, -0.1])
+    bad_p, bad_q = p.copy(), q.copy()
+    bad_p[1], bad_q[2] = 1.5, -0.25
+    for rows, row in (((trace, p, q), 2), ((nonhermitian, p, q), 1), ((negative, p, q), 2),
+                      ((states, bad_p, q), 1), ((states, p, bad_q), 2),
+                      ((trace, bad_p, q), 1), ((nonhermitian, p, bad_q), 1)):
+        rho, pp, qq = rows
+        expected = _raised(one_code, pp[row], qq[row], rho[row])
+        assert _raised(_brute_force_rows, 2, rho, pp, qq) == expected
+
+
 def test_pattern_decompose_block_layout():
     # pattern '01' of a two-use code erases the second use: the block is
     # the reference (x) first-use state, first-use coherences dephased

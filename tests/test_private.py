@@ -84,3 +84,50 @@ def test_ensemble_private_info_validation():
         ensemble_private_info(
             [(1.0, np.eye(3) / 3)], 0.1, 0.1
         )  # not a qubit ensemble
+
+
+def _holevo_loop(members, p, q):
+    """Reference: the Holevo route one member at a time, through
+    apply_kraus and complementary_apply on single states."""
+    from dephrasure.channel import complementary_apply, dephrasure_kraus
+    from dephrasure.qinfo import apply_kraus, von_neumann_entropy
+
+    kraus = dephrasure_kraus(p, q)
+    holevo = []
+    for apply in (lambda rho: apply_kraus(kraus, rho), lambda rho: complementary_apply(p, q, rho)):
+        avg, mean = 0.0, 0.0
+        for prob, rho in members:
+            if prob != 0.0:
+                avg = avg + prob * apply(rho)
+                mean += prob * von_neumann_entropy(apply(rho))
+        holevo.append(von_neumann_entropy(avg) - mean)
+    return holevo[0] - holevo[1]
+
+
+def test_stacked_holevo_rows_have_the_bits_of_the_one_member_loop():
+    from dephrasure.private_info import _private_info_rows
+
+    rng = np.random.default_rng(71)
+    p, q, lam = rng.uniform(0.0, 0.5, (3, 9))
+    p[0], q[1], lam[2] = 0.5, 0.0, 1.0
+    states = np.array([[rho for _, rho in plusminus_ensemble(li)] for li in lam])
+    for probs in ((0.5, 0.5), (0.0, 1.0), (0.25, 0.75)):
+        values = _private_info_rows(probs, states, p, q)
+        for row, value in enumerate(values):
+            members = list(zip(probs, states[row]))
+            assert value == _holevo_loop(members, p[row], q[row])
+            assert value == ensemble_private_info(members, p[row], q[row])
+
+
+def test_stacked_holevo_rows_raise_the_first_bad_rows_error():
+    from dephrasure.private_info import _private_info_rows
+
+    states = np.array([[rho for _, rho in plusminus_ensemble(li)] for li in (0.1, 0.2, 0.3)])
+    states[2, 1] = np.diag([1.5, -0.5])
+    p, q = np.array([0.1, 0.2, 0.3]), np.array([0.1, 1.0, 0.1])
+    # row 2's second state is not positive; then row 1's p is out of range
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        _private_info_rows((0.5, 0.5), states, p, q)
+    p[1] = 1.5
+    with pytest.raises(ValueError, match="p = 1.5 outside"):
+        _private_info_rows((0.5, 0.5), states, p, q)

@@ -14,7 +14,6 @@ from dephrasure.qinfo import (
     purify,
     shannon_entropy,
     tensor_kraus,
-    tensor_power_kraus,
     von_neumann_entropy,
 )
 
@@ -172,7 +171,7 @@ def test_compose_and_tensor_kraus():
     prod = tensor_kraus(a, b)
     joint = np.kron(rho, rho)
     assert np.allclose(prod(joint), np.kron(a(rho), b(rho)), atol=1e-13)
-    cubed = tensor_power_kraus(a, 3)
+    cubed = tensor_kraus(tensor_kraus(a, a), a)
     assert cubed.in_dim == 8 and cubed.out_dim == 8
 
 
@@ -272,6 +271,14 @@ def _random_kraus(rng, m, d_in, d_out):
     return KrausSet(d_in, d_out, tuple(ops @ inv_sqrt))
 
 
+def _tensor_power(kraus, n):
+    """The n-fold tensor power as a chain of tensor_kraus products."""
+    out = kraus
+    for _ in range(n - 1):
+        out = tensor_kraus(out, kraus)
+    return out
+
+
 def _joint_state_ci(kraus, rho):
     """Reference route: S(N(rho)) - S((id (x) N)(psi)) for a purification psi."""
     psi = purify(rho)
@@ -285,7 +292,7 @@ def _joint_state_ci(kraus, rho):
 def test_coherent_information_matches_the_joint_state_route():
     rng = np.random.default_rng(29)
     channels = [
-        tensor_power_kraus(dephrasure_kraus(p, q), n)
+        _tensor_power(dephrasure_kraus(p, q), n)
         for n in (1, 2, 3)
         for p, q in ((0.11, 0.33), (0.3, 0.05), (0.0, 0.5))
     ]
@@ -359,7 +366,7 @@ def test_apply_kraus_matches_the_per_operator_loop():
     channels = [
         dephrasure_kraus(0.11, 0.33),
         complementary_kraus(0.2, 0.4),
-        tensor_power_kraus(dephrasure_kraus(0.3, 0.1), 2),
+        _tensor_power(dephrasure_kraus(0.3, 0.1), 2),
         _random_kraus(rng, 7, 2, 3),
     ]
     for kraus in channels:
@@ -401,3 +408,57 @@ def test_array_holding_records_compare_by_identity_and_hash():
         a, b = make(), make()
         assert a == a and a != b and not (a == b)
         assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+def test_stacked_rows_have_the_bits_of_coherent_information():
+    # a row per channel and state; complementary channels included, as
+    # the compci suite stacks them
+    from dephrasure.channel import _channel_ops, _checked_ops, _complement_ops
+    from dephrasure.qinfo import _ci_rows
+
+    rng = np.random.default_rng(61)
+    p, q = rng.uniform(0.0, 0.5, (2, 6))
+    p[0], q[1] = 0.5, 0.0
+    states = _random_states(rng, 6, 2)
+    routes = ((_channel_ops, dephrasure_kraus), (_complement_ops, complementary_kraus))
+    for ops_fn, kraus_fn in routes:
+        ops, checks = _checked_ops(ops_fn, p, q)
+        values = _ci_rows(ops, states, *checks)
+        assert list(values) == [
+            coherent_information(kraus_fn(pi, qi), rho) for pi, qi, rho in zip(p, q, states)
+        ]
+
+
+def test_stacked_rows_raise_the_first_bad_rows_one_row_error():
+    # a broken Kraus stack raises KrausSet's error, a bad state
+    # check_density_matrix's; the first bad row in order raises
+    from dephrasure.channel import _checked_ops, _complement_ops
+    from dephrasure.qinfo import _ci_rows
+
+    rng = np.random.default_rng(67)
+    p, q = np.full(3, 0.2), np.full(3, 0.3)
+    ops, _ = _checked_ops(_complement_ops, p, q)
+    states = _random_states(rng, 3, 2)
+    broken = ops.copy()
+    broken[1, 0] *= 1.1
+    bad = states.copy()
+    bad[2] = np.diag([1.5, -0.5])
+    # row 1's stack is broken, row 2's state is bad
+    for ops_, states_, one_row in (
+        (broken, states, lambda: KrausSet(2, 4, broken[1])),
+        (ops, bad, lambda: check_density_matrix(bad[2])),
+        (broken, bad, lambda: KrausSet(2, 4, broken[1])),
+    ):
+        with pytest.raises(ValueError) as expected:
+            one_row()
+        _, checks = _checked_ops(lambda *_: ops_, p, q)
+        with pytest.raises(ValueError) as raised:
+            _ci_rows(ops_, states_, *checks)
+        assert str(raised.value) == str(expected.value)
+
+
+def test_a_nan_kraus_set_or_state_fails_its_check():
+    with pytest.raises(ValueError, match="Kraus completeness violated by nan"):
+        KrausSet(2, 2, [np.full((2, 2), np.nan)])
+    with pytest.raises(ValueError, match="trace is nan, expected 1"):
+        check_density_matrix(np.full((2, 2), np.nan))
