@@ -244,7 +244,11 @@ def build_parser():
     sweep = sub.add_parser("sweep", help="grid sweep of one quantity")
     common(sweep)
     sweep.add_argument("--q-range", type=_parse_range, default=_parse_range("0:0.5:201"))
-    sweep.add_argument("--quantity", required=True, help="name or name(n); n defaults to 2")
+    names = ", ".join(name + "(n)" * quantity.takes_n for name, quantity in _QUANTITIES.items())
+    sweep.add_argument("--quantity", required=True, help=(
+        f"one of {names}; n defaults to 2.  comp_witness needs q > 0: a q-range "
+        "holding q = 0, as the default one does, exits 2"
+    ))
     sweep.set_defaults(func=cmd_sweep)
 
     diag = sub.add_parser("diagonal", help="per-letter rates along q = slope*p")

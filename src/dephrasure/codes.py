@@ -725,13 +725,17 @@ _MAX_HALVINGS = 4
 def _two_loop(grad, pairs_s, pairs_y, rho):
     """The L-BFGS step H grad of every row (Nocedal & Wright, alg. 7.4).
 
-    Pairs are stored oldest first; an unused slot has rho = 0, so it
-    leaves the vector as it is.  H0 is (s.y / y.y) I from the newest
+    Pairs are stored oldest first, so a row's filled slots are its last
+    ones, and the loops start at the first slot any row has filled.  An
+    unused slot has rho = 0 and s = y = 0, so it leaves a row's vector as
+    it is, up to the sign of a zero.  H0 is (s.y / y.y) I from the newest
     pair, or 1 / |grad| without one: a first step of unit length.
     """
     vec = grad.copy()
+    used = np.flatnonzero(rho.any(axis=0))
+    slots = range(used[0] if used.size else rho.shape[1], rho.shape[1])
     alpha = np.zeros(rho.shape)
-    for j in reversed(range(rho.shape[1])):
+    for j in reversed(slots):
         alpha[:, j] = rho[:, j] * _rowdot(pairs_s[:, j], vec)
         vec -= alpha[:, j, None] * pairs_y[:, j]
     paired = rho[:, -1] > 0.0
@@ -741,7 +745,7 @@ def _two_loop(grad, pairs_s, pairs_y, rho):
         1.0 / np.where(paired, rho[:, -1] * yy, 1.0),
         1.0 / np.sqrt(_rowdot(grad, grad)),
     )[:, None]
-    for j in range(rho.shape[1]):
+    for j in slots:
         beta = rho[:, j] * _rowdot(pairs_y[:, j], vec)
         vec += (alpha[:, j] - beta)[:, None] * pairs_s[:, j]
     return vec
@@ -761,55 +765,68 @@ def _lockstep_lbfgs(objective, starts, max_iterations=_LBFGS_OPTIONS["maxiter"])
     when its line search fails or its direction is not downhill; it
     also stops after ``max_iterations`` iterations or on _LBFGS_OPTIONS's
     rules: a step lowering f by at most ``ftol`` max(|f|, |f_new|, 1), or
-    a gradient of max-norm at most ``gtol``.  Stopped rows leave the
-    stack.  Each step is elementwise, a sum within a row or one objective
-    call on the rows, so a row's result does not depend on the others.
+    a gradient of max-norm at most ``gtol``.
+
+    The rows advance asynchronously: each objective call after the
+    first evaluates one trial point x + step direction of every live
+    row, the unit step of its iteration or its next halving.  A row
+    whose line search ends there finishes its iteration and takes its
+    next direction before the next call; the others halve their step.
+    So a run makes 1 + (the most trial points of any row) calls.
+    Stopped rows leave the stack.  Each step is elementwise, a sum
+    within a row or one objective call on the rows, so a row's result
+    does not depend on the others: it meets the trial points it would
+    meet alone, in the same order.
     """
     x = np.array(starts, dtype=float)
     f, grad = objective(x, np.arange(len(x)))
     out_f, out_x = f.copy(), x.copy()
-    alive = np.flatnonzero(~(np.abs(grad).max(axis=-1) <= _LBFGS_OPTIONS["gtol"]))
+    flat = np.abs(grad).max(axis=-1) <= _LBFGS_OPTIONS["gtol"]
+    alive = np.flatnonzero(~flat & (max_iterations >= 1))
     x, f, grad = x[alive], f[alive], grad[alive]
     pairs_s = np.zeros((len(alive), _LBFGS_MEMORY, x.shape[1]))
     pairs_y, rho = np.zeros_like(pairs_s), np.zeros((len(alive), _LBFGS_MEMORY))
-    for _ in range(max_iterations):
-        if not alive.size:
-            break
-        direction = -_two_loop(grad, pairs_s, pairs_y, rho)
-        slope = _rowdot(grad, direction)
-        step = np.ones(len(x))
-        new_x = x + direction
-        new_f, new_grad = objective(new_x, alive)
+    iterations = np.zeros(len(alive), dtype=int)
+    direction = -_two_loop(grad, pairs_s, pairs_y, rho)
+    slope, step = _rowdot(grad, direction), np.ones(len(alive))
+    while alive.size:
+        trial = x + step[:, None] * direction
+        new_f, new_grad = objective(trial, alive)
         accepted = new_f <= f + _ARMIJO * step * slope
-        for _ in range(_MAX_HALVINGS):
-            retry = np.flatnonzero(~accepted)
-            if not retry.size:
-                break
-            step[retry] /= 2.0
-            new_x[retry] = x[retry] + step[retry, None] * direction[retry]
-            new_f[retry], new_grad[retry] = objective(new_x[retry], alive[retry])
-            accepted[retry] = new_f[retry] <= f[retry] + _ARMIJO * step[retry] * slope[retry]
-        accepted &= slope < 0.0
-        s, y = new_x - x, new_grad - grad
+        ended = accepted | (step == 0.5**_MAX_HALVINGS)
+        step[~ended] /= 2.0  # the rows still backtracking
+        # the rows whose line search ended finish their iteration
+        at = np.flatnonzero(ended)
+        moved = accepted[at] & (slope[at] < 0.0)
+        s, y = trial[at] - x[at], new_grad[at] - grad[at]
         sy = _rowdot(s, y)
-        store = accepted & (sy > np.finfo(float).eps * -(step * slope))
+        store = moved & (sy > np.finfo(float).eps * -(step[at] * slope[at]))
         inverse = 1.0 / np.where(store, sy, 1.0)
         for pairs, newest in ((pairs_s, s), (pairs_y, y), (rho, inverse)):
             # the stored rows drop their oldest slot
-            pairs[store] = np.concatenate([pairs[store, 1:], newest[store, None]], axis=1)
-        scale = np.maximum(np.maximum(np.abs(f), np.abs(new_f)), 1.0)
-        done = ~accepted | (f - new_f <= _LBFGS_OPTIONS["ftol"] * scale) | (
+            pairs[at[store]] = np.concatenate([pairs[at[store], 1:], newest[store, None]], axis=1)
+        old_f, new_f, new_grad = f[at], new_f[at], new_grad[at]
+        scale = np.maximum(np.maximum(np.abs(old_f), np.abs(new_f)), 1.0)
+        iterations[at] += 1
+        done = ~moved | (old_f - new_f <= _LBFGS_OPTIONS["ftol"] * scale) | (
             np.abs(new_grad).max(axis=-1) <= _LBFGS_OPTIONS["gtol"]
-        )
-        x[accepted], f[accepted], grad[accepted] = (
-            new_x[accepted], new_f[accepted], new_grad[accepted]
-        )
-        if done.any():
-            out_f[alive[done]], out_x[alive[done]] = f[done], x[done]
-            keep = ~done
-            alive, x, f, grad = alive[keep], x[keep], f[keep], grad[keep]
-            pairs_s, pairs_y, rho = pairs_s[keep], pairs_y[keep], rho[keep]
-    out_f[alive], out_x[alive] = f, x  # the rows that ran out of iterations
+        ) | (iterations[at] == max_iterations)
+        moves, stops = at[moved], at[done]
+        x[moves], f[moves], grad[moves] = trial[moves], new_f[moved], new_grad[moved]
+        if stops.size:
+            out_f[alive[stops]], out_x[alive[stops]] = f[stops], x[stops]
+            keep = np.ones(len(alive), dtype=bool)
+            keep[stops] = False
+            alive, x, f, grad, pairs_s, pairs_y, rho = (
+                part[keep] for part in (alive, x, f, grad, pairs_s, pairs_y, rho)
+            )
+            iterations, direction, slope, step, ended = (
+                part[keep] for part in (iterations, direction, slope, step, ended)
+            )
+        if ended.any():  # the next iteration's unit step
+            fresh = slice(None) if ended.all() else ended
+            direction[fresh] = -_two_loop(grad[fresh], pairs_s[fresh], pairs_y[fresh], rho[fresh])
+            slope[fresh], step[fresh] = _rowdot(grad[fresh], direction[fresh]), 1.0
     return out_f, out_x
 
 

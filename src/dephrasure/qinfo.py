@@ -117,13 +117,14 @@ def _hermitian_eigh(rho, vectors=True):
         raise ValueError(f"expected square matrices, got shape {rho.shape}")
     herm = rho.conj().swapaxes(-1, -2)
     asym = np.abs(rho - herm).max()
-    if asym > HERMITICITY_TOL:
+    # written so that NaN fails each test
+    if not asym <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3g})")
     if vectors:
         evals, vecs = np.linalg.eigh((rho + herm) / 2)
     else:
         evals = np.linalg.eigvalsh((rho + herm) / 2)
-    if evals.min() < EIGENVALUE_FLOOR:
+    if not evals.min() >= EIGENVALUE_FLOOR:
         raise ValueError(f"negative eigenvalue {evals.min():.3g}")
     evals = np.maximum(evals, 0.0)
     return (evals, vecs) if vectors else evals

@@ -190,6 +190,21 @@ def test_bad_quantity_exit_code():
     assert main(["sweep", "--quantity", "nope"]) == 2
 
 
+def test_sweep_help_names_every_quantity_and_comp_witness_q(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--help"])
+    assert err.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name, quantity in cli._QUANTITIES.items():
+        assert (name + "(n)" if quantity.takes_n else name) in text
+    assert "comp_witness needs q > 0" in text
+    # which the default q-range, from q = 0, breaks
+    out = tmp_path / "witness.csv"
+    argv = ["sweep", "--quantity", "comp_witness", "--p-range", "0.1:0.2:2", "--out", str(out)]
+    assert main(argv) == 2
+    assert main(argv + ["--q-range", "0.1:0.2:2"]) == 0
+
+
 def test_bad_range_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--quantity", "single_ci", "--p-range", "0:2:5"])

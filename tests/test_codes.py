@@ -957,6 +957,192 @@ def test_full_search_runs_within_the_stack_budget(monkeypatch):
     assert np.array_equal(small_code.amplitudes, code.amplitudes)
 
 
+def _synchronous_two_loop(grad, pairs_s, pairs_y, rho):
+    """codes._two_loop over every memory slot, filled or not."""
+    from dephrasure.codes import _rowdot
+
+    vec = grad.copy()
+    alpha = np.zeros(rho.shape)
+    for j in reversed(range(rho.shape[1])):
+        alpha[:, j] = rho[:, j] * _rowdot(pairs_s[:, j], vec)
+        vec -= alpha[:, j, None] * pairs_y[:, j]
+    paired = rho[:, -1] > 0.0
+    yy = _rowdot(pairs_y[:, -1], pairs_y[:, -1])
+    vec *= np.where(
+        paired,
+        1.0 / np.where(paired, rho[:, -1] * yy, 1.0),
+        1.0 / np.sqrt(_rowdot(grad, grad)),
+    )[:, None]
+    for j in range(rho.shape[1]):
+        beta = rho[:, j] * _rowdot(pairs_y[:, j], vec)
+        vec += (alpha[:, j] - beta)[:, None] * pairs_s[:, j]
+    return vec
+
+
+def _synchronous_lbfgs(objective, starts, max_iterations=200):
+    """The iteration-synchronous lockstep L-BFGS, the reference of
+    codes._lockstep_lbfgs: every live row's iteration ends before any
+    row's next one starts, and each halving is one more objective call on
+    the rows still backtracking."""
+    from dephrasure.codes import (
+        _ARMIJO, _LBFGS_MEMORY, _LBFGS_OPTIONS, _MAX_HALVINGS, _rowdot,
+    )
+
+    x = np.array(starts, dtype=float)
+    f, grad = objective(x, np.arange(len(x)))
+    out_f, out_x = f.copy(), x.copy()
+    alive = np.flatnonzero(~(np.abs(grad).max(axis=-1) <= _LBFGS_OPTIONS["gtol"]))
+    x, f, grad = x[alive], f[alive], grad[alive]
+    pairs_s = np.zeros((len(alive), _LBFGS_MEMORY, x.shape[1]))
+    pairs_y, rho = np.zeros_like(pairs_s), np.zeros((len(alive), _LBFGS_MEMORY))
+    for _ in range(max_iterations):
+        if not alive.size:
+            break
+        direction = -_synchronous_two_loop(grad, pairs_s, pairs_y, rho)
+        slope = _rowdot(grad, direction)
+        step = np.ones(len(x))
+        new_x = x + direction
+        new_f, new_grad = objective(new_x, alive)
+        accepted = new_f <= f + _ARMIJO * step * slope
+        for _ in range(_MAX_HALVINGS):
+            retry = np.flatnonzero(~accepted)
+            if not retry.size:
+                break
+            step[retry] /= 2.0
+            new_x[retry] = x[retry] + step[retry, None] * direction[retry]
+            new_f[retry], new_grad[retry] = objective(new_x[retry], alive[retry])
+            accepted[retry] = new_f[retry] <= f[retry] + _ARMIJO * step[retry] * slope[retry]
+        accepted &= slope < 0.0
+        s, y = new_x - x, new_grad - grad
+        sy = _rowdot(s, y)
+        store = accepted & (sy > np.finfo(float).eps * -(step * slope))
+        inverse = 1.0 / np.where(store, sy, 1.0)
+        for pairs, newest in ((pairs_s, s), (pairs_y, y), (rho, inverse)):
+            pairs[store] = np.concatenate([pairs[store, 1:], newest[store, None]], axis=1)
+        scale = np.maximum(np.maximum(np.abs(f), np.abs(new_f)), 1.0)
+        done = ~accepted | (f - new_f <= _LBFGS_OPTIONS["ftol"] * scale) | (
+            np.abs(new_grad).max(axis=-1) <= _LBFGS_OPTIONS["gtol"]
+        )
+        x[accepted], f[accepted], grad[accepted] = (
+            new_x[accepted], new_f[accepted], new_grad[accepted]
+        )
+        if done.any():
+            out_f[alive[done]], out_x[alive[done]] = f[done], x[done]
+            keep = ~done
+            alive, x, f, grad = alive[keep], x[keep], f[keep], grad[keep]
+            pairs_s, pairs_y, rho = pairs_s[keep], pairs_y[keep], rho[keep]
+    out_f[alive], out_x[alive] = f, x
+    return out_f, out_x
+
+
+def _toy_objective(x, starts):
+    """Rosenbrock rows; a start's index mod 5 picks its variant: 0 and 1
+    the function itself, 2 its gradient negated (every step goes uphill,
+    so the line search uses all its halvings and fails), 3 the function
+    times 1e200 (the gradient's norm overflows, so the direction is 0 and
+    the slope -0.0, not downhill), 4 a NaN gradient."""
+    a, b = x[:, :-1], x[:, 1:]
+    f = (100.0 * (b - a**2) ** 2 + (1.0 - a) ** 2).sum(axis=1)
+    grad = np.zeros_like(x)
+    grad[:, :-1] = -400.0 * a * (b - a**2) - 2.0 * (1.0 - a)
+    grad[:, 1:] += 200.0 * (b - a**2)
+    kind = np.asarray(starts) % 5
+    grad[kind == 2] *= -1.0
+    f[kind == 3] *= 1e200
+    grad[kind == 3] *= 1e200
+    grad[kind == 4] = np.nan
+    return f, grad
+
+
+def _toy_starts():
+    """Twelve starts in [-2, 2]^4; start 1 is Rosenbrock's minimum, where
+    the gradient is 0, so it stops before its first iteration."""
+    starts = np.random.default_rng(71).uniform(-2.0, 2.0, (12, 4))
+    starts[1] = 1.0
+    return starts
+
+
+def _lockstep_case(name):
+    """(objective, starts) of one lockstep run: theta_n, chi_3 and the full
+    search at one point, the mixed points' theta_3 and chi_3 stacks, whose
+    objectives tell each row's point from its start index, or the toy."""
+    from dephrasure.codes import _chi3_map, _chi3_starts, _code_objective, _zdiag_objective
+
+    if name.startswith("theta"):
+        n = int(name[-1])
+        return _zdiag_objective(0.11, 0.33, n), _zdiag_starts(0.11, 0.33, n, n_starts=8)
+    if name == "chi3":
+        return _code_objective(3, 4, 0.1149, 0.3447, _chi3_map()), _chi3_starts(0, 2)
+    if name.startswith("full"):
+        n, (p, q) = int(name[-1]), SEARCH_POINTS[int(name[-1]) - 1]
+        return _code_objective(n, 2**n, p, q, np.eye(4**n)), _full_starts(p, q, n)
+    p, q = np.array(MIXED_POINTS).T
+    owner = np.repeat(np.arange(len(p)), 3)
+    if name == "mixed_theta3":
+        starts = np.abs(np.random.default_rng(73).standard_normal((len(owner), 8)))
+        return _zdiag_objective(p, q, 3, owner), starts
+    if name == "mixed_chi3":
+        starts = np.tile(_chi3_starts(0, 0)[1:], (len(p), 1))
+        return _code_objective(3, 4, p, q, _chi3_map(), owner), starts
+    return _toy_objective, _toy_starts()
+
+
+LOCKSTEP_CASES = [
+    "theta1", "theta2", "theta3", "theta4", "chi3", "full2", "full3",
+    "mixed_theta3", "mixed_chi3", "toy",
+]
+
+
+def _recorded(objective):
+    """``objective``, and the list of the start indices of its calls."""
+    calls = []
+
+    def recorded(x, starts):
+        calls.append(np.array(starts))
+        return objective(x, starts)
+
+    return recorded, calls
+
+
+@pytest.mark.parametrize("max_iterations", [1, 2, 200])
+@pytest.mark.parametrize("name", LOCKSTEP_CASES)
+def test_asynchronous_rows_end_where_the_synchronous_loop_ends(name, max_iterations):
+    from dephrasure.codes import _lockstep_lbfgs
+
+    objective, starts = _lockstep_case(name)
+    # the toy's scaled rows overflow their gradient's norm on purpose
+    with np.errstate(over="ignore" if name == "toy" else "warn"):
+        funs, points = _lockstep_lbfgs(objective, starts, max_iterations)
+        ref_funs, ref_points = _synchronous_lbfgs(objective, starts, max_iterations)
+    assert np.array_equal(funs, ref_funs, equal_nan=True)
+    assert np.array_equal(points, ref_points, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["theta2", "theta4", "chi3", "full2", "mixed_theta3", "toy"])
+def test_every_call_holds_one_trial_point_of_each_live_row(name):
+    from dephrasure.codes import _lockstep_lbfgs
+
+    objective, starts = _lockstep_case(name)
+    recorded, calls = _recorded(objective)
+    ref_recorded, ref_calls = _recorded(objective)
+    with np.errstate(over="ignore" if name == "toy" else "warn"):
+        _lockstep_lbfgs(recorded, starts)
+        _synchronous_lbfgs(ref_recorded, starts)
+    assert all(len(np.unique(rows)) == len(rows) for rows in calls)
+    # the first call holds every start; each later one a trial point of
+    # every live row, so the row with the most trial points sets the count
+    assert np.array_equal(calls[0], np.arange(len(starts)))
+    trials = np.bincount(np.concatenate(calls), minlength=len(starts)) - 1
+    assert len(calls) == 1 + trials.max()
+    assert sum(map(len, calls)) == sum(map(len, ref_calls))
+    assert len(calls) < len(ref_calls)
+    if name == "toy":
+        # start 1 stops at once, 2 and 4 fail their line search after
+        # every halving, 3 has a zero direction that its unit step accepts
+        assert list(trials[1:5]) == [0, 5, 1, 5]
+        assert trials[0] > 5
+
+
 def test_many_point_zdiag_search_holds_one_block_of_masks():
     import tracemalloc
 

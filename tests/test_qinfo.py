@@ -462,3 +462,11 @@ def test_a_nan_kraus_set_or_state_fails_its_check():
         KrausSet(2, 2, [np.full((2, 2), np.nan)])
     with pytest.raises(ValueError, match="trace is nan, expected 1"):
         check_density_matrix(np.full((2, 2), np.nan))
+
+
+def test_a_nan_state_has_no_entropy():
+    for rho in (np.full((2, 2), np.nan), [[np.nan, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="asymmetry nan"):
+            von_neumann_entropy(rho)
+        with pytest.raises(ValueError, match="asymmetry nan"):
+            von_neumann_entropy(np.stack([np.eye(2) / 2, rho]))
