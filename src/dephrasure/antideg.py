@@ -107,14 +107,24 @@ def antidegrading_map(p, q):
 
 def _verify_block(p, q):
     """Rows (x, composition residual, CP min eigenvalue) at the points
-    p, q of two 1-d arrays."""
+    p, q of two 1-d arrays.
+
+    The map, complement and channel stacks hold real values, so every
+    Choi matrix and the composition are built in float64 from their real
+    parts, which give the complex build's bits.  The map's Choi is cast
+    to complex for eigvalsh alone: LAPACK's real symmetric solver rounds
+    its eigenvalues differently from the Hermitian one, and moved 21 of
+    the 225 noise-level CP eigenvalues of a 15x15 grid of [0, 1/2]^2, by
+    up to 6e-17.
+    """
     x, weights, ops = _map_stack(p, q)
-    cp_min = np.linalg.eigvalsh(_choi_of_terms(weights, ops)).min(axis=-1)
-    comp = _complement_ops(p, q)  # term (i, j): weights_i, ops_i @ comp_j
+    ops = ops.real
+    cp_min = np.linalg.eigvalsh(_choi_of_terms(weights, ops).astype(complex)).min(axis=-1)
+    comp = _complement_ops(p, q).real  # term (i, j): weights_i, ops_i @ comp_j
     terms = weights.shape[1] * comp.shape[1]
     composed = (ops[:, :, None] @ comp[:, None]).reshape(len(p), terms, 3, 2)
     choi_comp = _choi_of_terms(np.repeat(weights, comp.shape[1], axis=1), composed)
-    target = _choi_of_terms(np.ones((len(p), 4)), _channel_ops(p, q))
+    target = _choi_of_terms(np.ones((len(p), 4)), _channel_ops(p, q).real)
     residual = np.abs(choi_comp - target).max(axis=(-2, -1))
     return np.stack([x, residual, cp_min])
 

@@ -238,9 +238,11 @@ def _lambda_grid(step):
 
 
 # bytes of one (points, lambda block) array of the weight scan, which holds
-# three such arrays at once.  On a 15x15 grid (145 weights a block at 256 KB)
-# the three factored scans take 32 ms in 64 KB blocks, 25 in 128 KB and 22 in
-# 256 KB; tracemalloc peaks 0.5 / 0.9 MB at 128 / 256 KB, 0.55 MB unfactored
+# two such arrays, allocated once per call and reused by every block.  No
+# block may allocate one: an array this size allocated per block is a fresh
+# mapping past glibc's mmap threshold, paid in page faults.  On a 15x15 grid
+# (145 weights a block at 256 KB) the three factored scans took 32 ms in
+# 64 KB blocks, 25 in 128 KB and 22 in 256 KB when each block allocated
 _SCAN_BYTES = 1 << 18
 
 
@@ -278,52 +280,74 @@ def _golden_lockstep(value_fn, a, b, tol):
 def _factored_scan(terms, key, a, b):
     """(value_fn, scan_fn) for maximize_over_weights of a A - b B, (A, B) =
     terms(key, lam), at (P, 1) columns key, a, b; scan_fn takes a term that
-    reads key once per distinct key, and one that does not once a block."""
+    reads key once per distinct key, and one that does not once a block,
+    and writes the block into its work pair (a fresh pair if None)."""
     keys, at = np.unique(key.reshape(-1), return_inverse=True)
 
-    def value(lam, key=key, at=None):
-        A, B = (t[at] if at is not None and np.ndim(t) == 2 else t for t in terms(key, lam))
+    def value(lam):
+        A, B = terms(key, lam)
         out = a * A
         out -= b * B  # in place: one (P, k) temporary fewer
         return out
 
-    return value, lambda lam: value(lam, keys[:, None], at)
+    def scan(lam, work=None):
+        if work is None:
+            work = np.empty((2, key.size, len(lam)))
+        for out, coef, term in zip(work, (a, b), terms(keys[:, None], lam)):
+            if np.ndim(term) == 2:
+                # mode="clip" writes straight into out; "raise" buffers it
+                np.take(term, at, axis=0, out=out, mode="clip")
+                np.multiply(coef, out, out=out)
+            else:
+                np.multiply(coef, term, out=out)
+        return np.subtract(work[0], work[1], out=work[0])
+
+    return value, scan
 
 
 def maximize_over_weights(value_fn, step, tol, scan_fn=None):
     """Maximize value_fn over lambda in [0, 1/2] for many points at once.
 
     value_fn(lam) holds the points' parameters as (P, 1) columns and maps
-    (P, 1) weights to (P, 1) values; scan_fn (value_fn if None) maps a (k,)
-    block of weights to value_fn's (P, k) values.  The scan over the
-    linear-plus-log grid runs in blocks of at most _SCAN_BYTES per (P, k)
-    array, keeping each point's first maximum (as np.argmax over the whole
-    row); a golden section of value_fn in lockstep then refines between the
-    maximum's grid neighbours.  Returns (values, lambdas) of shape (P,); a
-    value_fn over one point with no point axis, (k,) -> (k,), gives 0-d arrays.
+    (P, 1) weights to (P, 1) values; scan_fn(lam, work) gives value_fn's
+    (P, k) values at a (k,) block of weights, written into ``work``, a pair
+    of C-contiguous (P, k) float arrays (None on the first call, which
+    sizes the blocks); value_fn(lam) is the scan if scan_fn is None.  The
+    scan over the linear-plus-log grid runs in blocks of at most
+    _SCAN_BYTES per (P, k) array.  The work pair and the running maximum
+    are allocated once per call and updated in place, so no block
+    allocates a (P, k) array.  Each point keeps its first maximum (as
+    np.argmax over the whole row); a golden section of value_fn in
+    lockstep then refines between the maximum's grid neighbours.  Returns
+    (values, lambdas) of shape (P,); a value_fn over one point with no
+    point axis, (k,) -> (k,), gives 0-d arrays.
     """
-    scan_fn = scan_fn or value_fn
+    scan_fn = scan_fn or (lambda lam, work: value_fn(lam))
     grid = _lambda_grid(step)
     # the first column gives the points' shape, which sizes the blocks
-    first = np.asarray(scan_fn(grid[:1]))
+    first = np.asarray(scan_fn(grid[:1], None))
     shape = first.shape[:-1]
-    best_val = first.reshape(-1)
-    best_idx = np.zeros(best_val.size, dtype=int)
-    rows = np.arange(best_val.size)
-    cols = max(1, _SCAN_BYTES // (8 * max(1, best_val.size)))
+    best_val = first.reshape(-1).copy()
+    size = best_val.size
+    best_idx = np.zeros(size, dtype=int)
+    idx, better = np.empty(size, dtype=int), np.empty(size, dtype=bool)
+    rows = np.arange(size)
+    cols = max(1, _SCAN_BYTES // (8 * max(1, size)))
+    pair = [np.empty(size * min(cols, len(grid) - 1)) for _ in range(2)]
     for start in range(1, len(grid), cols):
-        vals = np.asarray(scan_fn(grid[start : start + cols]))
-        vals = vals.reshape(-1, vals.shape[-1])
-        if vals.shape[1] == 1:
+        k = min(cols, len(grid) - start)
+        work = [w[: size * k].reshape(size, k) for w in pair]
+        vals = np.reshape(scan_fn(grid[start : start + k], work), (size, k))
+        if k == 1:
             # one weight a block on large batches: a row-wise argmax costs far more
-            idx, top = 0, vals[:, 0]
+            top, at = vals[:, 0], start
         else:
-            idx = np.argmax(vals, axis=1)
+            np.argmax(vals, axis=1, out=idx)
             top = vals[rows, idx]
-        better = top > best_val
-        best_val = np.where(better, top, best_val)
-        best_idx = np.where(better, idx + start, best_idx)
-        del vals  # freed before the next block is made
+            at = np.add(idx, start, out=idx)
+        np.greater(top, best_val, out=better)
+        np.copyto(best_val, top, where=better)
+        np.copyto(best_idx, at, where=better)
     lo = grid[np.maximum(best_idx - 1, 0)].reshape(shape + (1,))
     hi = grid[np.minimum(best_idx + 1, len(grid) - 1)].reshape(shape + (1,))
     lam, val = _golden_lockstep(value_fn, lo, hi, tol)

@@ -47,7 +47,8 @@ def _check_points(*checks):
 def _state_checks(rho):
     """check_density_matrix's checks of each matrix of a stack (..., d, d),
     for _check_points: unit trace, Hermiticity, then positivity; a NaN
-    fails them."""
+    fails them, and so does an infinite entry, taken as NaN."""
+    rho = _nan_for_nonfinite(rho)
     tr = rho.trace(0, -2, -1).real
     herm = rho.conj().swapaxes(-1, -2)
     asym = np.abs(rho - herm).reshape(rho.shape[:-2] + (-1,)).max(-1)
@@ -57,6 +58,13 @@ def _state_checks(rho):
         (asym <= HERMITICITY_TOL, "matrix is not Hermitian (asymmetry {:.3g})", asym),
         (low >= EIGENVALUE_FLOOR, "negative eigenvalue {:.3g}", low),
     )
+
+
+def _nan_for_nonfinite(a):
+    """``a`` with every entry that is not finite set to NaN, which fails
+    each check quietly; inf - inf or inf * 0 would warn first."""
+    finite = np.isfinite(a)
+    return a if finite.all() else np.where(finite, a, np.nan)
 
 
 def check_density_matrix(rho):
@@ -116,7 +124,8 @@ def _hermitian_eigh(rho, vectors=True):
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {rho.shape}")
     herm = rho.conj().swapaxes(-1, -2)
-    asym = np.abs(rho - herm).max()
+    # an entry that is not finite fails here, before inf - inf can warn
+    asym = np.abs(rho - herm).max() if np.isfinite(rho).all() else np.nan
     # written so that NaN fails each test
     if not asym <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3g})")
@@ -180,9 +189,10 @@ class KrausSet:
 def _completeness(ops):
     """KrausSet's check of each Kraus stack (..., m, out, in), for
     _check_points: sum_k K_k^dagger K_k, one product of the operators
-    stacked by rows, is the identity; a NaN fails it."""
+    stacked by rows, is the identity; a NaN fails it, and so does an
+    infinite entry, taken as NaN."""
     *lead, m, _, in_dim = ops.shape
-    rows = ops.reshape(*lead, -1, in_dim)
+    rows = _nan_for_nonfinite(ops).reshape(*lead, -1, in_dim)
     defect = np.abs(rows.conj().swapaxes(-1, -2) @ rows - np.eye(in_dim)).reshape(*lead, -1).max(-1)
     tol = max(KRAUS_TOL, 1e-13 * in_dim * m)
     return defect <= tol, "Kraus completeness violated by {:.3g}", defect
@@ -268,8 +278,9 @@ def _choi_of_terms(weights, ops):
     """
     *lead, out_dim, in_dim = ops.shape
     v = ops.swapaxes(-1, -2).reshape(*lead, in_dim * out_dim)  # K_i.T flattened
-    w = weights[..., None, None]
-    return np.sum(w * (v[..., :, None] * v.conj()[..., None, :]), axis=-3)
+    terms = v[..., :, None] * v.conj()[..., None, :]
+    terms *= weights[..., None, None]  # in place: one (..., m, d, d) temporary
+    return np.sum(terms, axis=-3)
 
 
 def coherent_information(kraus, rho):

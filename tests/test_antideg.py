@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dephrasure.antideg import (
+    _BLOCK_POINTS,
     NotAntidegradableHere,
     _map_stack,
     antidegrading_map,
     verify_antidegradable,
 )
 from dephrasure.channel import (
+    _channel_ops,
+    _complement_ops,
     complementary_kraus,
     dephrasure_kraus,
     region_k,
@@ -177,3 +180,54 @@ def test_stacked_report_properties(points):
     bp, bq = np.broadcast_arrays(p, q)
     k = np.array([region_k(pi) for pi in bp.flat]).reshape(bp.shape)
     assert np.asarray(report.antidegradable)[bq >= k + 1e-9].all()
+
+
+def _complex_verify_block(p, q):
+    """_verify_block as built in complex arithmetic, the reference for
+    its float64 build: every stack, Choi matrix and the composition
+    complex."""
+    x, weights, ops = _map_stack(p, q)
+    cp_min = np.linalg.eigvalsh(_choi_of_terms(weights, ops)).min(axis=-1)
+    comp = _complement_ops(p, q)  # term (i, j): weights_i, ops_i @ comp_j
+    terms = weights.shape[1] * comp.shape[1]
+    composed = (ops[:, :, None] @ comp[:, None]).reshape(len(p), terms, 3, 2)
+    choi_comp = _choi_of_terms(np.repeat(weights, comp.shape[1], axis=1), composed)
+    target = _choi_of_terms(np.ones((len(p), 4)), _channel_ops(p, q))
+    residual = np.abs(choi_comp - target).max(axis=(-2, -1))
+    return np.stack([x, residual, cp_min])
+
+
+def _suite_grid():
+    ps = np.linspace(0.0, 0.5, 20)  # as verify.antideg_suite builds it
+    lows = np.maximum(region_k(ps), 1e-6)
+    return np.repeat(ps, 20), np.linspace(lows, 0.5, 20, axis=-1).reshape(-1)
+
+
+def _edge_points():
+    ps = np.linspace(0.0, 0.5, 11)
+    k = np.array([region_k(p) for p in ps])
+    below = np.stack([ps[1:-1], 0.5 * k[1:-1]])  # x < 0: negative weights
+    above = np.stack([np.repeat(ps, 3), np.tile([0.5, 0.75, 1.0], len(ps))])
+    q_zero = np.stack([ps, np.zeros_like(ps)])
+    p_half = np.stack([np.full(6, 0.5), np.linspace(0.0, 1.0, 6)])
+    return np.concatenate([below, above, q_zero, p_half], axis=1)
+
+
+_REFERENCE_GRIDS = {
+    "antideg_suite_20x20": _suite_grid(),
+    "grid_15x15": tuple(x.reshape(-1) for x in np.meshgrid(
+        np.linspace(0.0, 0.5, 15), np.linspace(0.0, 0.5, 15), indexing="ij")),
+    "edges": tuple(_edge_points()),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_GRIDS))
+def test_float64_check_matches_the_complex_reference_byte_for_byte(name):
+    p, q = _REFERENCE_GRIDS[name]
+    report = verify_antidegradable(p, q)
+    want = np.concatenate([
+        _complex_verify_block(p[i : i + _BLOCK_POINTS], q[i : i + _BLOCK_POINTS])
+        for i in range(0, len(p), _BLOCK_POINTS)
+    ], axis=1)
+    for field, rows in zip(("x_param", "composition_residual", "cp_min_eigenvalue"), want):
+        assert np.asarray(getattr(report, field)).tobytes() == rows.tobytes(), field

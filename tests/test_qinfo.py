@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ from dephrasure.channel import complementary_kraus, dephrasure_kraus
 from dephrasure.codes import CodeState, ErasurePatternBlock
 from dephrasure.qinfo import (
     KrausSet,
+    _check_points,
+    _completeness,
+    _state_checks,
     apply_kraus,
     binary_entropy,
     check_density_matrix,
@@ -470,3 +475,35 @@ def test_a_nan_state_has_no_entropy():
             von_neumann_entropy(rho)
         with pytest.raises(ValueError, match="asymmetry nan"):
             von_neumann_entropy(np.stack([np.eye(2) / 2, rho]))
+
+
+def test_an_infinite_entry_fails_its_check_without_a_warning():
+    # inf - inf, inf / 2 and inf * 0 in the checks' own arithmetic would
+    # warn before the check rejects the matrix; an infinite entry is taken
+    # as NaN, which fails each check quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(asymmetry nan\)$"):
+            von_neumann_entropy([[np.inf, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(asymmetry nan\)$"):
+            von_neumann_entropy(np.stack([np.eye(2) / 2, [[1.0, -np.inf], [-np.inf, 0.0]]]))
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(asymmetry nan\)$"):
+            check_density_matrix([[0.5, np.inf], [0.0, 0.5]])
+        with pytest.raises(ValueError, match=r"^trace is nan, expected 1$"):
+            check_density_matrix([[np.inf, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^Kraus completeness violated by nan$"):
+            KrausSet(2, 2, [[[np.inf, 0.0], [0.0, 1.0]]])
+
+
+def test_a_stacked_check_names_the_infinite_row():
+    # a finite row before it passes; the infinite row raises its own error
+    ops = np.stack([np.eye(2)[None], np.array([[[np.inf, 0.0], [0.0, 1.0]]])])
+    states = np.stack([np.eye(2) / 2, [[0.5, np.inf], [0.0, 0.5]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^Kraus completeness violated by nan$"):
+            _check_points(_completeness(ops))
+        assert _completeness(ops)[0].tolist() == [True, False]
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(asymmetry nan\)$"):
+            _check_points(*_state_checks(states))
+        assert [ok.tolist() for ok, _, _ in _state_checks(states)][1] == [True, False]

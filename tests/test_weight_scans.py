@@ -210,3 +210,54 @@ def test_repetition_closed_form_is_the_block_engine(p, q, n, lam):
     assert value == pytest.approx(
         multiletter_ci(repetition_code_state(n, lam), p, q), abs=1e-10
     )
+
+
+def _scan_columns(points):
+    """Weights a scan block holds at ``points`` points."""
+    return max(1, channel._SCAN_BYTES // (8 * points))
+
+
+_GRID_15 = [x.reshape(-1) for x in np.meshgrid(
+    np.linspace(0.0, 0.5, 15), np.linspace(0.0, 0.5, 15), indexing="ij")]
+
+
+@pytest.mark.parametrize("name,fn,reference", _REFERENCE_SCANS[:3],
+                         ids=[s[0] for s in _REFERENCE_SCANS[:3]])
+def test_ragged_last_block_matches_the_unfactored_reference(name, fn, reference):
+    # the 15 x 15 grid of [0, 1/2]^2: 145 weights a block, and neither grid
+    # (1684 weights at step 1e-3, 6184 at 1e-4) fills its last block
+    p, q = _GRID_15
+    cols = _scan_columns(len(p))
+    for step in (1e-3, 1e-4):
+        assert (len(channel._lambda_grid(step)) - 1) % cols != 0
+    values, args = fn(p, q)
+    ref_values, ref_args = reference(p, q)
+    assert np.array_equal(_bits(values), _bits(ref_values))
+    assert np.array_equal(_bits(args), _bits(ref_args))
+
+
+def test_repetition_scan_at_q_one_matches_the_unfactored_reference():
+    # q = 1: (1-q)^n = 0, so the block term's coefficient b is zero and
+    # the value is -h(lam) at every weight
+    p = np.repeat(np.linspace(0.0, 0.5, 11), 4)
+    n = np.tile(np.arange(1, 5), 11)
+    q = np.ones_like(p)
+    assert not codes._repetition_terms(p, q, n)[2].any()
+    values, lams = repetition_ci_opt(p, q, n)
+    ref_values, ref_lams = _unfactored_repetition(p, q, n)
+    assert np.array_equal(_bits(values), _bits(ref_values))
+    assert np.array_equal(_bits(lams), _bits(ref_lams))
+
+
+@pytest.mark.parametrize("name,fn,reference", _REFERENCE_SCANS[:3],
+                         ids=[s[0] for s in _REFERENCE_SCANS[:3]])
+def test_one_column_blocks_on_a_201_point_axis(name, fn, reference, monkeypatch):
+    # the default sweep axis, 201 distinct p; from about 33k points every
+    # block holds one weight, set here by the block size
+    p, q = np.linspace(0.0, 0.5, 201), np.linspace(0.5, 0.0, 201)
+    monkeypatch.setattr(channel, "_SCAN_BYTES", 8 * len(p))
+    assert _scan_columns(len(p)) == 1
+    values, args = fn(p, q)
+    ref_values, ref_args = reference(p, q)
+    assert np.array_equal(_bits(values), _bits(ref_values))
+    assert np.array_equal(_bits(args), _bits(ref_args))
