@@ -307,7 +307,7 @@ def pattern_decompose(code, p, q):
     """
     ref_dim = code.ref_dim
     blocks = []
-    for group, weights, dephasing, _ in _point_tables(code.n_uses, ref_dim, p, q, factors=False):
+    for group, weights, dephasing, _ in _point_tables(code.n_uses, ref_dim, p, q):
         mats = code.amplitudes[group.gather]
         stack = (mats @ mats.conj().swapaxes(-1, -2)) * np.kron(
             np.ones((ref_dim, ref_dim)), dephasing[0]
@@ -319,7 +319,7 @@ def pattern_decompose(code, p, q):
     return sorted(blocks, key=lambda blk: blk.pattern)
 
 
-def _point_tables(n, ref_dim, p, q, factors=True):
+def _point_tables(n, ref_dim, p, q):
     """(group, weights, D, F) of every plan group, on a leading axis of the
     points p and q (one point or 1-d arrays), each point's from its own p
     and q, checked as dephrasure_kraus checks them, as for it alone.
@@ -328,7 +328,7 @@ def _point_tables(n, ref_dim, p, q, factors=True):
     it underflows or q is 0 or 1, and the evaluators skip the group
     there.  D, the survivors' dephasing mask, scales their coherences by
     (1-2p)^(Hamming distance), so a block is (M M^dagger) o (1_ref (x) D)
-    for its gathered matrix M; F = _dephasing_factors(p, m), or None.
+    for its gathered matrix M; F = _dephasing_factors(p, m).
     """
     points = [(_check_prob(pi, "p"), _check_prob(qi, "q"))
               for pi, qi in zip(np.ravel(p).tolist(), np.ravel(q).tolist())]
@@ -337,8 +337,7 @@ def _point_tables(n, ref_dim, p, q, factors=True):
             group,
             np.array([qi**group.erased * (1 - qi) ** (n - group.erased) for _, qi in points]),
             np.array([(1.0 - 2.0 * pi) ** _qubit_tables(n - group.erased)[0] for pi, _ in points]),
-            np.array([_dephasing_factors(pi, n - group.erased) for pi, _ in points])
-            if factors else None,
+            np.array([_dephasing_factors(pi, n - group.erased) for pi, _ in points]),
         )
         for group in _block_plan(n, ref_dim)
     ]
@@ -551,7 +550,7 @@ def _brute_force_row_bytes(n):
 def _zdiag_row_bytes(n):
     """Bytes a row holds in a Z-diagonal evaluation: four arrays of its
     2^n patterns' 2^n by 2^n matrices (the matrices, masks, eigenvectors
-    and log2 of the matrices); a call also holds one mask a point."""
+    and log2 of the matrices)."""
     return 4 * 8 * 8**n
 
 
@@ -569,13 +568,14 @@ def _zdiag_evaluator(p, q, n):
     orthonormal set {|s>_ref (x) |s_surv>}, so its matrix in that basis
     is B_s = (c c^T) o K_s with K_s[s, s'] = [s_erased == s'_erased]
     (1-2p)^d(s_surv, s'_surv), and the eigenproblem is only
-    2^n-dimensional.  p and q are one point or 1-d arrays of points.
-    ``value_and_grad(coeffs, points=None)`` takes a stack (B, 2^n) of
-    coefficient rows, row i at point ``points[i]`` (at the first point
-    without ``points``), builds the pattern weights and masks (2 MB at
-    n = 6) of the call's own points, each from its scalar p and q as for
-    that point alone, unless the previous call had the same points,
-    makes one stacked eigh call and one matmul for the reference-traced
+    2^n-dimensional.  p and q are one point or 1-d arrays of points,
+    whose tables are built here, once, each from its scalar p and q as
+    for that point alone: the pattern weights q^k (1-q)^(n-k) and the
+    powers (1-2p)^d, d = 0..n, then 0.0.  ``value_and_grad(coeffs,
+    points=None)`` takes a stack (B, 2^n) of coefficient rows, row i at
+    point ``points[i]`` (at the first point without ``points``), gathers
+    each row's masks K_s (2 MB at n = 6) from its point's powers, makes
+    one stacked eigh call and one matmul for the reference-traced
     diagonals g_s = G_s c^2, and returns the B values with their exact
     (B, 2^n) gradients
 
@@ -592,30 +592,27 @@ def _zdiag_evaluator(p, q, n):
     dim = 2**n
     idx = np.arange(dim)  # also the erased-position bit masks, in pattern order
     k = np.bitwise_count(idx)
-    p, q = np.ravel(p).tolist(), np.ravel(q).tolist()
     diff = idx[:, None] ^ idx[None, :]
     erased = idx[:, None, None]
     surv = (dim - 1) ^ erased
-    # a mask is same * (1-2p)^distance
-    same, distance = (diff & erased) == 0, np.bitwise_count(diff & surv)
+    # K_s[x, y] is a point's power at power_at[s, x, y]: the survivors'
+    # distance, or n + 1, the 0.0, where x and y differ on an erased bit;
+    # np.take would cast a uint8 index on every call
+    power_at = np.where((diff & erased) == 0, np.bitwise_count(diff & surv), n + 1).astype(np.intp)
     # grouping[s, t, i] = [i & surv_s == t]: reference traced out, the
     # diagonal state is grouped by the surviving bits
     grouping = ((idx[None, None, :] & surv) == idx[None, :, None]).astype(float).reshape(-1, dim)
-    last = {}  # the last call's points' (weights, masks), kept while they repeat
+    weights = np.array([qi**k * (1 - qi) ** (n - k) for qi in np.ravel(q).tolist()])
+    powers = np.array([np.append((1.0 - 2.0 * pi) ** np.arange(n + 1), 0.0)
+                       for pi in np.ravel(p).tolist()])
 
     def value_and_grad(coeffs, points=None):
         coeffs = np.asarray(coeffs, dtype=float)
         rows = coeffs.reshape(-1, dim)
         if points is None:  # every row at the first point
             points = np.zeros(len(rows), dtype=int)
-        at, row_point = np.unique(points, return_inverse=True)
-        key = at.tobytes()
-        if key not in last:
-            last.clear()
-            last[key] = (np.array([q[i] ** k * (1 - q[i]) ** (n - k) for i in at.tolist()]),
-                         np.array([same * (1.0 - 2.0 * p[i]) ** distance for i in at.tolist()]))
-        weights, masks = last[key]
-        value, grad = _zdiag_rows(rows, weights[row_point], masks[row_point], grouping)
+        masks = np.take(powers[points], power_at, axis=1)
+        value, grad = _zdiag_rows(rows, weights[points], masks, grouping)
         if coeffs.ndim == 1:
             return float(value[0]), grad[0]
         return value, grad

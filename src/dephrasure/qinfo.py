@@ -52,7 +52,8 @@ def _state_checks(rho):
     tr = rho.trace(0, -2, -1).real
     herm = rho.conj().swapaxes(-1, -2)
     asym = np.abs(rho - herm).reshape(rho.shape[:-2] + (-1,)).max(-1)
-    low = np.linalg.eigvalsh((rho + herm) / 2)[..., 0]
+    # halved before the sum, which overflows near the float maximum
+    low = np.linalg.eigvalsh(rho / 2 + herm / 2)[..., 0]
     return (
         (np.abs(tr - 1.0) <= max(TRACE_TOL, 1e-12 * rho.shape[-1]), "trace is {}, expected 1", tr),
         (asym <= HERMITICITY_TOL, "matrix is not Hermitian (asymmetry {:.3g})", asym),
@@ -129,10 +130,11 @@ def _hermitian_eigh(rho, vectors=True):
     # written so that NaN fails each test
     if not asym <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3g})")
+    # halved before the sum, as in _state_checks
     if vectors:
-        evals, vecs = np.linalg.eigh((rho + herm) / 2)
+        evals, vecs = np.linalg.eigh(rho / 2 + herm / 2)
     else:
-        evals = np.linalg.eigvalsh((rho + herm) / 2)
+        evals = np.linalg.eigvalsh(rho / 2 + herm / 2)
     if not evals.min() >= EIGENVALUE_FLOOR:
         raise ValueError(f"negative eigenvalue {evals.min():.3g}")
     evals = np.maximum(evals, 0.0)

@@ -785,6 +785,55 @@ def _assert_blocks_keep_the_bits(objective_of, rows, owner, monkeypatch):
     assert np.array_equal(block_grads, grads)
 
 
+def _per_call_zdiag_tables(p, q, n, points):
+    """The Z-diagonal weights and masks of rows at ``points``, built as
+    the evaluator once built them on each call: one mask a distinct
+    point, same * (1-2p)^distance from its scalar p, then gathered."""
+    dim = 2**n
+    idx = np.arange(dim)
+    k = np.bitwise_count(idx)
+    p, q = np.ravel(p).tolist(), np.ravel(q).tolist()
+    diff = idx[:, None] ^ idx[None, :]
+    erased = idx[:, None, None]
+    surv = (dim - 1) ^ erased
+    same, distance = (diff & erased) == 0, np.bitwise_count(diff & surv)
+    at, row_point = np.unique(points, return_inverse=True)
+    weights = np.array([q[i] ** k * (1 - q[i]) ** (n - k) for i in at.tolist()])
+    masks = np.array([same * (1.0 - 2.0 * p[i]) ** distance for i in at.tolist()])
+    return weights[row_point], masks[row_point]
+
+
+def test_zdiag_tables_have_the_bits_of_the_per_call_builder(monkeypatch):
+    from dephrasure import codes
+
+    # p = 0, a subnormal p and p = 1/2 (1 - 2p = 1, 1 and 0), q = 0 and
+    # q = 1/2, each in a stack with searched points
+    points = np.array([(0.0, 0.2), (5e-324, 0.3), (0.5, 0.1), (0.11, 0.0),
+                       (0.2, 0.5), (0.11, 0.33)])
+    p, q = points.T
+    zdiag_rows, seen = codes._zdiag_rows, []
+
+    def recorded(*args):
+        seen.append(args)
+        return zdiag_rows(*args)
+
+    monkeypatch.setattr(codes, "_zdiag_rows", recorded)
+    rng = np.random.default_rng(71)
+    for n in range(1, 7):
+        rows = np.abs(rng.standard_normal((8, 2**n)))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        owner = rng.permutation(np.arange(len(rows)) % len(points))
+        values, grads = codes._zdiag_evaluator(p, q, n)(rows, owner)
+        ((_, weights, masks, grouping),) = seen
+        seen.clear()
+        ref_weights, ref_masks = _per_call_zdiag_tables(p, q, n, owner)
+        ref_values, ref_grads = zdiag_rows(rows, ref_weights, ref_masks, grouping)
+        for table, ref in ((weights, ref_weights), (masks, ref_masks),
+                           (values, ref_values), (grads, ref_grads)):
+            assert table.dtype == ref.dtype and table.shape == ref.shape
+            assert table.tobytes() == ref.tobytes()
+
+
 def _nonzero_pattern_rows(rows, p, q, n):
     """Z-diagonal values and gradients of coefficient rows at one point,
     summed over its nonzero-weight patterns alone."""

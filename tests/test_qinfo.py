@@ -495,6 +495,18 @@ def test_an_infinite_entry_fails_its_check_without_a_warning():
             KrausSet(2, 2, [[[np.inf, 0.0], [0.0, 1.0]]])
 
 
+def test_finite_entries_near_the_float_maximum_fail_without_a_warning():
+    # the symmetrization halves each side before the sum: 1e308 + 1e308
+    # would overflow, and warn, before the eigenvalue check
+    rho = [[0.5, 1e308], [1e308, 0.5]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^negative eigenvalue -1e\+308$"):
+            check_density_matrix(rho)
+        with pytest.raises(ValueError, match=r"^negative eigenvalue -1e\+308$"):
+            von_neumann_entropy(rho)
+
+
 def test_a_stacked_check_names_the_infinite_row():
     # a finite row before it passes; the infinite row raises its own error
     ops = np.stack([np.eye(2)[None], np.array([[[np.inf, 0.0], [0.0, 1.0]]])])
