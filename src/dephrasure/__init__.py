@@ -21,11 +21,9 @@ from .channel import (
     coherent_info_state,
     coherent_info_xz,
     coherent_info_z,
-    complementary_apply,
     complementary_kraus,
     dephrasure_kraus,
     maximize_over_weights,
-    phi_states,
     region_curves,
     region_g,
     region_j,

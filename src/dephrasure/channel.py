@@ -72,16 +72,6 @@ def dephrasure_kraus(p, q):
     return KrausSet(2, 3, _channel_ops(_check_prob(p, "p"), _check_prob(q, "q")))
 
 
-def phi_states(p):
-    """The two environment states sqrt(1-p)|0> +/- sqrt(p)|1>, as (..., 2)
-    stacks over the points p, checked as _check_prob checks each."""
-    p = np.asarray(p, dtype=float)
-    _check_points(_in_prob("p", p, 1.0))
-    p = np.minimum(p, 1.0)
-    root = np.sqrt(np.stack([1 - p, p], -1)).astype(complex)
-    return root, root * [1, -1]
-
-
 def _complement_ops(p, q):
     """(..., 3, 4, 2) Kraus stacks of the complementary channel at broadcast
     p and q: the q-weighted copy, then the environment states phi^0, phi^1."""
@@ -104,25 +94,6 @@ def complementary_kraus(p, q):
     the module contract (the antidegrading maps rely on it).
     """
     return KrausSet(2, 4, _complement_ops(_check_prob(p, "p"), _check_prob(q, "q")))
-
-
-def complementary_apply(p, q, rho):
-    """Direct block evaluation of the complementary channel on qubit states;
-    p, q and the leading axes of a stack rho (..., 2, 2) broadcast."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (2, 2):
-        raise ValueError(f"expected a qubit state, got shape {rho.shape}")
-    p, q = _broadcast(p, q)
-    _check_points(_in_prob("p", p, 1.0), _in_prob("q", q, 1.0))
-    phi0, phi1 = (phi[..., None, :] for phi in phi_states(p))
-    q = np.minimum(q, 1.0)[..., None, None]
-    out = np.zeros(np.broadcast_shapes(p.shape, rho.shape[:-2]) + (4, 4), dtype=complex)
-    out[..., :2, :2] = q * rho
-    out[..., 2:, 2:] = (1 - q) * (
-        rho[..., :1, :1].real * (phi0.swapaxes(-1, -2) * phi0.conj())
-        + rho[..., 1:, 1:].real * (phi1.swapaxes(-1, -2) * phi1.conj())
-    )
-    return out
 
 
 def region_g(p):

@@ -13,10 +13,10 @@ import numpy as np
 from .channel import (
     _channel_ops,
     _checked_ops,
+    _complement_ops,
     _factored_scan,
     _points,
     _shaped,
-    complementary_apply,
     maximize_over_weights,
 )
 from .qinfo import (_check_points, _kraus_action, _state_checks, binary_entropy,
@@ -61,14 +61,15 @@ def _private_info_rows(probs, states, p, q):
     """ensemble_private_info of ensembles with probabilities ``probs`` (m,)
     and qubit states (R, m, 2, 2), row i at (p[i], q[i]), each row checked
     and computed as its one-row call (_check_points), so with its bits."""
-    p, q = (np.reshape(np.asarray(v, dtype=float), (-1, 1)) for v in (p, q))
-    ops, checks = _checked_ops(_channel_ops, p[:, 0], q[:, 0])
+    p, q = (np.reshape(np.asarray(v, dtype=float), (-1,)) for v in (p, q))
+    ops, checks = _checked_ops(_channel_ops, p, q)
     # a row's states member by member, then its channel, as its one-row call
     state_checks = _state_checks(states)
     _check_points(*[(ok[:, k], text, v[:, k])
                     for k in range(len(probs)) for ok, text, v in state_checks], *checks)
     holevo = []
-    for outs in (_kraus_action(ops[:, None], states)[1], complementary_apply(p, q, states)):
+    for kraus in (ops, _checked_ops(_complement_ops, p, q)[0]):  # N, then N^c
+        outs = _kraus_action(kraus[:, None], states)[1]
         avg, mean = np.zeros(outs[:, 0].shape, dtype=complex), 0.0
         for k, prob in enumerate(probs):
             if prob != 0.0:

@@ -50,10 +50,11 @@ def _state_checks(rho):
     fails them, and so does an infinite entry, taken as NaN."""
     rho = _nan_for_nonfinite(rho)
     tr = rho.trace(0, -2, -1).real
-    herm = rho.conj().swapaxes(-1, -2)
-    asym = np.abs(rho - herm).reshape(rho.shape[:-2] + (-1,)).max(-1)
-    # halved before the sum, which overflows near the float maximum
-    low = np.linalg.eigvalsh(rho / 2 + herm / 2)[..., 0]
+    # halved first: the difference and the sum overflow near the float maximum
+    half, herm = rho / 2, rho.conj().swapaxes(-1, -2) / 2
+    with np.errstate(over="ignore"):  # twice a half asymmetry near it reads inf
+        asym = 2 * np.abs(half - herm).reshape(rho.shape[:-2] + (-1,)).max(-1)
+    low = np.linalg.eigvalsh(half + herm)[..., 0]
     return (
         (np.abs(tr - 1.0) <= max(TRACE_TOL, 1e-12 * rho.shape[-1]), "trace is {}, expected 1", tr),
         (asym <= HERMITICITY_TOL, "matrix is not Hermitian (asymmetry {:.3g})", asym),
@@ -124,17 +125,21 @@ def _hermitian_eigh(rho, vectors=True):
     rho = rho.astype(np.result_type(rho, float), copy=False)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {rho.shape}")
-    herm = rho.conj().swapaxes(-1, -2)
-    # an entry that is not finite fails here, before inf - inf can warn
-    asym = np.abs(rho - herm).max() if np.isfinite(rho).all() else np.nan
+    # an entry that is not finite fails here, before its halving or inf - inf
+    # can warn; halved first, as in _state_checks, and doubled as a Python
+    # float, which overflows to inf quietly
+    if np.isfinite(rho).all():
+        half, herm = rho / 2, rho.conj().swapaxes(-1, -2) / 2
+        asym = 2.0 * float(np.abs(half - herm).max())
+    else:
+        asym = np.nan
     # written so that NaN fails each test
     if not asym <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3g})")
-    # halved before the sum, as in _state_checks
     if vectors:
-        evals, vecs = np.linalg.eigh(rho / 2 + herm / 2)
+        evals, vecs = np.linalg.eigh(half + herm)
     else:
-        evals = np.linalg.eigvalsh(rho / 2 + herm / 2)
+        evals = np.linalg.eigvalsh(half + herm)
     if not evals.min() >= EIGENVALUE_FLOOR:
         raise ValueError(f"negative eigenvalue {evals.min():.3g}")
     evals = np.maximum(evals, 0.0)

@@ -1,5 +1,3 @@
-from itertools import product
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,11 +8,9 @@ from dephrasure.channel import (
     coherent_info_state,
     coherent_info_xz,
     coherent_info_z,
-    complementary_apply,
     complementary_kraus,
     dephrasure_kraus,
     maximize_over_weights,
-    phi_states,
     region_curves,
     region_g,
     region_j,
@@ -44,31 +40,19 @@ def test_dephrasure_action_on_plus_state():
     assert out[2, 2] == pytest.approx(0.2, abs=1e-14)
 
 
-def test_complementary_apply_matches_kraus():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        mat = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        rho = mat @ mat.conj().T
-        rho /= np.trace(rho).real
-        p, q = rng.uniform(0, 0.5, 2)
-        direct = complementary_apply(p, q, rho)
-        via_kraus = apply_kraus(complementary_kraus(p, q), rho)
-        assert np.allclose(direct, via_kraus, atol=1e-12)
-
-
 def test_complementary_block_structure():
+    # the paper's block form q rho (+) (1-q)(rho_00 phi0 phi0^dag + rho_11 phi1 phi1^dag),
+    # phi_j = sqrt(1-p)|0> +/- sqrt(p)|1>, written out apart from the Kraus stack
+    p, q = 0.2, 0.3
     rho = bloch_state(0.3, 0.1, 0.2)
-    out = complementary_apply(0.2, 0.3, rho)
-    # q-block first: the input state scaled by q
-    assert np.allclose(out[:2, :2], 0.3 * rho, atol=1e-14)
-    assert np.allclose(out[:2, 2:], 0.0, atol=1e-14)
-    # second block: mixture of the phi states with the diagonal weights
-    w0, w1 = phi_states(0.2)
-    expect = 0.7 * (
-        rho[0, 0].real * np.outer(w0, w0.conj())
-        + rho[1, 1].real * np.outer(w1, w1.conj())
+    out = apply_kraus(complementary_kraus(p, q), rho)
+    phi0, phi1 = np.sqrt([1 - p, p]), np.sqrt([1 - p, p]) * [1, -1]
+    expect = np.zeros((4, 4), dtype=complex)
+    expect[:2, :2] = q * rho
+    expect[2:, 2:] = (1 - q) * (
+        rho[0, 0].real * np.outer(phi0, phi0) + rho[1, 1].real * np.outer(phi1, phi1)
     )
-    assert np.allclose(out[2:, 2:], expect, atol=1e-13)
+    assert np.allclose(out, expect, atol=1e-14)
 
 
 def test_choi_trace_and_cp():
@@ -163,11 +147,12 @@ def test_coherent_info_xz_vs_kraus():
 
 
 def test_coherent_info_state_oracle():
-    # the Kraus route against the block form of the complementary output
+    # N^c through its own Kraus stack, against the environment state of
+    # coherent_information, which it builds from the channel's operators
     rho = bloch_state(0.2, 0.3, -0.4)
     direct = von_neumann_entropy(
         apply_kraus(dephrasure_kraus(0.1, 0.2), rho)
-    ) - von_neumann_entropy(complementary_apply(0.1, 0.2, rho))
+    ) - von_neumann_entropy(apply_kraus(complementary_kraus(0.1, 0.2), rho))
     assert coherent_info_state(0.1, 0.2, rho) == pytest.approx(direct, abs=1e-12)
 
 
@@ -224,17 +209,3 @@ def test_parameter_validation():
         dephrasure_kraus(0.1, 1.2)
     with pytest.raises(ValueError):
         bloch_state(1.0, 1.0, 1.0)
-
-
-def test_complementary_apply_broadcasts_with_the_bits_of_single_states():
-    rng = np.random.default_rng(73)
-    mats = rng.standard_normal((4, 3, 2, 2)) + 1j * rng.standard_normal((4, 3, 2, 2))
-    rhos = mats @ mats.conj().swapaxes(-1, -2)
-    rhos /= np.trace(rhos, axis1=-2, axis2=-1).real[..., None, None]
-    p, q = rng.uniform(0.0, 0.5, (2, 4, 1))
-    out = complementary_apply(p, q, rhos)
-    assert out.shape == (4, 3, 4, 4)
-    for i, j in product(range(4), range(3)):
-        assert np.array_equal(out[i, j], complementary_apply(p[i, 0], q[i, 0], rhos[i, j]))
-    with pytest.raises(ValueError, match="q = 1.7 outside"):
-        complementary_apply(0.1, [0.2, 1.7], rhos[0, :2])

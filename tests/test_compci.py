@@ -1,6 +1,8 @@
+from itertools import product
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -22,16 +24,24 @@ from dephrasure.compci import (
 from dephrasure.qinfo import binary_entropy, coherent_information
 
 
-def test_closed_form_vs_direct_kraus():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        p = float(rng.uniform(0.01, 0.5))
-        q = float(rng.uniform(0.01, 0.5))
-        m = float(rng.uniform(0, 1))
-        direct = coherent_information(
-            complementary_kraus(p, q), bloch_state(m, 0, 0)
-        )
-        assert comp_ci_x_state(p, q, m) == pytest.approx(direct, abs=1e-10)
+_EDGE_PQ = (0.0, 5e-324, 1e-12, 0.5, 1 - 1e-12, 1.0)
+_EDGE_M = (0.0, 1e-17, 1 - 1e-16, 1.0)
+
+
+def _edge_examples(test):
+    """``test`` with every (p, q, m) of the edge values as an explicit example."""
+    for p, q, m in product(_EDGE_PQ, _EDGE_PQ, _EDGE_M):
+        test = example(p, q, m)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@_edge_examples
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_closed_form_vs_direct_kraus(p, q, m):
+    # the whole documented domain p, q, m in [0, 1], against the Kraus route
+    direct = coherent_information(complementary_kraus(p, q), bloch_state(m, 0, 0))
+    assert comp_ci_x_state(p, q, m) == pytest.approx(direct, abs=1e-12)
 
 
 def test_closed_form_explicit():

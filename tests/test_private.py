@@ -88,18 +88,17 @@ def test_ensemble_private_info_validation():
 
 def _holevo_loop(members, p, q):
     """Reference: the Holevo route one member at a time, through
-    apply_kraus and complementary_apply on single states."""
-    from dephrasure.channel import complementary_apply, dephrasure_kraus
+    apply_kraus of the channel and of its complement on single states."""
+    from dephrasure.channel import complementary_kraus, dephrasure_kraus
     from dephrasure.qinfo import apply_kraus, von_neumann_entropy
 
-    kraus = dephrasure_kraus(p, q)
     holevo = []
-    for apply in (lambda rho: apply_kraus(kraus, rho), lambda rho: complementary_apply(p, q, rho)):
+    for kraus in (dephrasure_kraus(p, q), complementary_kraus(p, q)):
         avg, mean = 0.0, 0.0
         for prob, rho in members:
             if prob != 0.0:
-                avg = avg + prob * apply(rho)
-                mean += prob * von_neumann_entropy(apply(rho))
+                avg = avg + prob * apply_kraus(kraus, rho)
+                mean += prob * von_neumann_entropy(apply_kraus(kraus, rho))
         holevo.append(von_neumann_entropy(avg) - mean)
     return holevo[0] - holevo[1]
 

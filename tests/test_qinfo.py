@@ -496,15 +496,20 @@ def test_an_infinite_entry_fails_its_check_without_a_warning():
 
 
 def test_finite_entries_near_the_float_maximum_fail_without_a_warning():
-    # the symmetrization halves each side before the sum: 1e308 + 1e308
-    # would overflow, and warn, before the eigenvalue check
-    rho = [[0.5, 1e308], [1e308, 0.5]]
+    # the symmetrization and the asymmetry halve each side first: 1e308 + 1e308
+    # and 1e308 - (-1e308) would overflow, and warn, before the checks
+    cases = (
+        ([[0.5, 1e308], [1e308, 0.5]], r"^negative eigenvalue -1e\+308$"),
+        ([[0.5, 1e308], [-1e308, 0.5]], r"^matrix is not Hermitian \(asymmetry inf\)$"),
+        ([[0.5, 1e308j], [1e308j, 0.5]], r"^matrix is not Hermitian \(asymmetry inf\)$"),
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"^negative eigenvalue -1e\+308$"):
-            check_density_matrix(rho)
-        with pytest.raises(ValueError, match=r"^negative eigenvalue -1e\+308$"):
-            von_neumann_entropy(rho)
+        for rho, message in cases:
+            with pytest.raises(ValueError, match=message):
+                check_density_matrix(rho)
+            with pytest.raises(ValueError, match=message):
+                von_neumann_entropy(rho)
 
 
 def test_a_stacked_check_names_the_infinite_row():
