@@ -9,6 +9,7 @@ comment recording the version, the full flag set and the seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -22,10 +23,6 @@ from .codes import optimize_code_ci
 _FMT = "%.12g"
 
 
-def _fmt(value):
-    return _FMT % value
-
-
 def _parse_range(text):
     parts = text.split(":")
     if len(parts) != 3:
@@ -35,7 +32,10 @@ def _parse_range(text):
         raise argparse.ArgumentTypeError("range needs at least 2 steps")
     if not (0.0 <= lo <= hi <= 1.0):
         raise argparse.ArgumentTypeError(f"range {text!r} outside [0, 1]")
-    return np.linspace(lo, hi, steps)
+    # read-only: the parser's default ranges are shared by every main call
+    values = np.linspace(lo, hi, steps)
+    values.flags.writeable = False
+    return values
 
 
 _QUANTITY_RE = re.compile(r"^([a-z_0-9]+?)(?:\((\d+)\))?$")
@@ -126,22 +126,30 @@ def _provenance(args):
 
 
 def _emit(args, header, rows):
+    """Write the table ``rows`` under ``header`` in one pass over its rows:
+    one %.12g template a row, and for JSON one C-encoder call over every
+    row, laid out as json.dumps(payload, indent=2) lays it out."""
     provenance = _provenance(args)
+    template = ",".join([_FMT] * rows.shape[1])
+    lines = [template % tuple(row) for row in rows.tolist()]
     if args.format == "json":
-        payload = {
-            "provenance": provenance,
-            "columns": header,
-            "rows": [[float(_fmt(v)) for v in row] for row in rows],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        skeleton = json.dumps({"provenance": provenance, "columns": header, "rows": []},
+                              indent=2)
+        head, _, tail = skeleton.rpartition("[]")
+        body = "[]"
+        if lines:
+            # indent=2 puts each row at 4 spaces and each cell on a line
+            # at 6; the compact encoder gives [[a,<cell>b],<cell>[c,...]],
+            # so only the row boundaries need re-indenting
+            cell, row = ",\n      ", "\n    ],\n    [\n      "
+            cells = json.dumps([list(map(float, line.split(","))) for line in lines],
+                               separators=(cell, ":"))
+            body = "[\n    [\n      " + cells[2:-2].replace("]" + cell + "[", row) + "\n    ]\n  ]"
+        text = head + body + tail + "\n"
     else:
-        lines = [
-            "# dephrasure %s | %s | seed=%s"
-            % (provenance["version"], provenance["flags"], provenance["seed"]),
-            ",".join(header),
-        ]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        comment = "# dephrasure %s | %s | seed=%s" % (
+            provenance["version"], provenance["flags"], provenance["seed"])
+        text = "\n".join([comment, ",".join(header), *lines]) + "\n"
     _write(args.out, text)
     return 0
 
@@ -228,7 +236,10 @@ def cmd_optimize(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process: it holds only static
+    configuration, and each command looks the library up when it runs."""
     parser = argparse.ArgumentParser(
         prog="dephrasure",
         description="Dephrasure-channel coherent/private information sweeps",

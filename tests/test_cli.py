@@ -1,11 +1,18 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dephrasure
 from dephrasure import antideg, channel, cli, codes, compci, private_info
@@ -397,6 +404,108 @@ def test_antideg_sweep_accepts_q_up_to_one(tmp_path):
     assert [float(row[1]) for row in rows[1:]] == [0.0, 0.25, 0.5, 0.75, 1.0] * 3
     # q >= 1/2 is antidegradable at every p
     assert [row[2] for row in rows[1:] if float(row[1]) >= 0.5] == ["1"] * 9
+
+
+def test_build_parser_returns_one_parser():
+    parser = cli.build_parser()
+    assert isinstance(parser, argparse.ArgumentParser)
+    assert cli.build_parser() is parser
+
+
+def test_ranges_are_read_only():
+    args = cli.build_parser().parse_args(["sweep", "--quantity", "single_ci"])
+    for values in (args.p_range, args.q_range, cli._parse_range("0:1:3")):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.25
+    assert args.p_range[0] == 0.0
+
+
+def _run_main(argv, capsys):
+    """(exit code, stdout, stderr, --out file text or None) of main(argv)."""
+    out = pathlib.Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if out is not None:
+        out.unlink(missing_ok=True)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    text = out.read_text() if out is not None and out.exists() else None
+    return rc, captured.out, captured.err, text
+
+
+def test_main_calls_on_one_parser_write_what_fresh_parsers_write(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "out")
+    calls = [
+        ["sweep", "--quantity", "single_ci", "--p-range", "0.1:0.2:3", "--q-range", "0.1:0.3:3",
+         "--out", out],
+        # the default ranges: the whole q-range, the whole p-range
+        ["sweep", "--quantity", "private_lb", "--p-range", "0.1:0.2:2", "--format", "json",
+         "--out", out],
+        ["regions", "--out", out],
+        ["diagonal", "--codes", "single_ci,rep2", "--out", out],
+        ["sweep", "--quantity", "single_ci", "--p-range", "0:2:5", "--out", out],  # argparse error
+        ["sweep", "--help"],
+        ["sweep", "--quantity", "single_ci", "--p-range", "0.1:0.2:3", "--q-range", "0.1:0.3:3",
+         "--out", out],
+    ]
+    shared = [_run_main(argv, capsys) for argv in calls]
+    assert [result[0] for result in shared] == [0, 0, 0, 0, 2, 0, 0]
+    assert shared[-1] == shared[0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [_run_main(argv, capsys) for argv in calls] == shared
+
+
+# The reference writers below format cell by cell, as _emit once did.
+# _EDGE_CELLS are cells that _emit must spell as they do: signed zeros,
+# infinities, NaN, the smallest subnormal, a tiny and the largest normal,
+# and values that %.12g rounds up at the 12th digit, some into a new
+# power of ten (which moves %.12g between its fixed and exponent forms)
+_EDGE_CELLS = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308,
+    -1.7976931348623157e308, 0.9999999999995, -0.9999999999995, 9.9999999999995e-05,
+    999999999999.5, 9999999999999.5, 1.23456789012500001, 0.000123456789012345,
+]
+
+
+def _per_cell_csv(provenance, header, rows):
+    lines = [
+        "# dephrasure %s | %s | seed=%s"
+        % (provenance["version"], provenance["flags"], provenance["seed"]),
+        ",".join(header),
+    ]
+    lines += [",".join("%.12g" % v for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _per_cell_json(provenance, header, rows):
+    payload = {
+        "provenance": provenance,
+        "columns": header,
+        "rows": [[float("%.12g" % v) for v in row] for row in rows],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(0, 50), st.integers(1, 6)),
+        elements=st.one_of(st.sampled_from(_EDGE_CELLS), st.floats()),
+    ),
+    flags=st.text(max_size=12),
+    seed=st.integers(0, 2**31),
+)
+def test_writer_spells_every_cell_as_the_per_cell_formulas(rows, flags, seed):
+    # 0 rows: the empty table of a diagonal whose every p lies past q = 1/2
+    header = [f"c{j}" for j in range(rows.shape[1])]
+    provenance = {"version": dephrasure.__version__, "flags": flags, "seed": seed}
+    for fmt, reference in (("csv", _per_cell_csv), ("json", _per_cell_json)):
+        args = argparse.Namespace(format=fmt, out=None, flags=flags, seed=seed)
+        with contextlib.redirect_stdout(io.StringIO()) as written:
+            assert cli._emit(args, header, rows) == 0
+        assert written.getvalue() == reference(provenance, header, rows), fmt
 
 
 def _antideg_columns(p, q):

@@ -7,7 +7,7 @@ REV is checked out with ``git worktree`` into a temporary directory,
 which is removed afterwards.  Each command of tools/compare_commands.txt
 runs from the root of both trees with PYTHONPATH=src and the same
 relative --out path.  The provenance line of a CSV and the provenance
-key of a JSON file are left out of the comparison.  For each command the
+value of a JSON file are left out of the comparison.  For each command the
 report reads one of:
 
 - identical;
@@ -17,7 +17,10 @@ report reads one of:
   column, the number of changed cells, the largest |delta| with the
   row's (p, q), and how many cells went down;
 - for other JSON: each differing key with both values;
-- for other text: each differing line, parent first.
+- for other text: each differing line, parent first;
+- "bytes differ, values equal" when the text outside the provenance
+  differs but none of the above does: a change of layout or of number
+  spelling alone (``1`` for ``1.0``).
 
 A command that fails alike in both trees reads identical, with its exit
 code.  Exit code 0 when every command is identical, else 1.  This is a local
@@ -31,6 +34,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -42,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = Path(__file__).resolve().parent / "compare_commands.txt"
 OUT_DIR = ".compare_outputs"
 MAX_LINES = 8  # differing lines or keys shown per command
+PROVENANCE_KEY = re.compile(r'"provenance"\s*:\s*')
 
 
 def read_commands():
@@ -65,15 +70,23 @@ def run(tree, command):
 
 
 def strip_provenance(text):
-    """``text`` without its provenance: the parsed JSON without the key, or
-    the lines without the CSV comment line."""
+    """(data, text) of ``text`` without its provenance.  For a JSON object,
+    data is the parsed object without the key and text is ``text`` with the
+    key's value cut out (the first "provenance" key, which leads every CLI
+    payload); otherwise data is the lines without the CSV comment line, and
+    text is ``text`` without that line."""
     try:
         data = json.loads(text)
     except ValueError:
-        return [line for line in text.splitlines() if not line.startswith("# dephrasure ")]
-    if isinstance(data, dict):
-        data.pop("provenance", None)
-    return data
+        def kept(lines):
+            return [line for line in lines if not line.startswith("# dephrasure ")]
+        return kept(text.splitlines()), "\n".join(kept(text.split("\n")))
+    if isinstance(data, dict) and "provenance" in data:
+        del data["provenance"]
+        start = PROVENANCE_KEY.search(text).end()
+        end = json.JSONDecoder().raw_decode(text, start)[1]
+        text = text[:start] + text[end:]
+    return data, text
 
 
 def as_table(data):
@@ -124,6 +137,31 @@ def table_diff(old, new):
     return lines
 
 
+def value_diff(data_a, data_b):
+    """Report lines for two outputs' data, as strip_provenance gives it."""
+    if data_a == data_b:
+        return []
+    tables = as_table(data_a), as_table(data_b)
+    if all(tables):
+        return table_diff(*tables)
+    if isinstance(data_a, list) and isinstance(data_b, list) and all(
+        isinstance(x, str) for x in data_a + data_b
+    ):
+        flat_a, flat_b = dict(enumerate(data_a)), dict(enumerate(data_b))
+        label = "line {}"
+    else:
+        flat_a, flat_b = flatten(data_a), flatten(data_b)
+        label = "{}"
+    keys = [k for k in {**flat_a, **flat_b} if flat_a.get(k, "<missing>") != flat_b.get(k, "<missing>")]
+    lines = []
+    for k in keys[:MAX_LINES]:
+        name = label.format(k + 1 if isinstance(k, int) else k)
+        lines.append(f"{name}: {flat_a.get(k, '<missing>')!r} -> {flat_b.get(k, '<missing>')!r}")
+    if len(keys) > MAX_LINES:
+        lines.append(f"... {len(keys) - MAX_LINES} more")
+    return lines
+
+
 def compare(old, new):
     """Report lines for two (exit code, stdout, stderr, file) results; none
     when they are identical."""
@@ -136,31 +174,18 @@ def compare(old, new):
         pairs = zip(err_a.splitlines() + [""], err_b.splitlines() + [""])
         a, b = next((a, b) for a, b in pairs if a != b)
         lines.append(f"stderr: {a!r} -> {b!r}")
-    data_a, data_b = (strip_provenance(t) for t in (stdout_a, stdout_b))
+    (data_a, text_a), (data_b, text_b) = (strip_provenance(t) for t in (stdout_a, stdout_b))
     if file_a is not None or file_b is not None:
         if data_a != data_b:
             lines.append("stdout differs")
-        data_a, data_b = (strip_provenance(t or "") for t in (file_a, file_b))
-    if data_a == data_b:
-        return lines
-    tables = as_table(data_a), as_table(data_b)
-    if all(tables):
-        return lines + table_diff(*tables)
-    if isinstance(data_a, list) and isinstance(data_b, list) and all(
-        isinstance(x, str) for x in data_a + data_b
-    ):
-        flat_a, flat_b = dict(enumerate(data_a)), dict(enumerate(data_b))
-        label = "line {}"
-    else:
-        flat_a, flat_b = flatten(data_a), flatten(data_b)
-        label = "{}"
-    keys = [k for k in {**flat_a, **flat_b} if flat_a.get(k, "<missing>") != flat_b.get(k, "<missing>")]
-    for k in keys[:MAX_LINES]:
-        name = label.format(k + 1 if isinstance(k, int) else k)
-        lines.append(f"{name}: {flat_a.get(k, '<missing>')!r} -> {flat_b.get(k, '<missing>')!r}")
-    if len(keys) > MAX_LINES:
-        lines.append(f"... {len(keys) - MAX_LINES} more")
-    return lines
+        elif text_a != text_b:
+            lines.append("stdout: bytes differ, values equal")
+        (data_a, text_a), (data_b, text_b) = (strip_provenance(t or "") for t in (file_a, file_b))
+    # a table whose cells parse to the same floats has no value diff
+    diff = value_diff(data_a, data_b)
+    if not diff and text_a != text_b:
+        diff = ["bytes differ, values equal"]
+    return lines + diff
 
 
 def run_all(tree, commands):
