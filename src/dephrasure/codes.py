@@ -37,7 +37,6 @@ from .qinfo import (
     _hermitian_eigh,
     _tensor_ops,
     binary_entropy,
-    shannon_entropy,
     von_neumann_entropy,
 )
 
@@ -282,18 +281,26 @@ def _dephasing_factors(p, m):
     return signs * np.sqrt(p**flips * (1 - p) ** kept)
 
 
-def _log2_matrix(evals, vecs):
-    """log2 of Hermitian matrices from their eigendecomposition.
+def _spectral_logs(evals):
+    """(log2 of each eigenvalue, 0 on the kernel, and the entropy -sum
+    evals log2 evals of each spectrum): one log2 serves a spectrum's
+    entropy and its ``_log2_matrix``."""
+    logs = np.log2(np.where(evals > 0, evals, 1.0))
+    return logs, -(evals * logs).sum(axis=-1)
+
+
+def _log2_matrix(logs, vecs):
+    """log2 of Hermitian matrices from their eigenvectors and the logs of
+    their eigenvalues (``_spectral_logs``).
 
     Taken as 0 on the kernel, which no gradient below sees.  The block
     gradients multiply it into N from the side of N's own kernel:
     N log2(N^dagger N) and log2(N N^dagger) N, with ker(N^dagger N) =
     ker N and ker(N N^dagger) = ker N^dagger.  The Z-diagonal gradient
-    multiplies (log2 B_s) o K_s into c, i.e. log2 B_s into the vectors
-    Z^t c of which B_s is a positively weighted sum, so they lie in
-    range(B_s).
+    multiplies (log2 B) o D into a column c_e, i.e. log2 B into the
+    vectors Z^t c_e of which its block B = (c_e c_e^T) o D is a
+    positively weighted sum, so they lie in range(B).
     """
-    logs = np.log2(np.where(evals > 0, evals, 1.0))
     return (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
@@ -352,7 +359,8 @@ def _group_rows(tables, amps, points):
         rows = np.arange(len(amps))
         for group, weights, dephasing, factors in tables:
             if weights[0] != 0.0:
-                yield rows, weights[0], group, amps[:, group.gather], dephasing[:1], factors[:1]
+                mats = np.take(amps, group.gather, axis=1)
+                yield rows, weights[0], group, mats, dephasing[:1], factors[:1]
         return
     for group, weights, dephasing, factors in tables:
         weight = weights[points]
@@ -458,10 +466,9 @@ def _ci_gradient(n, ref_dim, p, q):
             factor = _block_factor(mats, factors, ref_dim)
             evals, vecs = _hermitian_eigh(_block_side(factor, group.gram))
             in_evals, in_vecs = _hermitian_eigh(_input_parts(mats, dephasing, ref_dim))
-            value[rows] += weight * np.sum(
-                shannon_entropy(in_evals) - shannon_entropy(evals), axis=-1
-            )
-            log_side = _log2_matrix(evals, vecs)
+            (logs, entropy), (in_logs, in_entropy) = map(_spectral_logs, (evals, in_evals))
+            value[rows] += weight * np.sum(in_entropy - entropy, axis=-1)
+            log_side = _log2_matrix(logs, vecs)
             d_factor = factor @ log_side if group.gram else log_side @ factor
             surv = factors.shape[-1]
             d_mats = np.sum(
@@ -469,7 +476,7 @@ def _ci_gradient(n, ref_dim, p, q):
                 * factors[:, None, None, :, :, None],
                 axis=-2,
             )
-            log_in = _log2_matrix(in_evals, in_vecs) * dephasing[:, None]
+            log_in = _log2_matrix(in_logs, in_vecs) * dephasing[:, None]
             part = d_mats - log_in[:, :, None] @ mats.reshape(d_mats.shape)
             np.add.at(grad, (rows[:, None, None, None], group.gather[None]),
                       np.reshape(2.0 * weight, (-1, 1, 1, 1)) * part.reshape(mats.shape))
@@ -538,7 +545,7 @@ def _brute_force_rows(n, states, p, q):
 # takes as many rows, any point's, as fit with their L-BFGS state
 # (_search_points), and an objective call takes its rows in blocks that
 # fit with their evaluator's temporaries (_on_sphere), one row at least,
-# so that n = 6, 2 MB a row for each of its four arrays, keeps its memory
+# so that n = 6, 0.5 MB a row in a Z-diagonal call, keeps its memory
 _STACK_BYTES = 4 * 2**20
 
 
@@ -548,10 +555,11 @@ def _brute_force_row_bytes(n):
 
 
 def _zdiag_row_bytes(n):
-    """Bytes a row holds in a Z-diagonal evaluation: four arrays of its
-    2^n patterns' 2^n by 2^n matrices (the matrices, masks, eigenvectors
-    and log2 of the matrices)."""
-    return 4 * 8 * 8**n
+    """Bytes a row holds in a Z-diagonal evaluation: four arrays (the
+    blocks, their eigenvectors, their log2 and its masked copy) the size
+    of its largest group's blocks, C(n, k) patterns of 2^k blocks 2^(n-k)
+    by 2^(n-k)."""
+    return 4 * 8 * max(math.comb(n, k) * 2**k * 4 ** (n - k) for k in range(n + 1))
 
 
 def _ci_row_bytes(n, ref_dim):
@@ -564,55 +572,52 @@ def _ci_row_bytes(n, ref_dim):
 def _zdiag_evaluator(p, q, n):
     """Coherent information of Z-diagonal n-use codes at fixed points (p, q).
 
-    For code sum_s c_s |s>|s> every pattern block is supported on the
-    orthonormal set {|s>_ref (x) |s_surv>}, so its matrix in that basis
-    is B_s = (c c^T) o K_s with K_s[s, s'] = [s_erased == s'_erased]
-    (1-2p)^d(s_surv, s'_surv), and the eigenproblem is only
-    2^n-dimensional.  p and q are one point or 1-d arrays of points,
-    whose tables are built here, once, each from its scalar p and q as
-    for that point alone: the pattern weights q^k (1-q)^(n-k) and the
-    powers (1-2p)^d, d = 0..n, then 0.0.  ``value_and_grad(coeffs,
-    points=None)`` takes a stack (B, 2^n) of coefficient rows, row i at
-    point ``points[i]`` (at the first point without ``points``), gathers
-    each row's masks K_s (2 MB at n = 6) from its point's powers, makes
-    one stacked eigh call and one matmul for the reference-traced
-    diagonals g_s = G_s c^2, and returns the B values with their exact
-    (B, 2^n) gradients
+    Code sum_s c_s |s>|s> is the (n, 1) code c with its reference
+    dimension 2^n left implicit: the reference of |s> is s itself.  The
+    evaluator runs on the plan, tables and row gathering of
+    ``_ci_gradient`` (``_block_plan(n, 1)``, ``_point_tables(n, 1, p, q)``,
+    ``_group_rows``), so a group of zero weight is skipped row by row.  A
+    pattern's gathered matrix M (2^(n-k) survivors by 2^k erased bits)
+    has columns c_e, and its block is supported on the orthonormal sets
+    {|s>_ref (x) |s_surv>} of each erased value e, where it is B_e =
+    (c_e c_e^T) o D, D the survivors' dephasing mask: its eigenproblems
+    are 2^(n-k)-dimensional, and 1 x 1, B_e = c_e^2, when k = n.  With
+    the reference traced out the state is diagonal, g = the row sums of
+    M o M.  ``value_and_grad(coeffs, points=None)`` takes a stack (B,
+    2^n) of coefficient rows, row i at point ``points[i]`` (at the first
+    point without ``points``), and returns the B values with their exact
+    (B, 2^n) gradients, scattered back through the gather indices,
 
-        dS(B_s)/dc = -2 ((log2 B_s) o K_s) c,
-        dH(g_s)/dc_i = -2 c_i sum_t G_s[t, i] log2 g_s[t],
+        dS(B_e)/dc_e = -2 ((log2 B_e) o D) c_e,
+        dH(g)/dM[x, e] = -2 M[x, e] log2 g[x],
 
     whose 1/ln 2 terms cancel between the two entropies; one row (2^n,)
-    gives a float and one gradient.  A pattern of weight 0 (at q = 0, or
-    where a weight underflows) keeps it: its terms add exact zeros.  Each
-    row takes its point's weights and masks, and every step past the one
-    eigh call is elementwise or a matmul within one row, so each row has
-    the bits of its one-row call.  ``_on_sphere`` bounds a call's rows.
+    gives a float and one gradient.  As in ``_ci_gradient``, every step
+    is stacked over the rows, so each row has the bits of its one-row
+    call.  ``_on_sphere`` bounds a call's rows.
     """
-    dim = 2**n
-    idx = np.arange(dim)  # also the erased-position bit masks, in pattern order
-    k = np.bitwise_count(idx)
-    diff = idx[:, None] ^ idx[None, :]
-    erased = idx[:, None, None]
-    surv = (dim - 1) ^ erased
-    # K_s[x, y] is a point's power at power_at[s, x, y]: the survivors'
-    # distance, or n + 1, the 0.0, where x and y differ on an erased bit;
-    # np.take would cast a uint8 index on every call
-    power_at = np.where((diff & erased) == 0, np.bitwise_count(diff & surv), n + 1).astype(np.intp)
-    # grouping[s, t, i] = [i & surv_s == t]: reference traced out, the
-    # diagonal state is grouped by the surviving bits
-    grouping = ((idx[None, None, :] & surv) == idx[None, :, None]).astype(float).reshape(-1, dim)
-    weights = np.array([qi**k * (1 - qi) ** (n - k) for qi in np.ravel(q).tolist()])
-    powers = np.array([np.append((1.0 - 2.0 * pi) ** np.arange(n + 1), 0.0)
-                       for pi in np.ravel(p).tolist()])
+    tables = _point_tables(n, 1, p, q)
 
     def value_and_grad(coeffs, points=None):
         coeffs = np.asarray(coeffs, dtype=float)
-        rows = coeffs.reshape(-1, dim)
-        if points is None:  # every row at the first point
-            points = np.zeros(len(rows), dtype=int)
-        masks = np.take(powers[points], power_at, axis=1)
-        value, grad = _zdiag_rows(rows, weights[points], masks, grouping)
+        rows = coeffs.reshape(-1, 2**n)
+        value, grad = np.zeros(len(rows)), np.zeros(rows.shape)
+        for at, weight, group, mats, dephasing, _ in _group_rows(tables, rows, points):
+            cols = mats.swapaxes(-1, -2)  # (B, patterns, 2^k, 2^(n-k)): the c_e
+            if group.erased == n:  # 1 x 1 blocks, D = 1
+                evals = cols**2
+                logs, entropy = _spectral_logs(evals)
+                spectral = logs * cols
+            else:
+                mask = dephasing[:, None, None]
+                evals, vecs = _hermitian_eigh(cols[..., :, None] * cols[..., None, :] * mask)
+                logs, entropy = _spectral_logs(evals)
+                spectral = ((_log2_matrix(logs, vecs) * mask) @ cols[..., None])[..., 0]
+            log_grouped, classical = _spectral_logs((mats**2).sum(axis=-1))
+            value[at] += weight * (classical - entropy.sum(axis=-1)).sum(axis=-1)
+            part = spectral.swapaxes(-1, -2) - mats * log_grouped[..., None]
+            np.add.at(grad, (at[:, None, None, None], group.gather),
+                      np.reshape(2.0 * weight, (-1, 1, 1, 1)) * part)
         if coeffs.ndim == 1:
             return float(value[0]), grad[0]
         return value, grad
@@ -620,22 +625,7 @@ def _zdiag_evaluator(p, q, n):
     return value_and_grad
 
 
-def _zdiag_rows(coeffs, weights, masks, grouping):
-    """``_zdiag_evaluator``'s values and gradients of coefficient rows (B,
-    2^n), given each row's pattern weights (B or 1, K) and masks (B or 1,
-    K, 2^n, 2^n) and the patterns' grouping matrix (K 2^n, 2^n)."""
-    rows = coeffs[:, None, :]  # (B, 1, 2^n): one pattern axis
-    evals, vecs = _hermitian_eigh(rows[..., :, None] * rows[..., None, :] * masks)
-    grouped = (grouping @ (rows**2)[..., 0, :, None]).reshape(len(rows), -1, rows.shape[-1])
-    entropies = shannon_entropy(grouped) - shannon_entropy(evals)
-    value = (entropies[:, None, :] @ weights[:, :, None])[:, 0, 0]
-    log_grouped = np.log2(np.where(grouped > 0, grouped, 1.0))
-    spectral = (_log2_matrix(evals, vecs) * masks) @ rows[..., None]
-    classical = (weights[:, :, None] * log_grouped).reshape(len(rows), 1, -1) @ grouping
-    grad = 2.0 * ((weights[:, None, :] @ spectral[..., 0])[:, 0] - rows[:, 0] * classical[:, 0])
-    return value, grad
-
-
+# no search calls it: it stays only because perfbench/tracer.py wraps it by name
 def _zdiag_ci_fast(coeffs, p, q, n):
     """Coherent information of a Z-diagonal code on its 2^n-dim support."""
     return _zdiag_evaluator(p, q, n)(coeffs)[0]

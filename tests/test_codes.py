@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -693,7 +694,7 @@ def test_stacked_zdiag_rows_equal_one_row_calls(n, monkeypatch):
         assert np.array_equal(part_grads, grads[2:5])
         # the objective hands the evaluator its rows in blocks: all nine
         # at once, and in blocks of two rows, as a large n takes them (a
-        # row holds four arrays of its 2^n patterns' 2^n by 2^n masks)
+        # row holds four arrays the size of its largest group's blocks)
         evaluator = codes._zdiag_evaluator
         objectives = []
         for stack_bytes, blocks in ((codes._STACK_BYTES, [9]),
@@ -785,25 +786,19 @@ def _assert_blocks_keep_the_bits(objective_of, rows, owner, monkeypatch):
     assert np.array_equal(block_grads, grads)
 
 
-def _per_call_zdiag_tables(p, q, n, points):
-    """The Z-diagonal weights and masks of rows at ``points``, built as
-    the evaluator once built them on each call: one mask a distinct
-    point, same * (1-2p)^distance from its scalar p, then gathered."""
-    dim = 2**n
-    idx = np.arange(dim)
-    k = np.bitwise_count(idx)
-    p, q = np.ravel(p).tolist(), np.ravel(q).tolist()
-    diff = idx[:, None] ^ idx[None, :]
-    erased = idx[:, None, None]
-    surv = (dim - 1) ^ erased
-    same, distance = (diff & erased) == 0, np.bitwise_count(diff & surv)
-    at, row_point = np.unique(points, return_inverse=True)
-    weights = np.array([q[i] ** k * (1 - q[i]) ** (n - k) for i in at.tolist()])
-    masks = np.array([same * (1.0 - 2.0 * p[i]) ** distance for i in at.tolist()])
-    return weights[row_point], masks[row_point]
+def _one_point_tables(n, p, q):
+    """(weight, survivors' mask) of each group erasing k = 0..n uses at one
+    point, from its scalar p and q: q^k (1-q)^(n-k) as Python floats take
+    it, and (1-2p)^d as numpy takes it at the Hamming distances d."""
+    tables = []
+    for k in range(n + 1):
+        idx = np.arange(2 ** (n - k))
+        distance = np.bitwise_count(idx[:, None] ^ idx)
+        tables.append((q**k * (1 - q) ** (n - k), (1.0 - 2.0 * p) ** distance))
+    return tables
 
 
-def test_zdiag_tables_have_the_bits_of_the_per_call_builder(monkeypatch):
+def test_zdiag_tables_have_the_bits_of_one_point_builds():
     from dephrasure import codes
 
     # p = 0, a subnormal p and p = 1/2 (1 - 2p = 1, 1 and 0), q = 0 and
@@ -811,64 +806,101 @@ def test_zdiag_tables_have_the_bits_of_the_per_call_builder(monkeypatch):
     points = np.array([(0.0, 0.2), (5e-324, 0.3), (0.5, 0.1), (0.11, 0.0),
                        (0.2, 0.5), (0.11, 0.33)])
     p, q = points.T
-    zdiag_rows, seen = codes._zdiag_rows, []
-
-    def recorded(*args):
-        seen.append(args)
-        return zdiag_rows(*args)
-
-    monkeypatch.setattr(codes, "_zdiag_rows", recorded)
     rng = np.random.default_rng(71)
     for n in range(1, 7):
+        tables = codes._point_tables(n, 1, p, q)
+        assert [group.erased for group, *_ in tables] == list(range(n + 1))
+        for i, (pi, qi) in enumerate(points.tolist()):
+            one_point = _one_point_tables(n, pi, qi)
+            for (_, weights, masks, _), (weight, mask) in zip(tables, one_point):
+                assert np.float64(weight).tobytes() == weights[i].tobytes()
+                assert masks[i].dtype == mask.dtype and masks[i].shape == mask.shape
+                assert masks[i].tobytes() == mask.tobytes()
+        # each row of a stack takes its own point's tables
         rows = np.abs(rng.standard_normal((8, 2**n)))
         rows /= np.linalg.norm(rows, axis=1)[:, None]
         owner = rng.permutation(np.arange(len(rows)) % len(points))
         values, grads = codes._zdiag_evaluator(p, q, n)(rows, owner)
-        ((_, weights, masks, grouping),) = seen
-        seen.clear()
-        ref_weights, ref_masks = _per_call_zdiag_tables(p, q, n, owner)
-        ref_values, ref_grads = zdiag_rows(rows, ref_weights, ref_masks, grouping)
-        for table, ref in ((weights, ref_weights), (masks, ref_masks),
-                           (values, ref_values), (grads, ref_grads)):
-            assert table.dtype == ref.dtype and table.shape == ref.shape
-            assert table.tobytes() == ref.tobytes()
+        for row, at, value, grad in zip(rows, owner, values, grads):
+            one_value, one_grad = codes._zdiag_evaluator(*points[at], n)(row)
+            assert one_value == value
+            assert np.array_equal(one_grad, grad)
 
 
-def _nonzero_pattern_rows(rows, p, q, n):
-    """Z-diagonal values and gradients of coefficient rows at one point,
-    summed over its nonzero-weight patterns alone."""
+def test_zero_weight_groups_are_skipped_row_by_row(monkeypatch):
     from dephrasure import codes
 
-    dim = 2**n
-    erased = np.arange(dim)
-    k = np.bitwise_count(erased)
-    weights = q**k * (1 - q) ** (n - k)
-    keep = weights != 0.0
-    erased, weights = erased[keep, None, None], weights[keep]
-    idx = np.arange(dim)
-    diff = idx[:, None] ^ idx[None, :]
-    surv = (dim - 1) ^ erased
-    masks = ((diff & erased) == 0) * (1.0 - 2.0 * p) ** np.bitwise_count(diff & surv)
-    grouping = ((idx[None, None, :] & surv) == idx[None, :, None]).astype(float)
-    return codes._zdiag_rows(rows, weights[None], masks[None], grouping.reshape(-1, dim))
+    eigh, shapes = codes._hermitian_eigh, []
 
+    def recorded(blocks, *args):
+        shapes.append(blocks.shape)
+        return eigh(blocks, *args)
 
-def test_zero_weight_patterns_leave_the_bits_of_the_other_patterns():
-    from dephrasure import codes
-
+    monkeypatch.setattr(codes, "_hermitian_eigh", recorded)
     rng = np.random.default_rng(67)
-    # q = 0 keeps one pattern; at q = 1e-200 (and 1e-300) every pattern
-    # erasing two (three) or more uses has weight 0; q = 1 keeps the
-    # all-erased pattern alone
-    points = [(0.2, 0.0), (0.5, 0.0), (0.0, 0.0), (0.118, 1e-200), (0.3, 1e-300), (0.3, 1.0)]
+    # the groups of nonzero weight: q = 0 keeps the one erasing nothing; at
+    # q = 1e-200 (1e-120) every group erasing two (three) or more uses has
+    # weight 0; q = 1 keeps the all-erased group alone, whose 1 x 1 blocks
+    # take no eigh
+    kept = {0.0: [0], 1e-200: [0, 1], 1e-120: [0, 1, 2], 0.33: None, 1.0: []}
     for n in (1, 2, 3, 4):
-        rows = np.abs(rng.standard_normal((7, 2**n)))
+        rows = np.abs(rng.standard_normal((2 * len(kept), 2**n)))
         rows /= np.linalg.norm(rows, axis=1)[:, None]
-        for p, q in points:
-            values, grads = codes._zdiag_evaluator(p, q, n)(rows)
-            kept_values, kept_grads = _nonzero_pattern_rows(rows, p, q, n)
-            assert np.array_equal(values, kept_values)
-            assert np.array_equal(grads, kept_grads)
+        owner = np.arange(len(rows)) % len(kept)
+        q = np.array(list(kept))
+        groups = [range(n) if ks is None else [k for k in ks if k < n] for ks in kept.values()]
+        for i, qi in enumerate(q):
+            shapes.clear()
+            codes._zdiag_evaluator(0.2, qi, n)(rows)
+            assert shapes == [
+                (len(rows), math.comb(n, k), 2**k, 2 ** (n - k), 2 ** (n - k)) for k in groups[i]
+            ]
+        # in a stack, a group's blocks are those of the rows that weigh it
+        shapes.clear()
+        codes._zdiag_evaluator(np.full(len(q), 0.2), q, n)(rows, owner)
+        weighing = [sum(2 for ks in groups if k in ks) for k in range(n)]
+        assert shapes == [
+            (count, math.comb(n, k), 2**k, 2 ** (n - k), 2 ** (n - k))
+            for k, count in enumerate(weighing) if count
+        ]
+
+
+def test_zdiag_evaluator_matches_the_general_block_engine():
+    from dephrasure import codes
+
+    # p = 0, p = 1/2, q = 0, a subnormal p and q = 1e-300 in one stack
+    points = np.array([(0.0, 0.2), (0.5, 0.1), (0.11, 0.0), (5e-324, 0.3),
+                       (0.3, 1e-300), (0.11, 0.33)])
+    p, q = points.T
+    rng = np.random.default_rng(73)
+    for n in range(1, 7):
+        rows = rng.standard_normal((len(points), 2**n))
+        if n > 4:  # zdiag_code takes nonnegative coefficients
+            rows = np.abs(rows)
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        owner = rng.permutation(len(points))
+        values, grads = codes._zdiag_evaluator(p, q, n)(rows, owner)
+        if n <= 4:  # sum_s c_s |s>|s> in reference dimension 2^n
+            diagonal = np.arange(2**n) * (2**n + 1)
+            amps = np.zeros((len(rows), 4**n), dtype=complex)
+            amps[:, diagonal] = rows
+            ref_values, ref_grads = codes._ci_gradient(n, 2**n, p, q)(amps, owner)
+            assert np.abs(values - ref_values).max() <= 1e-13
+            assert np.abs(grads - ref_grads[:, diagonal].real).max() <= 1e-12
+        else:
+            ref_values = [multiletter_ci(zdiag_code(row), *points[at])
+                          for row, at in zip(rows, owner)]
+            assert np.abs(values - ref_values).max() <= 1e-13
+
+
+def test_theta_search_reaches_n_limit():
+    from dephrasure.codes import N_LIMIT
+
+    p, q = 0.11, 0.33
+    value, coeffs = optimize_zdiag(p, q, N_LIMIT, n_starts=2)
+    assert coeffs.shape == (2**N_LIMIT,)
+    assert value == pytest.approx(multiletter_ci(zdiag_code(coeffs), p, q), abs=1e-12)
+    assert value >= repetition_ci_opt(p, q, N_LIMIT)[0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -1198,7 +1230,7 @@ def test_many_point_zdiag_search_holds_one_block_of_masks():
     from dephrasure import codes
 
     # 64 points with distinct p, one start each, share one lockstep run;
-    # a mask is 256 KiB at n = 5, so 64 of them alone would be 16 MiB
+    # each objective call holds their tables and one block of rows
     n, points = 5, 64
     p, q = np.linspace(0.05, 0.12, points), np.full(points, 0.2)
     starts = np.abs(np.random.default_rng(0).standard_normal((points, 1, 2**n)))
