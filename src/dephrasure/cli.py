@@ -189,8 +189,8 @@ _CODES = {
 
 def cmd_diagonal(args):
     slope = args.diagonal_slope
-    if not slope > 0:
-        raise ValueError(f"--diagonal-slope must be positive, got {slope}")
+    if not 0 < slope < np.inf:
+        raise ValueError(f"--diagonal-slope must be positive and finite, got {slope}")
     names = [c.strip() for c in args.codes.split(",") if c.strip()]
     for name in names:
         if name not in _CODES:
@@ -204,6 +204,8 @@ def cmd_diagonal(args):
 
 
 def cmd_verify(args):
+    if args.tol is not None and np.isnan(args.tol):
+        raise ValueError("--tol must not be NaN")
     kwargs = {} if args.tol is None else {"tol": args.tol}
     report = verify.run_suite(args.suite, **kwargs)
     _write(args.out, json.dumps(report, indent=2) + "\n")

@@ -35,6 +35,7 @@ from .qinfo import (
     _ci_rows,
     _completeness,
     _hermitian_eigh,
+    _spectral_logs,
     _tensor_ops,
     binary_entropy,
     von_neumann_entropy,
@@ -270,25 +271,6 @@ def _block_plan(n, ref_dim):
     return tuple(plan)
 
 
-def _dephasing_factors(p, m):
-    """F[x, s] = sqrt(w_s) (-1)^(s.x) for m dephased qubits.
-
-    w_s = p^|s| (1-p)^(m-|s|) is the weight of the Kraus operator Z^s,
-    which multiplies basis state x by (-1)^(s.x); sum_s F[x, s] F[y, s]
-    is the dephasing mask entry (1-2p)^(Hamming distance of x and y).
-    """
-    _, flips, kept, signs = _qubit_tables(m)
-    return signs * np.sqrt(p**flips * (1 - p) ** kept)
-
-
-def _spectral_logs(evals):
-    """(log2 of each eigenvalue, 0 on the kernel, and the entropy -sum
-    evals log2 evals of each spectrum): one log2 serves a spectrum's
-    entropy and its ``_log2_matrix``."""
-    logs = np.log2(np.where(evals > 0, evals, 1.0))
-    return logs, -(evals * logs).sum(axis=-1)
-
-
 def _log2_matrix(logs, vecs):
     """log2 of Hermitian matrices from their eigenvectors and the logs of
     their eigenvalues (``_spectral_logs``).
@@ -327,55 +309,59 @@ def pattern_decompose(code, p, q):
 
 
 def _point_tables(n, ref_dim, p, q):
-    """(group, weights, D, F) of every plan group, on a leading axis of the
-    points p and q (one point or 1-d arrays), each point's from its own p
-    and q, checked as dephrasure_kraus checks them, as for it alone.
+    """(group, weights, D, roots) of every plan group, on a leading axis of
+    the points p and q (broadcast and flattened), each point's from its
+    own p and q; the points are checked in one pass, in C order, p before
+    q, as dephrasure_kraus checks them.
 
-    The weight of a pattern erasing k uses is q^k (1-q)^(n-k), 0 where
-    it underflows or q is 0 or 1, and the evaluators skip the group
-    there.  D, the survivors' dephasing mask, scales their coherences by
-    (1-2p)^(Hamming distance), so a block is (M M^dagger) o (1_ref (x) D)
-    for its gathered matrix M; F = _dephasing_factors(p, m).
+    The weight of a pattern erasing k uses is q^k (1-q)^(n-k), by libm's
+    pow as Python floats take it: 0 where it underflows or q is 0 or 1,
+    and the evaluators skip the group there.  D, the survivors' dephasing
+    mask, scales their coherences by (1-2p)^(Hamming distance), so a
+    block is (M M^dagger) o (1_ref (x) D) for its gathered matrix M.
+    roots[s] = sqrt(p^|s| (1-p)^(m-|s|)) weighs the survivors' dephasing
+    Kraus operator Z^s; with the signs (-1)^(s.x) of _qubit_tables it
+    gives their Kraus factors F[x, s] = (-1)^(s.x) roots[s], whose
+    sum_s F[x, s] F[y, s] is D[x, y].
     """
-    points = [(_check_prob(pi, "p"), _check_prob(qi, "q"))
-              for pi, qi in zip(np.ravel(p).tolist(), np.ravel(q).tolist())]
-    return [
-        (
+    p, q = (np.ravel(v) for v in _broadcast(p, q))
+    _check_points(_in_prob("p", p, 1.0), _in_prob("q", q, 1.0))
+    p, q = np.minimum(p, 1.0)[:, None], np.minimum(q, 1.0)[:, None]
+    erased = np.arange(n + 1)  # the plan's groups, in order
+    weights = np.asarray(_libm_pow(q, erased) * _libm_pow(1 - q, n - erased), dtype=float)
+    tables = []
+    for group in _block_plan(n, ref_dim):
+        distance, flips, kept, _ = _qubit_tables(n - group.erased)
+        tables.append((
             group,
-            np.array([qi**group.erased * (1 - qi) ** (n - group.erased) for _, qi in points]),
-            np.array([(1.0 - 2.0 * pi) ** _qubit_tables(n - group.erased)[0] for pi, _ in points]),
-            np.array([_dephasing_factors(pi, n - group.erased) for pi, _ in points]),
-        )
-        for group in _block_plan(n, ref_dim)
-    ]
+            weights[:, group.erased],
+            (1.0 - 2.0 * p[:, :, None]) ** distance,
+            np.sqrt(p**flips * (1 - p) ** kept),
+        ))
+    return tables
 
 
 def _group_rows(tables, amps, points):
-    """(rows, weights, group, M, D, F) of each group's rows of nonzero
-    weight, row i at point ``points[i]`` (every row at the first point
-    without ``points``), M their gathered matrices: each row sees the
-    groups of its one-point call."""
-    if points is None:  # every row at the first point: nothing to gather
-        rows = np.arange(len(amps))
-        for group, weights, dephasing, factors in tables:
-            if weights[0] != 0.0:
-                mats = np.take(amps, group.gather, axis=1)
-                yield rows, weights[0], group, mats, dephasing[:1], factors[:1]
-        return
-    for group, weights, dephasing, factors in tables:
+    """(rows, weights, group, M, D, roots) of each group's rows of nonzero
+    weight, row i at point ``points[i]`` (every row at point 0 without
+    ``points``), M their gathered matrices: each row sees the groups of
+    its one-point call."""
+    if points is None:
+        points = np.zeros(len(amps), dtype=int)
+    for group, weights, dephasing, roots in tables:
         weight = weights[points]
         rows = np.flatnonzero(weight != 0.0)
         if rows.size:
             at = points[rows]  # gathered in C order, whatever B is
             mats = np.take(amps[rows], group.gather, axis=1)
-            yield rows, weight[rows], group, mats, dephasing[at], factors[at]
+            yield rows, weight[rows], group, mats, dephasing[at], roots[at]
 
 
 def _block_factor(mats, factors, ref_dim):
     """N = [sqrt(w_s) (1_ref (x) Z^s) M]_s, so that the block is N N^dagger.
 
     ``mats`` is a stack (B, patterns, ref_dim 2^m, 2^e) of gathered
-    matrices M and ``factors`` (B or 1, 2^m, 2^m) each row's F; N is
+    matrices M and ``factors`` (B, 2^m, 2^m) each row's F; N is
     (B, patterns, ref_dim 2^m, 2^m 2^e) with columns ordered (s, erased),
     i.e. N[(r, x), (s, j)] = F[x, s] M[(r, x), j].
     """
@@ -387,7 +373,7 @@ def _block_factor(mats, factors, ref_dim):
 
 def _input_parts(mats, dephasing, ref_dim):
     """tr_ref of the blocks, (sum_r M_r M_r^dagger) o D, straight from M,
-    with D (B or 1, 2^m, 2^m) each row's mask."""
+    with D (B, 2^m, 2^m) each row's mask."""
     *lead, _, cols = mats.shape
     surv = dephasing.shape[-1]
     rows = mats.reshape(*lead, ref_dim, surv, cols).swapaxes(-3, -2)
@@ -421,7 +407,8 @@ def _ci_evaluator(n, ref_dim, p, q):
 
     def evaluate(amps, points=None):
         total = np.zeros(len(amps))
-        for rows, weight, group, mats, dephasing, factors in _group_rows(tables, amps, points):
+        for rows, weight, group, mats, dephasing, roots in _group_rows(tables, amps, points):
+            factors = _qubit_tables(n - group.erased)[3] * roots[:, None, :]
             side = _block_side(_block_factor(mats, factors, ref_dim), group.gram)
             total[rows] += weight * np.sum(
                 von_neumann_entropy(_input_parts(mats, dephasing, ref_dim))
@@ -438,12 +425,13 @@ def _ci_gradient(n, ref_dim, p, q):
 
     p and q are one point or 1-d arrays of points.  Returns
     ``value_and_grad(amps, points=None)`` for a stack (B, ref_dim 2^n) of
-    unit-norm amplitude rows a, row i at point ``points[i]`` (at the
-    first point without ``points``): B values and the (B,
+    unit-norm amplitude rows a, row i at point ``points[i]`` (at point 0
+    without ``points``): B values and the (B,
     ref_dim 2^n) gradients df/d(Re a) + i df/d(Im a), taken from the
     same eigendecompositions as the values, on the same side of each
     block as ``_ci_evaluator``.  With rho = N N^dagger, rho_in = tr_ref(rho) and
-    N[(r, x), (s, j)] = F[x, s] M[(r, x), j] (F real),
+    N[(r, x), (s, j)] = F[x, s] M[(r, x), j] (F real, formed from the
+    survivors' Kraus roots once per group and call),
 
         grad_N [-S(rho)] = 2 N log2(N^dagger N) = 2 log2(N N^dagger) N,
         grad_M [-S(rho)][(r, x), j] = sum_s F[x, s] grad_N[(r, x), (s, j)],
@@ -455,14 +443,15 @@ def _ci_gradient(n, ref_dim, p, q):
     order, and the arithmetic of a one-point evaluator (_group_rows).
     Every step is a stacked matmul or eigh over the leading axes,
     elementwise, or a sum within one row, so each row has the bits of
-    its one-row stack.  The points' tables are built here, once: 1.4 KB
+    its one-row stack.  The points' tables are built here, once: 0.8 KB
     a point at n = 3.
     """
     tables = _point_tables(n, ref_dim, p, q)
 
     def value_and_grad(amps, points=None):
         value, grad = np.zeros(len(amps)), np.zeros(amps.shape, dtype=complex)
-        for rows, weight, group, mats, dephasing, factors in _group_rows(tables, amps, points):
+        for rows, weight, group, mats, dephasing, roots in _group_rows(tables, amps, points):
+            factors = _qubit_tables(n - group.erased)[3] * roots[:, None, :]
             factor = _block_factor(mats, factors, ref_dim)
             evals, vecs = _hermitian_eigh(_block_side(factor, group.gram))
             in_evals, in_vecs = _hermitian_eigh(_input_parts(mats, dephasing, ref_dim))
@@ -584,8 +573,8 @@ def _zdiag_evaluator(p, q, n):
     are 2^(n-k)-dimensional, and 1 x 1, B_e = c_e^2, when k = n.  With
     the reference traced out the state is diagonal, g = the row sums of
     M o M.  ``value_and_grad(coeffs, points=None)`` takes a stack (B,
-    2^n) of coefficient rows, row i at point ``points[i]`` (at the first
-    point without ``points``), and returns the B values with their exact
+    2^n) of coefficient rows, row i at point ``points[i]`` (at point 0
+    without ``points``), and returns the B values with their exact
     (B, 2^n) gradients, scattered back through the gather indices,
 
         dS(B_e)/dc_e = -2 ((log2 B_e) o D) c_e,

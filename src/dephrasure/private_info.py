@@ -97,24 +97,18 @@ def _plusminus_entropies(p, lam):
     return 1 - binary_entropy(mix), 1 - binary_entropy(lam)
 
 
-def _plusminus_closed_form(lam, p, q):
-    kept, erased = _plusminus_entropies(p, lam)
-    return (1 - q) * kept - q * erased
-
-
 def private_lower_bound(p, q):
     """Maximize the +/- family private information over the weight.
 
     Returns (value, lambda_star) with lambda_star in [1/2, 1] by the
-    lam <-> 1-lam symmetry.  Uses the closed form, which matches the
-    Holevo-form evaluation of plusminus_ensemble to within 1e-10.  p and
-    q broadcast as in single_letter_ci: arrays give arrays from one
-    batched scan, scalars give Python floats.
+    lam <-> 1-lam symmetry.  Uses the closed form (1-q) kept - q erased
+    of _plusminus_entropies, which matches the Holevo-form evaluation of
+    plusminus_ensemble to within 1e-10.  p and q broadcast as in
+    single_letter_ci: arrays give arrays from one batched scan, scalars
+    give Python floats.
     """
     shape, p, q = _points(p, q, 0.5)
     # scan mu = 1 - lam over [0, 1/2]
-    _, scan = _factored_scan(lambda r, m: _plusminus_entropies(r, 1.0 - m), p, 1 - q, q)
-    value, mu = maximize_over_weights(
-        lambda m: _plusminus_closed_form(1.0 - m, p, q), 1e-3, 1e-10, scan
-    )
+    value, scan = _factored_scan(lambda r, m: _plusminus_entropies(r, 1.0 - m), p, 1 - q, q)
+    value, mu = maximize_over_weights(value, 1e-3, 1e-10, scan)
     return _shaped(shape, value, 1.0 - mu)

@@ -87,8 +87,16 @@ def shannon_entropy(probs):
     nonpositive entries contribute nothing.
     """
     probs = np.asarray(probs, dtype=float)
-    out = -(probs * np.log2(np.where(probs > 0, probs, 1.0))).sum(axis=-1)
+    out = _spectral_logs(probs)[1]
     return float(out) if probs.ndim == 1 else out
+
+
+def _spectral_logs(evals):
+    """(log2 of each eigenvalue, 0 on the kernel, and the entropy -sum
+    evals log2 evals of each spectrum): one log2 serves a spectrum's
+    entropy and its log-matrix."""
+    logs = np.log2(np.where(evals > 0, evals, 1.0))
+    return logs, -(evals * logs).sum(axis=-1)
 
 
 def binary_entropy(x):

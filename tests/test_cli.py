@@ -111,12 +111,31 @@ def test_verify_thresholds_takes_tol(tmp_path):
     assert [c["name"] for c in checks if not c["passed"]] == ["repetition_zero_above_g"]
 
 
+def test_verify_rejects_a_nan_tolerance(tmp_path, capsys, monkeypatch):
+    # NaN fails every comparison, so each check would read as failed
+    def no_work(*args, **kwargs):
+        raise AssertionError("a suite ran before validation")
+
+    monkeypatch.setattr("dephrasure.verify.run_suite", no_work)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "thresholds", "--tol", "nan", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_private_fails_when_the_closed_form_drifts(tmp_path, monkeypatch):
     out = tmp_path / "verify.json"
     assert main(["verify", "private", "--out", str(out)]) == 0
-    closed_form = private_info._plusminus_closed_form
-    monkeypatch.setattr(private_info, "_plusminus_closed_form",
-                        lambda lam, p, q: closed_form(lam, p, q) + 1e-9)
+    entropies = private_info._plusminus_entropies
+
+    def drifted(p, lam):
+        kept, erased = entropies(p, lam)
+        return kept + 1e-9, erased
+
+    # the printed value is (1-q) kept - q erased; the Holevo route reads neither
+    monkeypatch.setattr(private_info, "_plusminus_entropies", drifted)
     assert main(["verify", "private", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["passed"] is False
 
@@ -239,6 +258,7 @@ def test_deterministic_output(tmp_path, monkeypatch):
         ["--codes", "rep2,foo"],
         ["--codes", "rep2", "--diagonal-slope", "0"],
         ["--codes", "rep2", "--diagonal-slope", "-1"],
+        ["--codes", "rep2", "--diagonal-slope", "inf"],
     ],
 )
 def test_diagonal_bad_arguments_fail_before_work(tmp_path, capsys, monkeypatch, extra):

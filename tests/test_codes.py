@@ -787,37 +787,46 @@ def _assert_blocks_keep_the_bits(objective_of, rows, owner, monkeypatch):
 
 
 def _one_point_tables(n, p, q):
-    """(weight, survivors' mask) of each group erasing k = 0..n uses at one
-    point, from its scalar p and q: q^k (1-q)^(n-k) as Python floats take
-    it, and (1-2p)^d as numpy takes it at the Hamming distances d."""
+    """(weight, survivors' mask, survivors' Kraus roots) of each group
+    erasing k = 0..n uses at one point, from its scalar p and q: q^k
+    (1-q)^(n-k) as Python floats take it, (1-2p)^d as numpy takes it at
+    the Hamming distances d, and sqrt(p^|s| (1-p)^(m-|s|)) as numpy takes
+    it at the Hamming weights |s| of the m = n - k survivors."""
     tables = []
     for k in range(n + 1):
         idx = np.arange(2 ** (n - k))
-        distance = np.bitwise_count(idx[:, None] ^ idx)
-        tables.append((q**k * (1 - q) ** (n - k), (1.0 - 2.0 * p) ** distance))
+        distance, flips = np.bitwise_count(idx[:, None] ^ idx), np.bitwise_count(idx)
+        tables.append((q**k * (1 - q) ** (n - k), (1.0 - 2.0 * p) ** distance,
+                       np.sqrt(p**flips * (1 - p) ** (n - k - flips))))
     return tables
 
 
 def test_zdiag_tables_have_the_bits_of_one_point_builds():
     from dephrasure import codes
 
-    # p = 0, a subnormal p and p = 1/2 (1 - 2p = 1, 1 and 0), q = 0 and
-    # q = 1/2, each in a stack with searched points
+    # p = 0, subnormal and tiny p, and p = 1/2 (1 - 2p = 1, 1, 1 and 0);
+    # q = 0, 1/2 and 1, a subnormal and a tiny q, whose weights underflow
+    # past the first group or two, and q one ulp below 1, each in a stack
+    # with searched points
     points = np.array([(0.0, 0.2), (5e-324, 0.3), (0.5, 0.1), (0.11, 0.0),
-                       (0.2, 0.5), (0.11, 0.33)])
+                       (0.2, 0.5), (0.11, 0.33), (1e-300, 1e-300), (0.3, 1.0),
+                       (0.4, 5e-324), (0.25, 1 - 1e-16)])
     p, q = points.T
     rng = np.random.default_rng(71)
     for n in range(1, 7):
-        tables = codes._point_tables(n, 1, p, q)
-        assert [group.erased for group, *_ in tables] == list(range(n + 1))
-        for i, (pi, qi) in enumerate(points.tolist()):
-            one_point = _one_point_tables(n, pi, qi)
-            for (_, weights, masks, _), (weight, mask) in zip(tables, one_point):
-                assert np.float64(weight).tobytes() == weights[i].tobytes()
-                assert masks[i].dtype == mask.dtype and masks[i].shape == mask.shape
-                assert masks[i].tobytes() == mask.tobytes()
+        # the tables do not depend on the plan's reference dimension
+        for ref_dim in (1, 2, 8):
+            tables = codes._point_tables(n, ref_dim, p, q)
+            assert [group.erased for group, *_ in tables] == list(range(n + 1))
+            for i, (pi, qi) in enumerate(points.tolist()):
+                one_point = _one_point_tables(n, pi, qi)
+                for (_, weights, masks, roots), (weight, mask, root) in zip(tables, one_point):
+                    assert np.float64(weight).tobytes() == weights[i].tobytes()
+                    for table, array in ((masks, mask), (roots, root)):
+                        assert table[i].dtype == array.dtype and table[i].shape == array.shape
+                        assert table[i].tobytes() == array.tobytes()
         # each row of a stack takes its own point's tables
-        rows = np.abs(rng.standard_normal((8, 2**n)))
+        rows = np.abs(rng.standard_normal((12, 2**n)))
         rows /= np.linalg.norm(rows, axis=1)[:, None]
         owner = rng.permutation(np.arange(len(rows)) % len(points))
         values, grads = codes._zdiag_evaluator(p, q, n)(rows, owner)
@@ -825,6 +834,23 @@ def test_zdiag_tables_have_the_bits_of_one_point_builds():
             one_value, one_grad = codes._zdiag_evaluator(*points[at], n)(row)
             assert one_value == value
             assert np.array_equal(one_grad, grad)
+
+
+def test_stacked_tables_raise_the_first_bad_points_error():
+    from dephrasure import codes
+    from dephrasure.channel import dephrasure_kraus
+
+    # point 1 fails on q, point 2 on p: C order decides, then p before q
+    p, q = np.array([0.1, 0.3, 1.5]), np.array([0.2, 1.5, 0.2])
+    with pytest.raises(ValueError) as one_point:
+        dephrasure_kraus(0.3, 1.5)
+    for n, ref_dim in ((1, 1), (3, 8)):
+        with pytest.raises(ValueError) as stacked:
+            codes._point_tables(n, ref_dim, p, q)
+        assert str(stacked.value) == str(one_point.value) == "q = 1.5 outside [0, 1.0]"
+    q[1:] = 0.2, 2.0  # point 2 fails on both
+    with pytest.raises(ValueError, match=r"^p = 1\.5 outside \[0, 1\.0\]$"):
+        codes._point_tables(2, 1, p, q)
 
 
 def test_zero_weight_groups_are_skipped_row_by_row(monkeypatch):

@@ -4,12 +4,18 @@ from scipy.optimize import brentq
 
 from dephrasure.channel import region_g, single_letter_ci
 from dephrasure.private_info import (
-    _plusminus_closed_form,
+    _plusminus_entropies,
     ensemble_private_info,
     plusminus_ensemble,
     private_lower_bound,
 )
 from dephrasure.qinfo import binary_entropy
+
+
+def _closed_form(lam, p, q):
+    """The value private_lower_bound maximizes: (1-q) kept - q erased."""
+    kept, erased = _plusminus_entropies(p, lam)
+    return (1 - q) * kept - q * erased
 
 
 def test_closed_form_matches_holevo_route():
@@ -18,21 +24,17 @@ def test_closed_form_matches_holevo_route():
         lam = float(rng.uniform(0, 1))
         p, q = rng.uniform(0.02, 0.5, 2)
         direct = ensemble_private_info(plusminus_ensemble(lam), p, q)
-        assert _plusminus_closed_form(lam, p, q) == pytest.approx(
-            direct, abs=1e-10
-        )
+        assert _closed_form(lam, p, q) == pytest.approx(direct, abs=1e-10)
 
 
 def test_endpoints_and_symmetry():
     p, q = 0.15, 0.2
     mixed_ci = 1 - 2 * q - (1 - q) * binary_entropy(p)
     # lam in {0, 1} reproduces the maximally mixed coherent information
-    assert _plusminus_closed_form(0.0, p, q) == pytest.approx(mixed_ci, abs=1e-12)
-    assert _plusminus_closed_form(1.0, p, q) == pytest.approx(mixed_ci, abs=1e-12)
-    assert _plusminus_closed_form(0.5, p, q) == pytest.approx(0.0, abs=1e-12)
-    assert _plusminus_closed_form(0.3, p, q) == pytest.approx(
-        _plusminus_closed_form(0.7, p, q), abs=1e-12
-    )
+    assert _closed_form(0.0, p, q) == pytest.approx(mixed_ci, abs=1e-12)
+    assert _closed_form(1.0, p, q) == pytest.approx(mixed_ci, abs=1e-12)
+    assert _closed_form(0.5, p, q) == pytest.approx(0.0, abs=1e-12)
+    assert _closed_form(0.3, p, q) == pytest.approx(_closed_form(0.7, p, q), abs=1e-12)
 
 
 def test_private_dominates_single_letter_on_diagonal():
