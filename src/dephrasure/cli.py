@@ -17,8 +17,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, antideg, channel, codes, compci, private_info, verify
-from .codes import optimize_code_ci
+# the library modules are imported by the commands that run them, so that
+# building the parser, or a command, loads only what it uses
+from . import __version__, verify
 
 _FMT = "%.12g"
 
@@ -47,52 +48,87 @@ class _Quantity(NamedTuple):
     values: Callable  # (P, Q, n, seed) -> the values at the points (P, Q)
 
 
+def _single_ci(P, Q, n, seed):
+    from . import channel
+
+    return channel.single_letter_ci(P, Q)[0]
+
+
 def _repetition_gap(P, Q, n, seed):
+    from . import channel, codes
+
     # single-letter first: its checks (p, then q <= 1/2, point by point)
     # raise the error that a loop over the points raised
     single = channel.single_letter_ci(P, Q)[0]
     return codes.repetition_ci_opt(P, Q, n)[0] / n - single
 
 
+def _repetition_rate(P, Q, n, seed):
+    from . import codes
+
+    return codes.repetition_ci_opt(P, Q, n)[0] / n
+
+
+def _zdiag_rate(P, Q, n, seed):
+    from . import codes
+
+    return codes.optimize_zdiag(P, Q, n, seed=seed)[0] / n
+
+
+def _chi3_rate(P, Q, n, seed):
+    from . import codes
+
+    return codes.optimize_chi3(P, Q, seed=seed)[0] / 3
+
+
+def _private_lb(P, Q, n, seed):
+    from . import private_info
+
+    return private_info.private_lower_bound(P, Q)[0]
+
+
+def _separation(P, Q, n, seed):
+    from . import channel, private_info
+
+    return private_info.private_lower_bound(P, Q)[0] - channel.single_letter_ci(P, Q)[0]
+
+
+def _regions(P, Q, n, seed):
+    from . import channel
+
+    return np.column_stack(channel.region_curves(P))
+
+
 def _antideg(P, Q, n, seed):
+    from . import antideg
+
     report = antideg.verify_antidegradable(P, Q)
     return np.column_stack([report.antidegradable, report.composition_residual,
                             report.cp_min_eigenvalue])
 
 
 def _comp_witness(P, Q, n, seed):
+    from . import compci
+
     witness = compci.positivity_witness(P, Q)
     return np.column_stack([witness.ci_value, witness.epsilon])
 
 
-# Every sweep quantity.  The evaluators look library functions up through
-# their modules at call time, so patching a module attribute reaches them;
-# each makes one library call over all its points (the code searches too:
-# they stack every point's starts into lockstep L-BFGS runs).
+# Every sweep quantity.  The evaluators import their modules and look
+# library functions up through them at call time, so patching a module
+# attribute reaches them; each makes one library call over all its points
+# (the code searches too: they stack every point's starts into lockstep
+# L-BFGS runs).
 _QUANTITIES = {
-    "single_ci": _Quantity(
-        ["value"], False, lambda P, Q, *_: channel.single_letter_ci(P, Q)[0]
-    ),
+    "single_ci": _Quantity(["value"], False, _single_ci),
     "repetition_gap": _Quantity(["value"], True, _repetition_gap),
-    "repetition_rate": _Quantity(
-        ["value"], True, lambda P, Q, n, _: codes.repetition_ci_opt(P, Q, n)[0] / n
-    ),
-    "zdiag_rate": _Quantity(
-        ["value"], True, lambda P, Q, n, seed: codes.optimize_zdiag(P, Q, n, seed=seed)[0] / n
-    ),
-    "chi3_rate": _Quantity(
-        ["value"], False, lambda P, Q, n, seed: codes.optimize_chi3(P, Q, seed=seed)[0] / 3
-    ),
-    "private_lb": _Quantity(
-        ["value"], False, lambda P, Q, *_: private_info.private_lower_bound(P, Q)[0]
-    ),
-    "separation": _Quantity(["value"], False, lambda P, Q, *_: (
-        private_info.private_lower_bound(P, Q)[0] - channel.single_letter_ci(P, Q)[0]
-    )),
+    "repetition_rate": _Quantity(["value"], True, _repetition_rate),
+    "zdiag_rate": _Quantity(["value"], True, _zdiag_rate),
+    "chi3_rate": _Quantity(["value"], False, _chi3_rate),
+    "private_lb": _Quantity(["value"], False, _private_lb),
+    "separation": _Quantity(["value"], False, _separation),
     # a function of p alone, swept with Q None and no q column
-    "regions": _Quantity(
-        ["g", "j", "k"], False, lambda P, *_: np.column_stack(channel.region_curves(P))
-    ),
+    "regions": _Quantity(["g", "j", "k"], False, _regions),
     "antideg": _Quantity(["antidegradable", "residual", "cp_min_eig"], False, _antideg),
     "comp_witness": _Quantity(["ci_value", "epsilon"], False, _comp_witness),
 }
@@ -212,7 +248,16 @@ def cmd_verify(args):
     return 0 if report["passed"] else 1
 
 
+def optimize_code_ci(*args, **kwargs):
+    """codes.optimize_code_ci, looked up when a search runs."""
+    from . import codes
+
+    return codes.optimize_code_ci(*args, **kwargs)
+
+
 def cmd_optimize(args):
+    from . import codes
+
     value, code = optimize_code_ci(
         args.p, args.q, args.n, parametrization=args.parametrization,
         seed=args.seed, n_starts=args.n_starts, max_iterations=args.iterations,

@@ -50,8 +50,12 @@ def _state_checks(rho):
     fails them, and so does an infinite entry, taken as NaN."""
     rho = _nan_for_nonfinite(rho)
     tr = rho.trace(0, -2, -1).real
-    # halved first: the difference and the sum overflow near the float maximum
-    half, herm = rho / 2, rho.conj().swapaxes(-1, -2) / 2
+    # halved first: the difference and the sum overflow near the float maximum;
+    # the adjoint of the half differs from half the adjoint at most in the
+    # sign of a zero imaginary part, which neither |half - herm| nor
+    # half + herm keeps
+    half = rho / 2
+    herm = half.conj().swapaxes(-1, -2)
     with np.errstate(over="ignore"):  # twice a half asymmetry near it reads inf
         asym = 2 * np.abs(half - herm).reshape(rho.shape[:-2] + (-1,)).max(-1)
     low = np.linalg.eigvalsh(half + herm)[..., 0]
@@ -137,7 +141,8 @@ def _hermitian_eigh(rho, vectors=True):
     # can warn; halved first, as in _state_checks, and doubled as a Python
     # float, which overflows to inf quietly
     if np.isfinite(rho).all():
-        half, herm = rho / 2, rho.conj().swapaxes(-1, -2) / 2
+        half = rho / 2
+        herm = half.conj().swapaxes(-1, -2)
         asym = 2.0 * float(np.abs(half - herm).max())
     else:
         asym = np.nan

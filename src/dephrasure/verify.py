@@ -2,15 +2,13 @@
 
 Each suite returns a dict with per-check pass/fail flags and worst
 residuals; the CLI serializes it as JSON and maps failures to a nonzero
-exit code.
+exit code.  Each suite imports the library modules it checks when it
+runs, so that listing the suites loads none of them.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from . import antideg, channel, codes, compci, private_info
-from .qinfo import _ci_rows
 
 
 def _check(name, passed, worst):
@@ -26,6 +24,8 @@ def oracle_suite(tol=1e-9):
     """Block-decomposition vs full-tensor coherent information, 100 codes,
     grouped by n into one stacked call through each route, every row at
     its own point and with the bits of its one-code call."""
+    from . import codes
+
     rng = np.random.default_rng(7)
     drawn = {}
     for _ in range(100):
@@ -53,6 +53,8 @@ def oracle_suite(tol=1e-9):
 def antideg_suite(tol=1e-10):
     """Composition identity and CP of the degrading maps on {q >= k(p)},
     on a 20 x 20 grid."""
+    from . import antideg, channel
+
     ps = np.linspace(0.0, 0.5, 20)
     lows = np.maximum(channel.region_k(ps), 1e-6)
     p, q = np.repeat(ps, 20), np.linspace(lows, 0.5, 20, axis=-1).reshape(-1)
@@ -73,6 +75,8 @@ def thresholds_suite(tol=1e-12):
     Repetition codes must be positive just below g(p) and at most ``tol``
     just above it.
     """
+    from . import channel, codes
+
     # q = g(p) -/+ 1e-3 (last axis) for four p and n = 1..5, one batched scan
     p = np.array([[0.05], [0.15], [0.25], [0.35]])
     g = channel.region_g(p)
@@ -96,6 +100,9 @@ def thresholds_suite(tol=1e-12):
 
 def compci_suite(tol=1e-10):
     """Complementary-channel positivity witnesses on the standard grid."""
+    from . import channel, compci
+    from .qinfo import _ci_rows
+
     grid = np.arange(0.05, 0.51, 0.05)
     worst = float(compci.positivity_witness(grid[:, None], grid).ci_value.min())
     checks = [_check("witness_positive_on_grid", worst > 0.0, worst)]
@@ -117,6 +124,8 @@ def private_suite(tol=1e-10):
     value must match ensemble_private_info of the +/- ensemble at the
     lambda* it returns.
     """
+    from . import private_info
+
     grid = np.linspace(0.0, 0.5, 11)
     p, q = np.repeat(grid, 11), np.tile(grid, 11)
     value, lam = private_info.private_lower_bound(p, q)

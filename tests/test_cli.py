@@ -647,3 +647,35 @@ def test_no_cli_search_imports_scipy(tmp_path):
         argv += ["--out", str(tmp_path / f"out{i}")]
         assert not _imports_scipy(f"import dephrasure.cli as cli; assert cli.main({argv!r}) == 0")
         assert (tmp_path / f"out{i}").stat().st_size > 0
+
+
+def _loaded_after(code):
+    """The dephrasure modules loaded, and whether numpy is, after ``code``
+    runs in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(dephrasure.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    report = (
+        "import json, sys; print(json.dumps([sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'dephrasure'), 'numpy' in sys.modules]))"
+    )
+    out = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
+                         env=env, capture_output=True, text=True, check=True)
+    modules, numpy_loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    return set(modules), numpy_loaded
+
+
+def test_a_start_loads_only_the_modules_its_command_runs(tmp_path):
+    start = "import dephrasure.cli as cli; cli.build_parser()"
+    base = {"dephrasure", "dephrasure.cli", "dephrasure.verify"}
+    assert _loaded_after(start) == (base, True)
+
+    out = tmp_path / "regions.csv"
+    regions = f"{start}; assert cli.main(['regions', '--p-range', '0:0.5:3', '--out', {str(out)!r}]) == 0"
+    assert _loaded_after(regions) == (base | {"dephrasure.channel", "dephrasure.qinfo"}, True)
+    assert out.stat().st_size > 0
+
+    out = tmp_path / "antideg.json"
+    suite = f"{start}; assert cli.main(['verify', 'antideg', '--out', {str(out)!r}]) == 0"
+    loaded, _ = _loaded_after(suite)
+    assert "dephrasure.antideg" in loaded
+    assert not loaded & {f"dephrasure.{m}" for m in ("codes", "compci", "private_info", "pso")}

@@ -524,3 +524,48 @@ def test_a_stacked_check_names_the_infinite_row():
         with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(asymmetry nan\)$"):
             _check_points(*_state_checks(states))
         assert [ok.tolist() for ok, _, _ in _state_checks(states)][1] == [True, False]
+
+
+def _signed_zero_hermitian_stack(rng, count, d):
+    """``count`` positive definite Hermitian d x d matrices whose entries
+    include zero imaginary parts of both signs next to negative real parts:
+    there ``conj(rho / 2)`` and ``conj(rho) / 2`` can differ in a zero's sign."""
+    a = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    h = a @ a.conj().swapaxes(-1, -2)
+    real, imag = h.real.copy(), h.imag.copy()
+    i, j = np.triu_indices(d, 1)
+    pick = rng.random((count, len(i))) < 0.5
+    real[:, i, j] = np.where(pick, -np.abs(real[:, i, j]), real[:, i, j])
+    imag[:, i, j] = np.where(pick, rng.choice([0.0, -0.0], size=pick.shape), imag[:, i, j])
+    real[:, j, i], imag[:, j, i] = real[:, i, j], -imag[:, i, j]
+    diagonal = np.arange(d)
+    imag[:, diagonal, diagonal] = rng.choice([0.0, -0.0], size=(count, d))
+    # positive definite after the edits: a diagonal above every row's sum
+    real[:, diagonal, diagonal] = np.abs(real).sum(-1) + 1.0
+    # set part by part: complex arithmetic would turn -0.0 into 0.0
+    rho = np.empty((count, d, d), complex)
+    rho.real, rho.imag = real, imag
+    return rho
+
+
+def test_halving_rho_once_keeps_the_symmetrized_bits(monkeypatch):
+    from dephrasure.qinfo import _hermitian_eigh
+
+    eigh, seen = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a) or eigh(a))
+    rng = np.random.default_rng(29)
+    for d in (2, 3, 4):
+        for _ in range(100):
+            rho = _signed_zero_hermitian_stack(rng, 5, d)
+            zeros = rho.imag[rho.imag == 0]
+            assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+            # the form that divided rho and its adjoint separately
+            expected = rho / 2 + rho.conj().swapaxes(-1, -2) / 2
+            seen.clear()
+            evals, vecs = _hermitian_eigh(rho)
+            assert seen[0].tobytes() == expected.tobytes()
+            ref_evals, ref_vecs = eigh(expected)
+            assert evals.tobytes() == np.maximum(ref_evals, 0.0).tobytes()
+            assert vecs.tobytes() == ref_vecs.tobytes()
+            low = _state_checks(rho)[2][2]
+            assert low.tobytes() == np.linalg.eigvalsh(expected)[..., 0].tobytes()
