@@ -83,7 +83,7 @@ _EXPORTS = {
             "shannon_entropy",
             "von_neumann_entropy",
         ),
-        "verify": ("SUITES", "run_suite"),
+        "verify": ("SUITES",),
     }.items()
     for name in names
 }

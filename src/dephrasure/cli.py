@@ -228,6 +228,8 @@ def cmd_diagonal(args):
     if not 0 < slope < np.inf:
         raise ValueError(f"--diagonal-slope must be positive and finite, got {slope}")
     names = [c.strip() for c in args.codes.split(",") if c.strip()]
+    if not names:
+        raise ValueError(f"--codes {args.codes!r} names no code")
     for name in names:
         if name not in _CODES:
             others = [code for code in _CODES if not code.startswith("rep")]
@@ -243,22 +245,15 @@ def cmd_verify(args):
     if args.tol is not None and np.isnan(args.tol):
         raise ValueError("--tol must not be NaN")
     kwargs = {} if args.tol is None else {"tol": args.tol}
-    report = verify.run_suite(args.suite, **kwargs)
+    report = verify.SUITES[args.suite](**kwargs)
     _write(args.out, json.dumps(report, indent=2) + "\n")
     return 0 if report["passed"] else 1
-
-
-def optimize_code_ci(*args, **kwargs):
-    """codes.optimize_code_ci, looked up when a search runs."""
-    from . import codes
-
-    return codes.optimize_code_ci(*args, **kwargs)
 
 
 def cmd_optimize(args):
     from . import codes
 
-    value, code = optimize_code_ci(
+    value, code = codes.optimize_code_ci(
         args.p, args.q, args.n, parametrization=args.parametrization,
         seed=args.seed, n_starts=args.n_starts, max_iterations=args.iterations,
     )

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _broadcast, _check_points, _in_prob, _libm_pow, _shaped
-from .qinfo import binary_entropy
+from .channel import _broadcast, _in_prob, _libm_pow, _shaped
+from .qinfo import LN2, _check_points, binary_entropy
 
 
 class UnderflowAtParams(ArithmeticError):
@@ -30,9 +30,6 @@ class WitnessResult:  # floats for one point, broadcast-shape arrays for many
     m: float  # Bloch-x amplitude of the witness state
     epsilon: float  # (1 - m) / 2
     ci_value: float
-
-
-_LN2 = np.log(2.0)
 
 
 def _binary_entropy_diff(p, delta):
@@ -55,9 +52,9 @@ def _binary_entropy_diff(p, delta):
         over, np.log(p_o + d_o) - np.log(p_o), np.log1p(np.where(over, 0.0, ratio))
     )
     value = (
-        -p_c * log_ratio / _LN2
+        -p_c * log_ratio / LN2
         - d_c * np.log2(p_c + d_c)
-        - (1 - p_c) * np.log1p(-d_c / (1 - p_c)) / _LN2
+        - (1 - p_c) * np.log1p(-d_c / (1 - p_c)) / LN2
         + d_c * np.log2(1 - p_c - d_c)
     )
     value = np.where(top, -binary_entropy(p), value)

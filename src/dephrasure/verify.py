@@ -144,11 +144,3 @@ SUITES = {
     "compci": compci_suite,
     "private": private_suite,
 }
-
-
-def run_suite(name, **kwargs):
-    try:
-        fn = SUITES[name]
-    except KeyError:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return fn(**kwargs)

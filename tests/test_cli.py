@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dephrasure
-from dephrasure import antideg, channel, cli, codes, compci, private_info
+from dephrasure import antideg, channel, cli, codes, compci, private_info, verify
 from dephrasure.cli import main
 from dephrasure.codes import CodeState, brute_force_ci, normalized_code
 
@@ -116,7 +116,7 @@ def test_verify_rejects_a_nan_tolerance(tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a suite ran before validation")
 
-    monkeypatch.setattr("dephrasure.verify.run_suite", no_work)
+    monkeypatch.setitem(verify.SUITES, "thresholds", no_work)
     out = tmp_path / "verify.json"
     assert main(["verify", "thresholds", "--tol", "nan", "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -259,6 +259,8 @@ def test_deterministic_output(tmp_path, monkeypatch):
         ["--codes", "rep2", "--diagonal-slope", "0"],
         ["--codes", "rep2", "--diagonal-slope", "-1"],
         ["--codes", "rep2", "--diagonal-slope", "inf"],
+        ["--codes", ""],
+        ["--codes", ","],
     ],
 )
 def test_diagonal_bad_arguments_fail_before_work(tmp_path, capsys, monkeypatch, extra):
@@ -323,7 +325,7 @@ def test_optimize_writes_the_schmidt_form(tmp_path, monkeypatch):
     value = brute_force_ci(code, 0.11, 0.33)
     written = []
     for found in (code, rotated):
-        monkeypatch.setattr(cli, "optimize_code_ci", lambda *a, found=found, **k: (value, found))
+        monkeypatch.setattr(codes, "optimize_code_ci", lambda *a, found=found, **k: (value, found))
         out = tmp_path / "opt.json"
         assert main(["optimize", "--p", "0.11", "--q", "0.33", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
@@ -332,6 +334,19 @@ def test_optimize_writes_the_schmidt_form(tmp_path, monkeypatch):
     assert brute_force_ci(normalized_code(2, 4, written[0]), 0.11, 0.33) == pytest.approx(
         value, abs=1e-12
     )
+
+
+def test_optimize_chi3_writes_a_3_use_code_of_its_value(tmp_path):
+    out = tmp_path / "opt.json"
+    argv = ["optimize", "--p", "0.1149", "--q", "0.3447", "--n", "3",
+            "--parametrization", "chi3", "--out", str(out)]
+    assert main(argv) == 0
+    payload = json.loads(out.read_text())
+    amplitudes = np.array(payload["amplitudes_real"]) + 1j * np.array(payload["amplitudes_imag"])
+    assert amplitudes.shape == (32,)  # n = 3 uses, reference dimension 4
+    assert payload["rate_per_letter"] == payload["value"] / 3
+    code = normalized_code(3, 4, amplitudes)
+    assert brute_force_ci(code, 0.1149, 0.3447) == pytest.approx(payload["value"], abs=1e-12)
 
 
 def test_provenance_records_the_flags_main_was_given(tmp_path, monkeypatch):
@@ -344,7 +359,7 @@ def test_provenance_records_the_flags_main_was_given(tmp_path, monkeypatch):
     )
 
     code = normalized_code(2, 4, np.eye(16)[0])
-    monkeypatch.setattr(cli, "optimize_code_ci", lambda *a, **k: (0.0, code))
+    monkeypatch.setattr(codes, "optimize_code_ci", lambda *a, **k: (0.0, code))
     out = tmp_path / "opt.json"
     argv = ["optimize", "--p", "0.11", "--q", "0.33", "--out", str(out)]
     assert main(argv) == 0
