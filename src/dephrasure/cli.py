@@ -46,6 +46,7 @@ class _Quantity(NamedTuple):
     columns: list  # the value columns
     takes_n: bool  # whether the quantity takes an (n) suffix
     values: Callable  # (P, Q, n, seed) -> the values at the points (P, Q)
+    code: str | None = None  # a per-letter rate's diagonal --codes spelling
 
 
 def _single_ci(P, Q, n, seed):
@@ -120,12 +121,12 @@ def _comp_witness(P, Q, n, seed):
 # (the code searches too: they stack every point's starts into lockstep
 # L-BFGS runs).
 _QUANTITIES = {
-    "single_ci": _Quantity(["value"], False, _single_ci),
+    "single_ci": _Quantity(["value"], False, _single_ci, "single_ci"),
     "repetition_gap": _Quantity(["value"], True, _repetition_gap),
-    "repetition_rate": _Quantity(["value"], True, _repetition_rate),
-    "zdiag_rate": _Quantity(["value"], True, _zdiag_rate),
-    "chi3_rate": _Quantity(["value"], False, _chi3_rate),
-    "private_lb": _Quantity(["value"], False, _private_lb),
+    "repetition_rate": _Quantity(["value"], True, _repetition_rate, "rep"),
+    "zdiag_rate": _Quantity(["value"], True, _zdiag_rate, "theta"),
+    "chi3_rate": _Quantity(["value"], False, _chi3_rate, "chi3"),
+    "private_lb": _Quantity(["value"], False, _private_lb, "private_lb"),
     "separation": _Quantity(["value"], False, _separation),
     # a function of p alone, swept with Q None and no q column
     "regions": _Quantity(["g", "j", "k"], False, _regions),
@@ -146,6 +147,20 @@ def _parse_quantity(text):
             raise argparse.ArgumentTypeError(f"quantity {name!r} takes no (n)")
         return name, None
     return name, 2 if n is None else int(n)
+
+
+def _parse_code(text):
+    """(name, n) of the --codes name ``text``: a quantity's code spelling,
+    followed, for a quantity that takes n, by n >= 1 in decimal."""
+    for name, quantity in _QUANTITIES.items():
+        if quantity.code and text.startswith(quantity.code):
+            n = text[len(quantity.code):]
+            if not quantity.takes_n and not n:
+                return name, None
+            if quantity.takes_n and re.fullmatch("[1-9][0-9]*", n):
+                return name, int(n)
+    spellings = [q.code + "<n>" * q.takes_n for q in _QUANTITIES.values() if q.code]
+    raise ValueError(f"unknown code {text!r} (expected {', '.join(spellings)})")
 
 
 def _write(path, text):
@@ -213,16 +228,6 @@ def cmd_sweep(args):
     return _emit(args, header, _table([(name, n)], P, Q, args.seed))
 
 
-# --codes name -> the sweep quantity, with its n, of the per-letter rate
-_CODES = {
-    "single_ci": ("single_ci", None),
-    "private_lb": ("private_lb", None),
-    **{f"rep{n}": ("repetition_rate", n) for n in range(1, 10)},
-    "theta4": ("zdiag_rate", 4),
-    "chi3": ("chi3_rate", 3),
-}
-
-
 def cmd_diagonal(args):
     slope = args.diagonal_slope
     if not 0 < slope < np.inf:
@@ -230,20 +235,14 @@ def cmd_diagonal(args):
     names = [c.strip() for c in args.codes.split(",") if c.strip()]
     if not names:
         raise ValueError(f"--codes {args.codes!r} names no code")
-    for name in names:
-        if name not in _CODES:
-            others = [code for code in _CODES if not code.startswith("rep")]
-            raise ValueError(
-                f"unknown code {name!r} (expected rep1..rep9, {', '.join(others)})"
-            )
+    columns = [_parse_code(name) for name in names]
     P = args.p_range[slope * args.p_range <= 0.5 + 1e-12]
-    columns = [_CODES[name] for name in names]
     return _emit(args, ["p", "q", *names], _table(columns, P, slope * P, args.seed))
 
 
 def cmd_verify(args):
-    if args.tol is not None and np.isnan(args.tol):
-        raise ValueError("--tol must not be NaN")
+    if args.tol is not None and not np.isfinite(args.tol):
+        raise ValueError(f"--tol must be finite, got {args.tol}")
     kwargs = {} if args.tol is None else {"tol": args.tol}
     report = verify.SUITES[args.suite](**kwargs)
     _write(args.out, json.dumps(report, indent=2) + "\n")

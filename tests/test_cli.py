@@ -111,14 +111,18 @@ def test_verify_thresholds_takes_tol(tmp_path):
     assert [c["name"] for c in checks if not c["passed"]] == ["repetition_zero_above_g"]
 
 
-def test_verify_rejects_a_nan_tolerance(tmp_path, capsys, monkeypatch):
-    # NaN fails every comparison, so each check would read as failed
+@pytest.mark.parametrize(
+    "tol", [["--tol", "nan"], ["--tol", "inf"], ["--tol=-inf"]], ids=["nan", "inf", "-inf"]
+)
+def test_verify_rejects_a_nan_tolerance(tmp_path, capsys, monkeypatch, tol):
+    # NaN fails every comparison, so each check would read as failed; an
+    # infinite tolerance would pass, or fail, every check
     def no_work(*args, **kwargs):
         raise AssertionError("a suite ran before validation")
 
     monkeypatch.setitem(verify.SUITES, "thresholds", no_work)
     out = tmp_path / "verify.json"
-    assert main(["verify", "thresholds", "--tol", "nan", "--out", str(out)]) == 2
+    assert main(["verify", "thresholds", *tol, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
@@ -261,6 +265,11 @@ def test_deterministic_output(tmp_path, monkeypatch):
         ["--codes", "rep2", "--diagonal-slope", "inf"],
         ["--codes", ""],
         ["--codes", ","],
+        ["--codes", "rep0"],
+        ["--codes", "rep"],
+        ["--codes", "theta"],
+        ["--codes", "rep02"],
+        ["--codes", "rep2,chi33"],
     ],
 )
 def test_diagonal_bad_arguments_fail_before_work(tmp_path, capsys, monkeypatch, extra):
@@ -290,6 +299,42 @@ def test_diagonal_theta4_column(tmp_path):
     assert len(rows) == 1
     rep4, theta4 = float(rows[0][2]), float(rows[0][3])
     assert rep4 < theta4 == pytest.approx(0.01253, abs=1e-5)
+
+
+def test_diagonal_theta_above_the_library_limit_exits_as_sweep_does(tmp_path, capsys):
+    out = tmp_path / "diag.csv"
+    assert main(["sweep", "--quantity", "zdiag_rate(7)", "--p-range", "0.11:0.5:2",
+                 "--q-range", "0.33:0.45:2", "--out", str(out)]) == 2
+    sweep_err = capsys.readouterr().err
+    assert main(["diagonal", "--p-range", "0.11:0.5:2", "--codes", "theta7",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == sweep_err and err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# a registry spelling, or one near it, then a suffix that may be a
+# decimal n, a leading zero, a non-ASCII digit or a stray character
+@settings(max_examples=500)
+@given(st.one_of(
+    st.text(max_size=8),
+    st.tuples(
+        st.sampled_from(["", "rep", "theta", "chi3", "single_ci", "private_lb", "thet"]),
+        st.text(alphabet="019\u0663x(\n", max_size=3),
+    ).map("".join),
+))
+def test_codes_parse_to_a_registry_spelling_or_a_one_line_error(token):
+    try:
+        name, n = cli._parse_code(token)
+    except ValueError as exc:
+        message = str(exc)
+        assert len(message.splitlines()) == 1
+        assert all(q.code in message for q in cli._QUANTITIES.values() if q.code)
+        return
+    quantity = cli._QUANTITIES[name]
+    assert quantity.takes_n == (n is not None)
+    assert n is None or n >= 1
+    assert quantity.code + ("" if n is None else str(n)) == token
 
 
 @pytest.mark.parametrize("quantity", ["zdiag_rate(2)", "zdiag_rate(3)", "chi3_rate"])
@@ -566,9 +611,12 @@ _LIBRARY = {
     ],
     **{
         f"repetition_rate({n})": lambda p, q, n=n: [codes.repetition_ci_opt(p, q, n)[0] / n]
-        for n in range(1, 10)
+        for n in range(1, 11)
     },
-    "zdiag_rate(4)": lambda p, q: [codes.optimize_zdiag(p, q, 4, seed=0)[0] / 4],
+    **{
+        f"zdiag_rate({n})": lambda p, q, n=n: [codes.optimize_zdiag(p, q, n, seed=0)[0] / n]
+        for n in (3, 4)
+    },
     "chi3_rate": lambda p, q: [codes.optimize_chi3(p, q, seed=0)[0] / 3],
     "antideg": _antideg_columns,
     "comp_witness": _witness_columns,
@@ -578,7 +626,8 @@ _LIBRARY = {
 _ALIASES = {
     "single_ci": "single_ci",
     "private_lb": "private_lb",
-    **{f"rep{n}": f"repetition_rate({n})" for n in range(1, 10)},
+    **{f"rep{n}": f"repetition_rate({n})" for n in range(1, 11)},
+    "theta3": "zdiag_rate(3)",
     "theta4": "zdiag_rate(4)",
     "chi3": "chi3_rate",
 }
@@ -587,7 +636,7 @@ _ALIASES = {
 # is exact in binary
 _GRID = ("0.0859375:0.25:2", "0.125:0.34375:2")
 _SEARCH_GRID = ("0.0859375:0.0859375:2", "0.34375:0.34375:2")
-_SEARCHES = ("zdiag_rate(4)", "chi3_rate")
+_SEARCHES = ("zdiag_rate(3)", "zdiag_rate(4)", "chi3_rate")
 
 
 def _searched_once(search):
@@ -611,7 +660,12 @@ def test_every_quantity_and_code_alias_prints_the_library_value(tmp_path, monkey
     for search in ("optimize_zdiag", "optimize_chi3"):
         monkeypatch.setattr(codes, search, _searched_once(getattr(codes, search)))
     assert {spec.split("(")[0] for spec in _LIBRARY} == set(cli._QUANTITIES)
-    assert set(cli._CODES) | {f"rep{n}" for n in range(1, 10)} == set(_ALIASES)
+    # each alias names its sweep quantity, and every code spelling has one
+    parsed = {alias: cli._parse_code(alias) for alias in _ALIASES}
+    assert parsed == {alias: cli._parse_quantity(spec) for alias, spec in _ALIASES.items()}
+    assert {name for name, _ in parsed.values()} == {
+        name for name, quantity in cli._QUANTITIES.items() if quantity.code
+    }
 
     out = tmp_path / "out.csv"
     sweeps = {}
