@@ -17,18 +17,19 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# the library modules are imported by the commands that run them, so that
-# building the parser, or a command, loads only what it uses
-from . import __version__, verify
+# the package imports a library module on the first use of one of its
+# names, so building the parser, or a command, loads only what it uses
+import dephrasure
 
 _FMT = "%.12g"
 
 
 def _parse_range(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"range {text!r} is not lo:hi:steps")
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, steps = text.split(":")
+        lo, hi, steps = float(lo), float(hi), int(steps)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"range {text!r} is not lo:hi:steps") from None
     if steps < 2:
         raise argparse.ArgumentTypeError("range needs at least 2 steps")
     if not (0.0 <= lo <= hi <= 1.0):
@@ -39,7 +40,7 @@ def _parse_range(text):
     return values
 
 
-_QUANTITY_RE = re.compile(r"^([a-z_0-9]+?)(?:\((\d+)\))?$")
+_QUANTITY_RE = re.compile(r"([a-z_0-9]+?)(?:\((0|[1-9][0-9]*)\))?")
 
 
 class _Quantity(NamedTuple):
@@ -50,76 +51,56 @@ class _Quantity(NamedTuple):
 
 
 def _single_ci(P, Q, n, seed):
-    from . import channel
-
-    return channel.single_letter_ci(P, Q)[0]
+    return dephrasure.single_letter_ci(P, Q)[0]
 
 
 def _repetition_gap(P, Q, n, seed):
-    from . import channel, codes
-
     # single-letter first: its checks (p, then q <= 1/2, point by point)
     # raise the error that a loop over the points raised
-    single = channel.single_letter_ci(P, Q)[0]
-    return codes.repetition_ci_opt(P, Q, n)[0] / n - single
+    single = dephrasure.single_letter_ci(P, Q)[0]
+    return dephrasure.repetition_ci_opt(P, Q, n)[0] / n - single
 
 
 def _repetition_rate(P, Q, n, seed):
-    from . import codes
-
-    return codes.repetition_ci_opt(P, Q, n)[0] / n
+    return dephrasure.repetition_ci_opt(P, Q, n)[0] / n
 
 
 def _zdiag_rate(P, Q, n, seed):
-    from . import codes
-
-    return codes.optimize_zdiag(P, Q, n, seed=seed)[0] / n
+    return dephrasure.optimize_zdiag(P, Q, n, seed=seed)[0] / n
 
 
 def _chi3_rate(P, Q, n, seed):
-    from . import codes
-
-    return codes.optimize_chi3(P, Q, seed=seed)[0] / 3
+    return dephrasure.optimize_chi3(P, Q, seed=seed)[0] / 3
 
 
 def _private_lb(P, Q, n, seed):
-    from . import private_info
-
-    return private_info.private_lower_bound(P, Q)[0]
+    return dephrasure.private_lower_bound(P, Q)[0]
 
 
 def _separation(P, Q, n, seed):
-    from . import channel, private_info
-
-    return private_info.private_lower_bound(P, Q)[0] - channel.single_letter_ci(P, Q)[0]
+    return dephrasure.private_lower_bound(P, Q)[0] - dephrasure.single_letter_ci(P, Q)[0]
 
 
 def _regions(P, Q, n, seed):
-    from . import channel
-
-    return np.column_stack(channel.region_curves(P))
+    return np.column_stack(dephrasure.region_curves(P))
 
 
 def _antideg(P, Q, n, seed):
-    from . import antideg
-
-    report = antideg.verify_antidegradable(P, Q)
+    report = dephrasure.verify_antidegradable(P, Q)
     return np.column_stack([report.antidegradable, report.composition_residual,
                             report.cp_min_eigenvalue])
 
 
 def _comp_witness(P, Q, n, seed):
-    from . import compci
-
-    witness = compci.positivity_witness(P, Q)
+    witness = dephrasure.positivity_witness(P, Q)
     return np.column_stack([witness.ci_value, witness.epsilon])
 
 
-# Every sweep quantity.  The evaluators import their modules and look
-# library functions up through them at call time, so patching a module
-# attribute reaches them; each makes one library call over all its points
-# (the code searches too: they stack every point's starts into lockstep
-# L-BFGS runs).
+# Every sweep quantity.  The evaluators look library functions up through
+# the package at call time, which reads each from its module, so patching
+# a module attribute reaches them; each makes one library call over all
+# its points (the code searches too: they stack every point's starts into
+# lockstep L-BFGS runs).
 _QUANTITIES = {
     "single_ci": _Quantity(["value"], False, _single_ci, "single_ci"),
     "repetition_gap": _Quantity(["value"], True, _repetition_gap),
@@ -138,13 +119,13 @@ _QUANTITIES = {
 def _parse_quantity(text):
     """(name, n) of a quantity spelled ``name`` or ``name(n)``; a bare
     name that takes n means n = 2."""
-    match = _QUANTITY_RE.match(text)
+    match = _QUANTITY_RE.fullmatch(text)
     if not match or match.group(1) not in _QUANTITIES:
-        raise argparse.ArgumentTypeError(f"unknown quantity {text!r}")
+        raise ValueError(f"unknown quantity {text!r}")
     name, n = match.groups()
     if not _QUANTITIES[name].takes_n:
         if n is not None:
-            raise argparse.ArgumentTypeError(f"quantity {name!r} takes no (n)")
+            raise ValueError(f"quantity {name!r} takes no (n)")
         return name, None
     return name, 2 if n is None else int(n)
 
@@ -173,7 +154,7 @@ def _write(path, text):
 
 
 def _provenance(args):
-    return {"version": __version__, "flags": args.flags, "seed": args.seed}
+    return {"version": dephrasure.__version__, "flags": args.flags, "seed": args.seed}
 
 
 def _emit(args, header, rows):
@@ -236,7 +217,8 @@ def cmd_diagonal(args):
     if not names:
         raise ValueError(f"--codes {args.codes!r} names no code")
     columns = [_parse_code(name) for name in names]
-    P = args.p_range[slope * args.p_range <= 0.5 + 1e-12]
+    # the points whose q the library accepts
+    P = args.p_range[slope * args.p_range <= 0.5 + 1e-15]
     return _emit(args, ["p", "q", *names], _table(columns, P, slope * P, args.seed))
 
 
@@ -244,19 +226,17 @@ def cmd_verify(args):
     if args.tol is not None and not np.isfinite(args.tol):
         raise ValueError(f"--tol must be finite, got {args.tol}")
     kwargs = {} if args.tol is None else {"tol": args.tol}
-    report = verify.SUITES[args.suite](**kwargs)
+    report = dephrasure.verify.SUITES[args.suite](**kwargs)
     _write(args.out, json.dumps(report, indent=2) + "\n")
     return 0 if report["passed"] else 1
 
 
 def cmd_optimize(args):
-    from . import codes
-
-    value, code = codes.optimize_code_ci(
+    value, code = dephrasure.optimize_code_ci(
         args.p, args.q, args.n, parametrization=args.parametrization,
         seed=args.seed, n_starts=args.n_starts, max_iterations=args.iterations,
     )
-    code = codes.schmidt_form(code)
+    code = dephrasure.schmidt_form(code)
     payload = {
         "provenance": _provenance(args),
         "p": args.p,
@@ -314,7 +294,7 @@ def build_parser():
     regions.set_defaults(func=cmd_sweep, quantity="regions")
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("suite", choices=sorted(verify.SUITES))
+    ver.add_argument("suite", choices=sorted(dephrasure.verify.SUITES))
     ver.add_argument("--tol", type=float, default=None)
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)
@@ -336,13 +316,18 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the CSV provenance writes every argument on its one comment line
+    for arg in argv:
+        if arg.splitlines() not in ([], [arg]):
+            print(f"error: argument {arg!r} holds a line break", file=sys.stderr)
+            return 2
+    args = build_parser().parse_args(argv)
     # the provenance records the flags this call was given
-    args.flags = " ".join(sys.argv[1:] if argv is None else argv)
+    args.flags = " ".join(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -241,6 +241,31 @@ def test_bad_range_exit_code():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("text", ["0:0.5:2.5", "a:0.5:3", "0:0.5:1e3", "0:0.5", "0:0.5:3:4"])
+def test_a_range_that_does_not_convert_names_its_grammar(capsys, text):
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--quantity", "single_ci", "--p-range", text])
+    assert err.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith(f"argument --p-range: range {text!r} is not lo:hi:steps")
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagonal", "--codes", "rep2\n", "--out", "out.csv"],
+    ["sweep", "--quantity", "single_ci", "--out", "x\ny.csv"],
+    ["sweep", "--quantity", "single_ci\n", "--out", "out.csv"],
+    ["regions", "--p-range", "0:0.5:3\r", "--out", "out.csv"],
+], ids=["codes", "out", "quantity", "p-range"])
+def test_an_argument_holding_a_line_break_exits_2_before_work(tmp_path, capsys, monkeypatch,
+                                                              argv):
+    # the CSV provenance comment would break over two lines
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    bad = next(arg for arg in argv if arg.splitlines() != [arg])
+    assert capsys.readouterr().err == f"error: argument {bad!r} holds a line break\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_deterministic_output(tmp_path, monkeypatch):
     args = [
         "sweep", "--quantity", "private_lb",
@@ -284,6 +309,17 @@ def test_diagonal_bad_arguments_fail_before_work(tmp_path, capsys, monkeypatch, 
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_diagonal_keeps_only_the_points_the_library_accepts(capsys):
+    # q = 0.5000000000001666 at the second point lies above 1/2 by more
+    # than the library's 1e-15, so the point is skipped, not an error
+    argv = ["diagonal", "--codes", "single_ci", "--diagonal-slope", "3.000000000001",
+            "--p-range", "0.1:0.16666666666666666:2"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "p,q,single_ci"
+    assert [line.split(",")[0] for line in lines[2:]] == ["0.1"]
 
 
 def test_diagonal_theta4_column(tmp_path):
@@ -436,6 +472,9 @@ def test_provenance_falls_back_to_the_process_arguments(tmp_path, monkeypatch, c
         ("single_ci(3)", "quantity 'single_ci' takes no (n)"),
         ("chi3_rate(5)", "quantity 'chi3_rate' takes no (n)"),
         ("regions(2)", "quantity 'regions' takes no (n)"),
+        # n is ASCII decimal with no leading zero
+        ("repetition_rate(\u0663)", "unknown quantity 'repetition_rate(\u0663)'"),
+        ("repetition_rate(03)", "unknown quantity 'repetition_rate(03)'"),
     ],
 )
 def test_out_of_domain_sweep_point_is_a_one_line_error(tmp_path, capsys, quantity, message):
