@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _broadcast, _channel_ops, _check_prob, _complement_ops, _points, region_k
+from .channel import _broadcast, _channel_ops, _complement_ops, _points, _shaped, region_k
 from .qinfo import KrausSet, _choi_of_terms
 
 # _U[i, j] is |i><j| from the complement's 4-dim output to the channel's
@@ -94,8 +94,8 @@ def antidegrading_map(p, q):
     NotAntidegradableHere is raised; at q = 0 that leaves p = 1/2, where
     complete dephasing is recovered by the USD map with x = 1.
     """
-    p = _check_prob(p, "p", hi=0.5)
-    q = _check_prob(q, "q")
+    _, p, q = _points(p, q, 1.0)
+    p, q = p.item(), q.item()
     if q < region_k(p) - 1e-15:
         raise NotAntidegradableHere(
             f"(p, q) = ({p}, {q}) is below the constructive boundary k(p)"
@@ -155,6 +155,4 @@ def verify_antidegradable(p, q, tol=1e-10):
     ], axis=1)
     kind = np.where(q >= 0.5, "trivial", "usd")
     fields = (p, q, kind, x, residual, cp_min, (residual <= tol) & (cp_min >= -tol))
-    if shape == ():
-        return DegradingMapReport(*(field[0].item() for field in fields))
-    return DegradingMapReport(*(field.reshape(shape) for field in fields))
+    return DegradingMapReport(*_shaped(shape, *fields))

@@ -21,20 +21,14 @@ KET_E = np.array([0.0, 0.0, 1.0], dtype=complex)
 _EMBED = np.array([[1, 0], [0, 1], [0, 0]], dtype=complex)  # qubit -> qutrit
 
 
-def _check_prob(value, name, hi=1.0):
-    value = float(value)
-    if not 0.0 <= value <= hi + 1e-15:
-        raise ValueError(f"{name} = {value} outside [0, {hi}]")
-    return min(value, hi)
-
-
 def _broadcast(*values):
     """The values as float arrays broadcast against each other."""
     return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
 
 
 def _in_prob(name, values, hi):
-    """_check_prob's check on every point of ``values``, for _check_points."""
+    """The domain check of every point of ``values``, for _check_points:
+    [0, hi] up to 1e-15, past which callers clamp at hi."""
     return (0.0 <= values) & (values <= hi + 1e-15), f"{name} = {{}} outside [0, {hi}]", values
 
 
@@ -69,7 +63,8 @@ def _checked_ops(ops_fn, p, q):
 
 def dephrasure_kraus(p, q):
     """Kraus operators (2 -> 3) of the dephrasure channel."""
-    return KrausSet(2, 3, _channel_ops(_check_prob(p, "p"), _check_prob(q, "q")))
+    _, p, q = _points(p, q, 1.0, 1.0)
+    return KrausSet(2, 3, _channel_ops(p.item(), q.item()))
 
 
 def _complement_ops(p, q):
@@ -93,12 +88,13 @@ def complementary_kraus(p, q):
     environment states of the dephasing part.  This ordering is part of
     the module contract (the antidegrading maps rely on it).
     """
-    return KrausSet(2, 4, _complement_ops(_check_prob(p, "p"), _check_prob(q, "q")))
+    _, p, q = _points(p, q, 1.0, 1.0)
+    return KrausSet(2, 4, _complement_ops(p.item(), q.item()))
 
 
 def region_g(p):
     """Threshold curve of the single-letter coherent information."""
-    shape, p, _ = _points(p, 0.0, 0.5)
+    shape, p, _ = _points(p, 0.0)
     t = (1 - 2 * p) ** 2
     return _shaped(shape, t / (1 + t))[0]
 
@@ -110,7 +106,7 @@ def region_j(p):
     p = 0 (and subnormal p, where (1-p)/p may overflow) and the quadratic
     series 8/3 (1/2 - p)^2 near p = 1/2.
     """
-    shape, p, _ = _points(p, 0.0, 0.5)
+    shape, p, _ = _points(p, 0.0)
     delta = 0.5 - p
     low, series = p < np.finfo(float).tiny, delta < 1e-5
     safe = np.where(low | series, 0.25, p)
@@ -121,7 +117,7 @@ def region_j(p):
 
 def region_k(p):
     """Boundary of the constructively antidegradable region."""
-    shape, p, _ = _points(p, 0.0, 0.5)
+    shape, p, _ = _points(p, 0.0)
     return _shaped(shape, (1 - 2 * p) / (2 * (1 - p)))[0]
 
 
@@ -328,16 +324,16 @@ def maximize_over_weights(value_fn, step, tol, scan_fn=None):
     return np.where(on_grid, best_val, val), np.where(on_grid, grid[best_idx], lam)
 
 
-def _points(p, q, q_hi):
-    """Broadcast p and q and check that every point lies in [0, 1/2] x [0, q_hi].
+def _points(p, q, q_hi=0.5, p_hi=0.5):
+    """Broadcast p and q and check that every point lies in [0, p_hi] x [0, q_hi].
 
     Points are checked in C order, p before q, so the first bad point
     raises the error a loop of one-point calls would.  Returns the
     broadcast shape and the clamped p and q as (P, 1) columns.
     """
     p, q = _broadcast(p, q)
-    _check_points(_in_prob("p", p, 0.5), _in_prob("q", q, q_hi))
-    return p.shape, np.minimum(p, 0.5).reshape(-1, 1), np.minimum(q, q_hi).reshape(-1, 1)
+    _check_points(_in_prob("p", p, p_hi), _in_prob("q", q, q_hi))
+    return p.shape, np.minimum(p, p_hi).reshape(-1, 1), np.minimum(q, q_hi).reshape(-1, 1)
 
 
 def _shaped(shape, *values):
@@ -356,7 +352,7 @@ def single_letter_ci(p, q):
     array arguments give arrays of the broadcast shape from one batched
     scan, scalars give Python floats.
     """
-    shape, p, q = _points(p, q, 0.5)
+    shape, p, q = _points(p, q)
 
     def terms(p, lam):
         # 1 - z^2 = 4 lam (1 - lam) for z = 1 - 2 lam

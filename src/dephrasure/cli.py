@@ -40,6 +40,17 @@ def _parse_range(text):
     return values
 
 
+def _parse_seed(text):
+    # numpy's generators take no negative seed
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed = {seed} must be >= 0")
+    return seed
+
+
 _QUANTITY_RE = re.compile(r"([a-z_0-9]+?)(?:\((0|[1-9][0-9]*)\))?")
 
 
@@ -218,7 +229,7 @@ def cmd_diagonal(args):
         raise ValueError(f"--codes {args.codes!r} names no code")
     columns = [_parse_code(name) for name in names]
     # the points whose q the library accepts
-    P = args.p_range[slope * args.p_range <= 0.5 + 1e-15]
+    P = args.p_range[dephrasure.channel._in_prob("q", slope * args.p_range, 0.5)[0]]
     return _emit(args, ["p", "q", *names], _table(columns, P, slope * P, args.seed))
 
 
@@ -269,7 +280,7 @@ def build_parser():
 
     def common(sp):
         sp.add_argument("--p-range", type=_parse_range, default=_parse_range("0:0.5:201"))
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_parse_seed, default=0)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -308,7 +319,7 @@ def build_parser():
                      help="seeded random starts after the warm starts")
     opt.add_argument("--iterations", type=int, default=200,
                      help="L-BFGS iterations per start")
-    opt.add_argument("--seed", type=int, default=0)
+    opt.add_argument("--seed", type=_parse_seed, default=0)
     opt.add_argument("--out", default=None)
     opt.set_defaults(func=cmd_optimize)
 

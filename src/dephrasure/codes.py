@@ -19,7 +19,6 @@ import numpy as np
 from .channel import (
     _broadcast,
     _channel_ops,
-    _check_prob,
     _checked_ops,
     _factored_scan,
     _in_prob,
@@ -119,13 +118,15 @@ def _c_value(p, n):
     return np.where(below, -np.expm1(2 * n * np.log1p(-2 * np.where(below, p, 0.0))), 1.0)
 
 
-def _repetition_terms(p, q, n):
-    """(shape, c, (1-q)^n, q^n) at broadcast p, q and n, each point checked
-    in C order for p in [0, 1/2], q in [0, 1] and n >= 1, in turn; the
-    powers are libm's, as Python floats take them."""
-    p, q, n = _broadcast(p, q, n)
+def _repetition_terms(p, q, n, lam=0.0):
+    """(shape, c, (1-q)^n, q^n) at broadcast p, q, n and lambda, each
+    point checked in C order for p in [0, 1/2], q in [0, 1], n >= 1 and
+    lambda in [0, 1], in turn; the powers are libm's, as Python floats
+    take them."""
+    p, q, n, lam = _broadcast(p, q, n, lam)
     _check_points(_in_prob("p", p, 0.5), _in_prob("q", q, 1.0),
-                  (n >= 1, "n must be >= 1", n))
+                  (n >= 1, "n must be >= 1", n),
+                  ((0.0 <= lam) & (lam <= 1.0), "lambda outside [0, 1]", lam))
     p, q = np.minimum(p, 0.5), np.minimum(q, 1.0)
     kept, erased = (np.asarray(_libm_pow(v, n), dtype=float) for v in (1 - q, q))
     return p.shape, _c_value(p, n), kept, erased
@@ -136,14 +137,12 @@ def repetition_ci(p, q, n, lam):
 
     ((1-q)^n - q^n) h(lambda) - (1-q)^n h((1-u)/2); the second term is
     the entropy of the dephased two-dimensional purification block.
+    p, q, n and lambda broadcast, and each point is checked as
+    _repetition_terms checks it; scalars give a Python float.
     """
-    _, c, kept, erased = _repetition_terms(p, q, n)
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0) or np.any(lam > 1):
-        raise ValueError("lambda outside [0, 1]")
-    code, block = _repetition_entropies(c, lam)
-    out = (kept - erased) * code - kept * block
-    return float(out) if np.ndim(out) == 0 else out
+    shape, c, kept, erased = _repetition_terms(p, q, n, lam)
+    code, block = _repetition_entropies(c, np.asarray(lam, dtype=float))
+    return _shaped(shape, (kept - erased) * code - kept * block)[0]
 
 
 def _repetition_entropies(c, lam):
@@ -857,14 +856,6 @@ def _unit_rows(rows):
     return np.array([row / np.linalg.norm(row) for row in rows]).reshape(rows.shape)
 
 
-def _search_result(shape, values, coeffs):
-    """Per-point values and coefficient rows in the points' shape: a
-    Python float and one coefficient vector for a single point."""
-    if shape == ():
-        return float(values[0]), coeffs[0]
-    return values.reshape(shape), coeffs.reshape(shape + coeffs.shape[1:])
-
-
 def optimize_zdiag(p, q, n, seed=0, n_starts=32):
     """Optimize the Schmidt coefficients of the Z-diagonal n-use code.
 
@@ -889,7 +880,7 @@ def optimize_zdiag(p, q, n, seed=0, n_starts=32):
     arrays a value array of the broadcast shape and a coefficient stack
     (..., 2^n).
     """
-    shape, p, q = _points(p, q, 0.5)
+    shape, p, q = _points(p, q)
     p, q = p[:, 0], q[:, 0]
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -902,7 +893,8 @@ def optimize_zdiag(p, q, n, seed=0, n_starts=32):
     if live.size:
         rep = repetition_ci_opt(p[live], q[live], n)
         values[live], coeffs[live] = _zdiag_search(p[live], q[live], n, seed, n_starts, rep)
-    return _search_result(shape, values, coeffs)
+    (value,) = _shaped(shape, values)
+    return value, coeffs.reshape(shape + coeffs.shape[1:])
 
 
 def _zdiag_search(p, q, n, seed, n_starts, rep):
@@ -952,7 +944,7 @@ def optimize_chi3(p, q, seed=0, n_starts=2, max_iterations=_LBFGS_OPTIONS["maxit
     array of the broadcast shape and a complex coefficient stack
     (..., 4).
     """
-    shape, p, q = _points(p, q, 0.5)
+    shape, p, q = _points(p, q)
     _check_budget(n_starts, max_iterations)
     p, q = p[:, 0], q[:, 0]
     funs, xs = _search_points(
@@ -960,7 +952,8 @@ def optimize_chi3(p, q, seed=0, n_starts=2, max_iterations=_LBFGS_OPTIONS["maxit
         np.tile(_chi3_starts(seed, n_starts), (len(p), 1, 1)),
         max_iterations,
     )
-    value, coeffs = _search_result(shape, -funs, _unit_rows(_complex(xs)))
+    (value,) = _shaped(shape, -funs)
+    coeffs = _unit_rows(_complex(xs)).reshape(shape + (4,))
     return (value, tuple(coeffs)) if shape == () else (value, coeffs)
 
 
@@ -999,7 +992,8 @@ def optimize_code_ci(
     if n > 3:
         raise ValueError("full parametrization supports n <= 3")
 
-    p, q = _check_prob(p, "p", hi=0.5), _check_prob(q, "q", hi=0.5)
+    _, p, q = _points(p, q)
+    p, q = p.item(), q.item()
     ref_dim = 2**n
     amp_len = ref_dim * 2**n
     if q >= region_k(p):  # antidegradable: the lambda = 0 product code

@@ -93,13 +93,13 @@ def comp_ci_x_state(p, q, m):
 
 
 def _witness_points(p, q, p_zero):
-    """p, clamped at 1/2, and q broadcast; each point must have p in
+    """p and q broadcast and clamped at 1/2; each point must have p in
     [0, 1/2], q in (0, 1/2] and p != 0 (the error ``p_zero``), in turn."""
     p, q = _broadcast(p, q)
     _check_points(_in_prob("p", p, 0.5),
-                  ((0.0 < q) & (q <= 0.5 + 1e-15), "q = {} outside (0, 1/2]", q),
+                  ((0.0 < q) & _in_prob("q", q, 0.5)[0], "q = {} outside (0, 1/2]", q),
                   (p != 0.0, p_zero, p))
-    p = np.minimum(p, 0.5)
+    p, q = np.minimum(p, 0.5), np.minimum(q, 0.5)
     # a subnormal q or p overflows a ratio to inf (and, at p = 1/2, the
     # exponent to NaN) without a warning, as one point's floats did
     with np.errstate(over="ignore", invalid="ignore"):

@@ -107,7 +107,7 @@ def private_lower_bound(p, q):
     single_letter_ci: arrays give arrays from one batched scan, scalars
     give Python floats.
     """
-    shape, p, q = _points(p, q, 0.5)
+    shape, p, q = _points(p, q)
     # scan mu = 1 - lam over [0, 1/2]
     value, scan = _factored_scan(lambda r, m: _plusminus_entropies(r, 1.0 - m), p, 1 - q, q)
     value, mu = maximize_over_weights(value, 1e-3, 1e-10, scan)

@@ -187,6 +187,22 @@ def test_optimize_bad_search_budget_is_a_one_line_error(tmp_path, capsys, flags,
 
 
 @pytest.mark.parametrize("argv", [
+    # a sweep that reads no seed, one that does, and a search
+    ("sweep", "--quantity", "single_ci", "--p-range", "0.1:0.2:2", "--q-range", "0.1:0.2:2"),
+    ("sweep", "--quantity", "zdiag_rate(2)", "--p-range", "0.1:0.2:2", "--q-range", "0.1:0.2:2"),
+    ("optimize", "--p", "0.1", "--q", "0.3"),
+])
+def test_a_negative_seed_exits_2_at_parse_time(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--seed", "-1", "--out", str(out)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "error: argument --seed: seed = -1 must be >= 0")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     # every point antidegradable: no search runs, and n is still checked
     ("sweep", "--quantity", "zdiag_rate(0)", "--p-range", "0.4:0.5:2", "--q-range", "0.45:0.5:2"),
     # no point antidegradable: n is checked before any search starts

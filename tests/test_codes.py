@@ -853,6 +853,21 @@ def test_stacked_tables_raise_the_first_bad_points_error():
         codes._point_tables(2, 1, p, q)
 
 
+def test_repetition_ci_checks_lambda_with_each_points_p_q_and_n():
+    # point 0 fails on lambda, point 1 on p: C order decides, as a loop
+    # of one-point calls would
+    with pytest.raises(ValueError, match=r"^lambda outside \[0, 1\]$"):
+        repetition_ci([0.1, 0.7], 0.3, 2, [2.0, 0.5])
+    with pytest.raises(ValueError, match=r"^p = 0\.7 outside \[0, 0\.5\]$"):
+        repetition_ci([0.1, 0.7], 0.3, 2, [0.5, 2.0])
+    lam = np.array([[0.1], [0.4]])
+    values = repetition_ci([0.1, 0.3], 0.3, 2, lam)
+    assert values.shape == (2, 2)
+    assert values.tolist() == [[repetition_ci(p, 0.3, 2, w) for p in (0.1, 0.3)]
+                               for w in (0.1, 0.4)]
+    assert type(repetition_ci(0.1, 0.3, 2, 0.4)) is float
+
+
 def test_zero_weight_groups_are_skipped_row_by_row(monkeypatch):
     from dephrasure import codes
 
