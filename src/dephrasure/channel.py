@@ -45,9 +45,7 @@ _CHANNEL_TABLE = np.array(
 
 
 def _channel_ops(p, q):
-    """(..., 4, 3, 2) Kraus stacks of the channel at broadcast p and q."""
-    if np.shape(p) != np.shape(q):  # np.stack needs one shape
-        p, q = np.broadcast_arrays(p, q)
+    """(..., 4, 3, 2) Kraus stacks of the channel at points p and q of one shape."""
     coef = np.sqrt(np.stack([(1 - q) * (1 - p), (1 - q) * p, q, q], -1))
     return coef[..., None, None] * _CHANNEL_TABLE
 
@@ -68,10 +66,9 @@ def dephrasure_kraus(p, q):
 
 
 def _complement_ops(p, q):
-    """(..., 3, 4, 2) Kraus stacks of the complementary channel at broadcast
-    p and q: the q-weighted copy, then the environment states phi^0, phi^1."""
-    p, q = np.broadcast_arrays(p, q)
-    ops = np.zeros(p.shape + (3, 4, 2), dtype=complex)
+    """(..., 3, 4, 2) complementary-channel Kraus stacks at points p and q of
+    one shape: the q-weighted copy, then the environment states phi^0, phi^1."""
+    ops = np.zeros(np.shape(p) + (3, 4, 2), dtype=complex)
     ops[..., 0, 0, 0] = ops[..., 0, 1, 1] = np.sqrt(q)
     keep = np.sqrt(1 - q)
     ops[..., 1, 2, 0] = ops[..., 2, 2, 1] = keep * np.sqrt(1 - p)
@@ -372,8 +369,9 @@ def xz_grid_max(p, q, steps=201):
     ``steps`` values of x in [0, 1] and, for each, ``steps`` values of z
     in [0, sqrt(1 - x^2)]; the first maximum in that order is returned.
     """
+    p, q = np.asarray(p, dtype=float).item(), np.asarray(q, dtype=float).item()
     x = np.linspace(0.0, 1.0, steps)[:, None]
     z = np.linspace(0.0, 1.0, steps) * np.sqrt(np.maximum(0.0, 1.0 - x * x))
     values = coherent_info_xz(p, q, x, z)
     i = np.unravel_index(np.argmax(values), values.shape)
-    return float(values[i]), (x[i[0], 0], z[i])
+    return values[i].item(), (x[i[0], 0].item(), z[i].item())

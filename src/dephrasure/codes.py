@@ -291,8 +291,9 @@ def pattern_decompose(code, p, q):
     For pattern s the erased input qubits are traced out, dephasing acts
     on every survivor, and the classical weight is q^|s| (1-q)^(n-|s|).
     The reference stays untouched.  Blocks come in lexicographic
-    pattern order.
+    pattern order.  p and q are one point.
     """
+    p, q = np.asarray(p, dtype=float).item(), np.asarray(q, dtype=float).item()
     ref_dim = code.ref_dim
     blocks = []
     for group, weights, dephasing, _ in _point_tables(code.n_uses, ref_dim, p, q):
@@ -309,9 +310,8 @@ def pattern_decompose(code, p, q):
 
 def _point_tables(n, ref_dim, p, q):
     """(group, weights, D, roots) of every plan group, on a leading axis of
-    the points p and q (broadcast and flattened), each point's from its
-    own p and q; the points are checked in one pass, in C order, p before
-    q, as dephrasure_kraus checks them.
+    the points p and q, each point's from its own p and q, which _points
+    takes with p and q in [0, 1], as dephrasure_kraus does.
 
     The weight of a pattern erasing k uses is q^k (1-q)^(n-k), by libm's
     pow as Python floats take it: 0 where it underflows or q is 0 or 1,
@@ -323,9 +323,7 @@ def _point_tables(n, ref_dim, p, q):
     gives their Kraus factors F[x, s] = (-1)^(s.x) roots[s], whose
     sum_s F[x, s] F[y, s] is D[x, y].
     """
-    p, q = (np.ravel(v) for v in _broadcast(p, q))
-    _check_points(_in_prob("p", p, 1.0), _in_prob("q", q, 1.0))
-    p, q = np.minimum(p, 1.0)[:, None], np.minimum(q, 1.0)[:, None]
+    _, p, q = _points(p, q, 1.0, 1.0)
     erased = np.arange(n + 1)  # the plan's groups, in order
     weights = np.asarray(_libm_pow(q, erased) * _libm_pow(1 - q, n - erased), dtype=float)
     tables = []
@@ -478,10 +476,12 @@ def multiletter_ci(code, p, q):
 
     Sum over erasure patterns of weight * [S(block without reference) -
     S(block with reference)]; the classical pattern-entropy terms cancel
-    between the two sums and are omitted.  Codes of up to N_LIMIT uses.
+    between the two sums and are omitted.  Codes of up to N_LIMIT uses;
+    p and q are one point.
     """
     if code.n_uses > N_LIMIT:
         raise ValueError(f"n = {code.n_uses} exceeds the limit {N_LIMIT}")
+    p, q = np.asarray(p, dtype=float).item(), np.asarray(q, dtype=float).item()
     evaluate = _ci_evaluator(code.n_uses, code.ref_dim, p, q)
     return float(evaluate(code.amplitudes[None])[0])
 
@@ -499,8 +499,9 @@ def brute_force_ci(code, p, q):
     operators on the code's input state, with no erasure-pattern
     grouping: S of the 3^n-dim output less S of the 4^n-dim environment
     state.  Exponential in n, so n <= BRUTE_FORCE_N_LIMIT only:
-    ``_brute_force_rows`` on one code.
+    ``_brute_force_rows`` on one code and one point.
     """
+    p, q = np.asarray(p, dtype=float).item(), np.asarray(q, dtype=float).item()
     return _brute_force_rows(code.n_uses, code.input_state(), p, q)
 
 

@@ -48,11 +48,12 @@ def ensemble_private_info(members, p, q):
 
     Each mutual information is S(average output) minus the average
     output entropy; the classical register never gets materialized as a
-    matrix.
+    matrix.  p and q are one point.
     """
     members = _check_ensemble(members)
     if members[0][1].shape[0] != 2:
         raise ValueError("dephrasure private information needs a qubit ensemble")
+    p, q = np.asarray(p, dtype=float).item(), np.asarray(q, dtype=float).item()
     probs, states = zip(*members)
     return float(_private_info_rows(probs, np.array(states)[None], [p], [q])[0])
 

@@ -525,6 +525,38 @@ def test_schmidt_form_removes_reference_unitaries():
         )
 
 
+def test_optimize_code_ci_n2_recovers_repetition():
+    value, code = optimize_code_ci(0.11, 0.33, 2)
+    rep, _ = repetition_ci_opt(0.11, 0.33, 2)
+    assert value >= rep - 1e-6
+    assert code.n_uses == 2
+    assert multiletter_ci(code, 0.11, 0.33) == pytest.approx(value, abs=1e-8)
+
+
+def test_optimize_code_ci_full_keeps_its_warm_starts_values():
+    # the search starts from the theta_2 code, but scores it with the
+    # block engine, a few ulps below optimize_zdiag's own value
+    p, q, seed = 0.1149, 0.3447, 1
+    value, code = optimize_code_ci(p, q, 2, seed=seed, n_starts=2)
+    assert value >= optimize_zdiag(p, q, 2, seed=seed, n_starts=8)[0]
+    assert value >= repetition_ci_opt(p, q, 2)[0]
+    assert multiletter_ci(code, p, q) == pytest.approx(value, abs=1e-12)
+
+
+def test_optimize_code_ci_chi3_requires_n3():
+    with pytest.raises(ValueError):
+        optimize_code_ci(0.1, 0.3, 2, parametrization="chi3")
+
+
+def test_optimize_code_ci_chi3_runs():
+    value, code = optimize_code_ci(
+        0.11, 0.33, 3, parametrization="chi3", seed=0, n_starts=2, max_iterations=80
+    )
+    assert code.n_uses == 3
+    assert code.ref_dim == 4
+    assert multiletter_ci(code, 0.11, 0.33) == pytest.approx(value, abs=1e-8)
+
+
 def test_optimize_chi3_reaches_the_best_known_value():
     p, q = 0.10, 0.30
     value, coeffs = optimize_chi3(p, q)

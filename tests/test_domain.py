@@ -4,9 +4,14 @@ Each coordinate is checked against [0, hi] up to 1e-15 and clamped at hi:
 a coordinate at hi + 1e-15 gives the result at hi, bit for bit, and one
 at hi + 1e-14 raises that coordinate's one-line error.  One table of
 entry points holds every copy of the rule to the same edge.
+
+Each entry point either broadcasts its points, giving a loop of one-point
+calls bit for bit, or takes exactly one point and raises numpy's size-1
+error for more.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -50,6 +55,14 @@ ENTRY_POINTS = {
     "positivity_witness": (d.positivity_witness, 0.5, 0.5),
 }
 _WITNESS = ("epsilon_bound", "positivity_witness")
+# the entry points that take exactly one point; every other one broadcasts
+ONE_POINT = {
+    "coherent_info_state", "xz_grid_max", "optimize_code_ci", "dephrasure_kraus",
+    "complementary_kraus", "antidegrading_map", "multiletter_ci", "brute_force_ci",
+    "pattern_decompose", "ensemble_private_info",
+}
+# numpy's error for more than one point at a one-point entry point
+_SIZE_1 = r"^can only convert an array of size 1 to a Python scalar$"
 
 
 def _bits(value):
@@ -80,3 +93,57 @@ def test_a_coordinate_past_its_bound_is_clamped_within_1e_15_and_raises_beyond(n
         at(hi + 1e-14)
     domain = "(0, 1/2]" if coordinate == "q" and name in _WITNESS else f"[0, {hi}]"
     assert str(err.value) == f"{coordinate} = {hi + 1e-14} outside {domain}"
+
+
+def _fields(result):
+    """A result's top-level fields: a report's, a tuple's, or the result."""
+    if dataclasses.is_dataclass(result):
+        return [getattr(result, field.name) for field in dataclasses.fields(result)]
+    return list(result) if isinstance(result, tuple) else [result]
+
+
+def _leaves(value):
+    """Every scalar or array a result holds, through reports, tuples and lists."""
+    if dataclasses.is_dataclass(value):
+        return _leaves(_fields(value))
+    if isinstance(value, (tuple, list)):
+        return [leaf for v in value for leaf in _leaves(v)]
+    return [value]
+
+
+def test_every_public_function_of_a_point_is_an_entry_point():
+    # a new public route cannot skip the domain and point-count tests
+    routes = {
+        name for name in d.__all__
+        if inspect.isfunction(function := getattr(d, name))
+        and "p" in inspect.signature(function).parameters
+    }
+    assert routes == set(ENTRY_POINTS)
+    assert ONE_POINT < routes
+
+
+@pytest.mark.parametrize("name", sorted(set(ENTRY_POINTS) - ONE_POINT))
+def test_a_broadcasting_entry_point_gives_a_loop_of_one_point_calls(name):
+    call = ENTRY_POINTS[name][0]
+    # one point searched and one antidegradable, each inside the witness region
+    p, q = np.array([0.1, 0.25]), np.array([0.2, 0.35])
+    batch = _fields(call(p, q))
+    for i, one in enumerate(call(pi, qi) for pi, qi in zip(p.tolist(), q.tolist())):
+        assert not any(isinstance(leaf, np.floating) for leaf in _leaves(one))
+        for field, one_field in zip(batch, _fields(one), strict=True):
+            assert np.shape(field)[:1] == (2,)
+            row, want = np.asarray(field)[i], np.asarray(one_field)
+            assert (row.dtype.kind, row.shape) == (want.dtype.kind, want.shape)
+            assert row.astype(want.dtype).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ONE_POINT))
+def test_a_one_point_entry_point_takes_exactly_one_point(name):
+    call = ENTRY_POINTS[name][0]
+    # antidegradable, so that antidegrading_map has a map here
+    one = call(0.4, 0.3)
+    assert not any(isinstance(leaf, np.floating) for leaf in _leaves(one))
+    assert _bits(call([0.4], 0.3)) == _bits(call(0.4, np.array([0.3]))) == _bits(one)
+    for p, q in (([0.4, 0.45], 0.3), (0.4, [0.3, 0.35])):
+        with pytest.raises(ValueError, match=_SIZE_1):
+            call(p, q)
