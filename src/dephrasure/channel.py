@@ -131,7 +131,7 @@ def _small_eigenvalue(w):
     """The small eigenvalue (1 - k)/2, k = sqrt(1 - w), of a 2x2 state
     whose determinant is w/4, computed as w / (2(1 + k)) to avoid
     cancellation for small w.  Elementwise; 1 - w is clipped at 0."""
-    return w / (2 * (1 + np.sqrt(np.clip(1.0 - w, 0.0, None))))
+    return w / (2 * (1 + np.sqrt(np.maximum(1.0 - w, 0.0))))
 
 
 def _phi_entropy(p, z):

@@ -37,7 +37,6 @@ from .qinfo import (
     _spectral_logs,
     _tensor_ops,
     binary_entropy,
-    von_neumann_entropy,
 )
 
 N_LIMIT = 6
@@ -338,20 +337,95 @@ def _point_tables(n, ref_dim, p, q):
     return tables
 
 
+def _block_tables(n, ref_dim, p, q):
+    """The constants of each group of the general block engines, built
+    once per evaluator from ``_point_tables``: (group, weights, every,
+    mask, F), ``every`` telling whether every point weighs the group,
+    ``mask`` the survivors' dephasing mask D as (P, 1, 2^m, 2^m), to
+    broadcast over a row's patterns, and F (P, 2^m, 2^m) their Kraus
+    factors F[x, s] = (-1)^(s.x) roots[s]."""
+    return [
+        (group, weights, bool(weights.all()), dephasing[:, None],
+         _qubit_tables(n - group.erased)[3] * roots[:, None, :])
+        for group, weights, dephasing, roots in _point_tables(n, ref_dim, p, q)
+    ]
+
+
 def _group_rows(tables, amps, points):
-    """(rows, weights, group, M, D, roots) of each group's rows of nonzero
-    weight, row i at point ``points[i]`` (every row at point 0 without
-    ``points``), M their gathered matrices: each row sees the groups of
-    its one-point call."""
+    """(rows, weights, group, M, *constants) of each group of ``tables``,
+    (group, weights, every, *constants) with the constants on a leading
+    axis of points, over its rows of nonzero weight, row i at point
+    ``points[i]`` (every row at point 0 without ``points``), M their
+    gathered matrices: each row sees the groups of its one-point call.
+    ``rows`` is ``slice(None)`` where every point weighs the group, and
+    the tables of one point broadcast over the rows as they are."""
+    one_point = len(tables[0][1]) == 1
     if points is None:
         points = np.zeros(len(amps), dtype=int)
-    for group, weights, dephasing, roots in tables:
+    for group, weights, every, *constants in tables:
+        if one_point:
+            if every:
+                yield slice(None), weights, group, np.take(amps, group.gather, axis=1), *constants
+            continue
         weight = weights[points]
-        rows = np.flatnonzero(weight != 0.0)
-        if rows.size:
-            at = points[rows]  # gathered in C order, whatever B is
-            mats = np.take(amps[rows], group.gather, axis=1)
-            yield rows, weight[rows], group, mats, dephasing[at], roots[at]
+        if every:
+            rows, at = slice(None), points
+        else:
+            rows = np.flatnonzero(weight != 0.0)
+            if not rows.size:
+                continue
+            at, weight = points[rows], weight[rows]
+        mats = np.take(amps[rows], group.gather, axis=1)
+        yield rows, weight, group, mats, *(constant[at] for constant in constants)
+
+
+def _scatter(grad, rows, gather, terms):
+    """Add each row's pattern terms (B, patterns, ...) into its gradient
+    row through the gather indices, pattern after pattern."""
+    if not isinstance(rows, slice):
+        rows = rows[:, None, None, None]
+    np.add.at(grad, (rows, gather), terms)
+
+
+def _by_size(stacks, spectral):
+    """``spectral`` of each stack (..., d, d) of the list ``stacks``, taken
+    in one call on all the stacks of one size d, concatenated as (N, d, d).
+    ``spectral`` maps such a stack to a tuple of arrays of leading axis
+    N, each matrix's part taken from it alone, as a stacked eigh takes
+    it; each stack gets its parts back on its own leading axes.  The list
+    is consumed: each stack is dropped once its size's call has it, so
+    a caller that keeps no other reference holds each matrix once.
+    """
+    sizes = {}
+    for i, stack in enumerate(stacks):
+        sizes.setdefault(stack.shape[-1], []).append(i)
+    out = [None] * len(stacks)
+    for d, members in sizes.items():
+        leads = [stacks[i].shape[:-2] for i in members]
+        flat = [stacks[i].reshape(-1, d, d) for i in members]
+        for i in members:
+            stacks[i] = None
+        stack = np.concatenate(flat) if len(flat) > 1 else flat[0]
+        del flat
+        results = spectral(stack)
+        del stack
+        stop = 0
+        for i, lead in zip(members, leads):
+            start, stop = stop, stop + math.prod(lead)
+            out[i] = tuple(part[start:stop].reshape(lead + part.shape[1:]) for part in results)
+    return out
+
+
+def _entropy_and_log2(stack):
+    """(S, log2) of each matrix of a stack of states, from one eigh."""
+    evals, vecs = _hermitian_eigh(stack)
+    logs, entropy = _spectral_logs(evals)
+    return entropy, _log2_matrix(logs, vecs)
+
+
+def _entropy(stack):
+    """(S,) of each matrix of a stack of states, from their eigenvalues."""
+    return (_spectral_logs(_hermitian_eigh(stack, vectors=False))[1],)
 
 
 def _block_factor(mats, factors, ref_dim):
@@ -368,14 +442,14 @@ def _block_factor(mats, factors, ref_dim):
     return split.reshape(*lead, rows, surv * cols)
 
 
-def _input_parts(mats, dephasing, ref_dim):
+def _input_parts(mats, mask, ref_dim):
     """tr_ref of the blocks, (sum_r M_r M_r^dagger) o D, straight from M,
-    with D (B, 2^m, 2^m) each row's mask."""
+    with ``mask`` (B, 1, 2^m, 2^m) each row's D."""
     *lead, _, cols = mats.shape
-    surv = dephasing.shape[-1]
+    surv = mask.shape[-1]
     rows = mats.reshape(*lead, ref_dim, surv, cols).swapaxes(-3, -2)
     rows = rows.reshape(*lead, surv, ref_dim * cols)
-    return (rows @ rows.conj().swapaxes(-1, -2)) * dephasing[:, None]
+    return (rows @ rows.conj().swapaxes(-1, -2)) * mask
 
 
 def _block_side(factor, gram):
@@ -388,30 +462,33 @@ def _ci_evaluator(n, ref_dim, p, q):
     """Batched coherent information of (n, ref_dim) codes.
 
     p and q are one point or 1-d arrays of points.  Returns
-    ``evaluate(amps, points=None)`` mapping unit-norm amplitude rows (B,
-    ref_dim 2^n), row i at point ``points[i]``, to B values, as
+    ``evaluate(amps, points=None)`` mapping unit-norm complex amplitude
+    rows (B, ref_dim 2^n), row i at point ``points[i]``, to B values, as
     ``_ci_gradient`` does.  Each pattern block is rho = N N^dagger
     with N = [sqrt(w_s) (1_ref (x) Z^s) M]_s over the dephasing Kraus
     operators of its m survivors, and S(rho) = S(N^dagger N): that Gram
     matrix is the state of the pattern's 2^n-dim environment (the erased
     inputs and one dephasing environment per survivor).  A group whose
     blocks (ref_dim 2^m) are larger than 2^n takes its entropy there;
-    the input parts tr_ref(rho) come straight from M.  Per group of
-    patterns this is one stacked entropy call for each of the two, over
-    its rows, so each row has the bits of its one-row call.
+    the input parts tr_ref(rho) come straight from M.  Every group's two
+    stacks are staged first, and the spectra come from one stacked
+    eigvalsh per matrix size (``_by_size``), so each row has the bits of
+    its one-row call.
     """
-    tables = _point_tables(n, ref_dim, p, q)
+    tables = _block_tables(n, ref_dim, p, q)
 
     def evaluate(amps, points=None):
+        weighted, stacks = [], []
+        for rows, weight, group, mats, mask, factors in _group_rows(tables, amps, points):
+            weighted.append((rows, weight))
+            stacks += [_block_side(_block_factor(mats, factors, ref_dim), group.gram),
+                       _input_parts(mats, mask, ref_dim)]
+        entropies = _by_size(stacks, _entropy)
         total = np.zeros(len(amps))
-        for rows, weight, group, mats, dephasing, roots in _group_rows(tables, amps, points):
-            factors = _qubit_tables(n - group.erased)[3] * roots[:, None, :]
-            side = _block_side(_block_factor(mats, factors, ref_dim), group.gram)
-            total[rows] += weight * np.sum(
-                von_neumann_entropy(_input_parts(mats, dephasing, ref_dim))
-                - von_neumann_entropy(side),
-                axis=-1,
-            )
+        for (rows, weight), (entropy,), (in_entropy,) in zip(
+            weighted, entropies[0::2], entropies[1::2]
+        ):
+            total[rows] += weight * np.add.reduce(in_entropy - entropy, axis=-1)
         return total
 
     return evaluate
@@ -427,8 +504,8 @@ def _ci_gradient(n, ref_dim, p, q):
     ref_dim 2^n) gradients df/d(Re a) + i df/d(Im a), taken from the
     same eigendecompositions as the values, on the same side of each
     block as ``_ci_evaluator``.  With rho = N N^dagger, rho_in = tr_ref(rho) and
-    N[(r, x), (s, j)] = F[x, s] M[(r, x), j] (F real, formed from the
-    survivors' Kraus roots once per group and call),
+    N[(r, x), (s, j)] = F[x, s] M[(r, x), j] (F real, the survivors'
+    Kraus factors, built with the points' tables),
 
         grad_N [-S(rho)] = 2 N log2(N^dagger N) = 2 log2(N N^dagger) N,
         grad_M [-S(rho)][(r, x), j] = sum_s F[x, s] grad_N[(r, x), (s, j)],
@@ -438,34 +515,38 @@ def _ci_gradient(n, ref_dim, p, q):
     because tr rho = tr rho_in.  Each pattern's term is scattered back
     into its row through the gather indices.  A row sees the groups, in
     order, and the arithmetic of a one-point evaluator (_group_rows).
-    Every step is a stacked matmul or eigh over the leading axes,
-    elementwise, or a sum within one row, so each row has the bits of
-    its one-row stack.  The points' tables are built here, once: 0.8 KB
-    a point at n = 3.
+    Every group's block sides and input parts are staged first, and
+    their spectra and log2 matrices come from one stacked eigh per matrix
+    size (``_by_size``).  Every step is a stacked matmul or eigh over the
+    leading axes, elementwise, or a sum within one row, so each row has
+    the bits of its one-row stack.  The points' tables are built here,
+    once: 1.4 KB a point at n = 3.
     """
-    tables = _point_tables(n, ref_dim, p, q)
+    tables = _block_tables(n, ref_dim, p, q)
 
     def value_and_grad(amps, points=None):
+        groups = list(_group_rows(tables, amps, points))
+        factors = [_block_factor(mats, kraus, ref_dim) for _, _, _, mats, _, kraus in groups]
+        spectra = _by_size(
+            [_block_side(factor, group.gram) for (_, _, group, *_), factor in zip(groups, factors)]
+            + [_input_parts(mats, mask, ref_dim) for _, _, _, mats, mask, _ in groups],
+            _entropy_and_log2,
+        )
         value, grad = np.zeros(len(amps)), np.zeros(amps.shape, dtype=complex)
-        for rows, weight, group, mats, dephasing, roots in _group_rows(tables, amps, points):
-            factors = _qubit_tables(n - group.erased)[3] * roots[:, None, :]
-            factor = _block_factor(mats, factors, ref_dim)
-            evals, vecs = _hermitian_eigh(_block_side(factor, group.gram))
-            in_evals, in_vecs = _hermitian_eigh(_input_parts(mats, dephasing, ref_dim))
-            (logs, entropy), (in_logs, in_entropy) = map(_spectral_logs, (evals, in_evals))
-            value[rows] += weight * np.sum(in_entropy - entropy, axis=-1)
-            log_side = _log2_matrix(logs, vecs)
+        for (rows, weight, group, mats, mask, kraus), factor, (entropy, log_side), (
+            in_entropy, log_in,
+        ) in zip(groups, factors, spectra, spectra[len(groups):]):
+            value[rows] += weight * np.add.reduce(in_entropy - entropy, axis=-1)
             d_factor = factor @ log_side if group.gram else log_side @ factor
-            surv = factors.shape[-1]
-            d_mats = np.sum(
+            surv = kraus.shape[-1]
+            d_mats = np.add.reduce(
                 d_factor.reshape(*mats.shape[:2], ref_dim, surv, surv, -1)
-                * factors[:, None, None, :, :, None],
+                * kraus[:, None, None, :, :, None],
                 axis=-2,
             )
-            log_in = _log2_matrix(in_logs, in_vecs) * dephasing[:, None]
-            part = d_mats - log_in[:, :, None] @ mats.reshape(d_mats.shape)
-            np.add.at(grad, (rows[:, None, None, None], group.gather[None]),
-                      np.reshape(2.0 * weight, (-1, 1, 1, 1)) * part.reshape(mats.shape))
+            part = d_mats - (log_in * mask)[:, :, None] @ mats.reshape(d_mats.shape)
+            _scatter(grad, rows, group.gather,
+                     np.reshape(2.0 * weight, (-1, 1, 1, 1)) * part.reshape(mats.shape))
         return value, grad
 
     return value_and_grad
@@ -552,10 +633,11 @@ def _zdiag_row_bytes(n):
 
 
 def _ci_row_bytes(n, ref_dim):
-    """Bytes a row holds in a ``_ci_gradient`` call: about six complex
-    arrays the size of its largest group's N factors, C(n, m) patterns
-    of ref_dim 2^m by 2^n."""
-    return 6 * 16 * max(math.comb(n, m) * ref_dim * 2 ** (m + n) for m in range(n + 1))
+    """Bytes a row holds in a ``_ci_gradient`` call, which stages every
+    group at once: about six complex arrays the size of all its groups'
+    N factors, C(n, m) patterns of ref_dim 2^m by 2^n for m = 0..n, each
+    pattern's block side and input part being no larger than its N."""
+    return 6 * 16 * ref_dim * 2**n * 3**n
 
 
 def _zdiag_evaluator(p, q, n):
@@ -585,28 +667,30 @@ def _zdiag_evaluator(p, q, n):
     is stacked over the rows, so each row has the bits of its one-row
     call.  ``_on_sphere`` bounds a call's rows.
     """
-    tables = _point_tables(n, 1, p, q)
+    # each group's survivors' mask D, shaped (P, 1, 1, 2^m, 2^m) to
+    # broadcast over a row's patterns and erased values
+    tables = [(group, weights, bool(weights.all()), dephasing[:, None, None])
+              for group, weights, dephasing, _ in _point_tables(n, 1, p, q)]
 
     def value_and_grad(coeffs, points=None):
         coeffs = np.asarray(coeffs, dtype=float)
         rows = coeffs.reshape(-1, 2**n)
         value, grad = np.zeros(len(rows)), np.zeros(rows.shape)
-        for at, weight, group, mats, dephasing, _ in _group_rows(tables, rows, points):
+        for at, weight, group, mats, mask in _group_rows(tables, rows, points):
             cols = mats.swapaxes(-1, -2)  # (B, patterns, 2^k, 2^(n-k)): the c_e
             if group.erased == n:  # 1 x 1 blocks, D = 1
                 evals = cols**2
                 logs, entropy = _spectral_logs(evals)
                 spectral = logs * cols
             else:
-                mask = dephasing[:, None, None]
                 evals, vecs = _hermitian_eigh(cols[..., :, None] * cols[..., None, :] * mask)
                 logs, entropy = _spectral_logs(evals)
                 spectral = ((_log2_matrix(logs, vecs) * mask) @ cols[..., None])[..., 0]
-            log_grouped, classical = _spectral_logs((mats**2).sum(axis=-1))
-            value[at] += weight * (classical - entropy.sum(axis=-1)).sum(axis=-1)
+            log_grouped, classical = _spectral_logs(np.add.reduce(mats**2, axis=-1))
+            entropy = np.add.reduce(entropy, axis=-1)
+            value[at] += weight * np.add.reduce(classical - entropy, axis=-1)
             part = spectral.swapaxes(-1, -2) - mats * log_grouped[..., None]
-            np.add.at(grad, (at[:, None, None, None], group.gather),
-                      np.reshape(2.0 * weight, (-1, 1, 1, 1)) * part)
+            _scatter(grad, at, group.gather, np.reshape(2.0 * weight, (-1, 1, 1, 1)) * part)
         if coeffs.ndim == 1:
             return float(value[0]), grad[0]
         return value, grad
@@ -616,13 +700,15 @@ def _zdiag_evaluator(p, q, n):
 
 # no search calls it: it stays only because perfbench/tracer.py wraps it by name
 def _zdiag_ci_fast(coeffs, p, q, n):
-    """Coherent information of a Z-diagonal code on its 2^n-dim support."""
+    """Coherent information of a Z-diagonal code on its 2^n-dim support;
+    p and q are one point."""
+    p, q = np.asarray(p, dtype=float).item(), np.asarray(q, dtype=float).item()
     return _zdiag_evaluator(p, q, n)(coeffs)[0]
 
 
 def _rowdot(a, b):
     """Dot products of matching rows, each row summed on its own."""
-    return (a * b).sum(axis=-1)
+    return np.add.reduce(a * b, axis=-1)
 
 
 def _on_sphere(evaluate, row_bytes, owner=None):
@@ -643,10 +729,13 @@ def _on_sphere(evaluate, row_bytes, owner=None):
         norm = np.where(feasible, norm, 1.0)
         coeffs = w / norm
         points = np.zeros(len(w), dtype=int) if owner is None else owner[starts]
-        value, grad = np.empty(len(w)), np.empty(w.shape)
-        for first in range(0, len(w), block):
-            at = slice(first, first + block)
-            value[at], grad[at] = evaluate(coeffs[at], points[at])
+        if 0 < len(w) <= block:  # one block: the evaluator's own arrays
+            value, grad = evaluate(coeffs, points)
+        else:
+            value, grad = np.empty(len(w)), np.empty(w.shape)
+            for first in range(0, len(w), block):
+                at = slice(first, first + block)
+                value[at], grad[at] = evaluate(coeffs[at], points[at])
         tangent = (coeffs * _rowdot(coeffs, grad)[:, None] - grad) / norm
         return np.where(feasible[:, 0], -value, np.inf), tangent
 
@@ -696,35 +785,48 @@ _LBFGS_OPTIONS = {"maxiter": 200, "ftol": 1e-15, "gtol": 1e-10}
 _LBFGS_MEMORY = 10
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 4
+_EPS = np.finfo(float).eps
 
 
 def _two_loop(grad, pairs_s, pairs_y, rho):
     """The L-BFGS step H grad of every row (Nocedal & Wright, alg. 7.4).
 
-    Pairs are stored oldest first, so a row's filled slots are its last
+    Pairs are stored slot-major, s and y (memory, rows, d) and rho
+    (memory, rows), oldest first, so a row's filled slots are its last
     ones, and the loops start at the first slot any row has filled.  An
     unused slot has rho = 0 and s = y = 0, so it leaves a row's vector as
     it is, up to the sign of a zero.  H0 is (s.y / y.y) I from the newest
-    pair, or 1 / |grad| without one: a first step of unit length.
+    pair, or 1 / |grad| without one: a first step of unit length.  Each
+    dot product is ``_rowdot``'s: the products, then their sum per row.
     """
     vec = grad.copy()
-    used = np.flatnonzero(rho.any(axis=0))
-    slots = range(used[0] if used.size else rho.shape[1], rho.shape[1])
+    used = np.flatnonzero(rho.any(axis=1))
+    slots = range(used[0] if used.size else len(rho), len(rho))
     alpha = np.zeros(rho.shape)
+    work, dots = np.empty(grad.shape), np.empty(len(grad))
     for j in reversed(slots):
-        alpha[:, j] = rho[:, j] * _rowdot(pairs_s[:, j], vec)
-        vec -= alpha[:, j, None] * pairs_y[:, j]
-    paired = rho[:, -1] > 0.0
-    yy = _rowdot(pairs_y[:, -1], pairs_y[:, -1])
+        np.add.reduce(np.multiply(pairs_s[j], vec, out=work), axis=-1, out=dots)
+        np.multiply(rho[j], dots, out=alpha[j])
+        vec -= np.multiply(alpha[j, :, None], pairs_y[j], out=work)
+    paired = rho[-1] > 0.0
+    yy = _rowdot(pairs_y[-1], pairs_y[-1])
     vec *= np.where(
         paired,
-        1.0 / np.where(paired, rho[:, -1] * yy, 1.0),
+        1.0 / np.where(paired, rho[-1] * yy, 1.0),
         1.0 / np.sqrt(_rowdot(grad, grad)),
     )[:, None]
-    for j in slots:
-        beta = rho[:, j] * _rowdot(pairs_y[:, j], vec)
-        vec += (alpha[:, j] - beta)[:, None] * pairs_s[:, j]
+    for j in slots:  # dots turns from y.vec into beta, then into alpha - beta
+        np.add.reduce(np.multiply(pairs_y[j], vec, out=work), axis=-1, out=dots)
+        np.subtract(alpha[j], np.multiply(rho[j], dots, out=dots), out=dots)
+        vec += np.multiply(dots[:, None], pairs_s[j], out=work)
     return vec
+
+
+def _every_row(rows, size):
+    """Sorted row indices ``rows`` as a basic slice when they are all
+    ``size`` rows: indexing by it gives views, and assigning through it
+    copies blocks."""
+    return slice(None) if len(rows) == size else rows
 
 
 def _lockstep_lbfgs(objective, starts, max_iterations=_LBFGS_OPTIONS["maxiter"]):
@@ -752,7 +854,8 @@ def _lockstep_lbfgs(objective, starts, max_iterations=_LBFGS_OPTIONS["maxiter"])
     Stopped rows leave the stack.  Each step is elementwise, a sum
     within a row or one objective call on the rows, so a row's result
     does not depend on the others: it meets the trial points it would
-    meet alone, in the same order.
+    meet alone, in the same order.  The curvature pairs are slot-major
+    (``_two_loop``): a row storing a pair shifts its slots down by one.
     """
     x = np.array(starts, dtype=float)
     f, grad = objective(x, np.arange(len(x)))
@@ -760,8 +863,8 @@ def _lockstep_lbfgs(objective, starts, max_iterations=_LBFGS_OPTIONS["maxiter"])
     flat = np.abs(grad).max(axis=-1) <= _LBFGS_OPTIONS["gtol"]
     alive = np.flatnonzero(~flat & (max_iterations >= 1))
     x, f, grad = x[alive], f[alive], grad[alive]
-    pairs_s = np.zeros((len(alive), _LBFGS_MEMORY, x.shape[1]))
-    pairs_y, rho = np.zeros_like(pairs_s), np.zeros((len(alive), _LBFGS_MEMORY))
+    pairs_s = np.zeros((_LBFGS_MEMORY, len(alive), x.shape[1]))
+    pairs_y, rho = np.zeros_like(pairs_s), np.zeros((_LBFGS_MEMORY, len(alive)))
     iterations = np.zeros(len(alive), dtype=int)
     direction = -_two_loop(grad, pairs_s, pairs_y, rho)
     slope, step = _rowdot(grad, direction), np.ones(len(alive))
@@ -770,38 +873,44 @@ def _lockstep_lbfgs(objective, starts, max_iterations=_LBFGS_OPTIONS["maxiter"])
         new_f, new_grad = objective(trial, alive)
         accepted = new_f <= f + _ARMIJO * step * slope
         ended = accepted | (step == 0.5**_MAX_HALVINGS)
-        step[~ended] /= 2.0  # the rows still backtracking
-        # the rows whose line search ended finish their iteration
+        # the rows whose line search ended finish their iteration, picked
+        # by a basic slice when they are all the rows
         at = np.flatnonzero(ended)
-        moved = accepted[at] & (slope[at] < 0.0)
-        s, y = trial[at] - x[at], new_grad[at] - grad[at]
+        picked = _every_row(at, len(ended))
+        if picked is at:
+            step[~ended] /= 2.0  # the rows still backtracking
+        moved = accepted[picked] & (slope[picked] < 0.0)
+        s, y = trial[picked] - x[picked], new_grad[picked] - grad[picked]
         sy = _rowdot(s, y)
-        store = moved & (sy > np.finfo(float).eps * -(step[at] * slope[at]))
-        inverse = 1.0 / np.where(store, sy, 1.0)
-        for pairs, newest in ((pairs_s, s), (pairs_y, y), (rho, inverse)):
-            # the stored rows drop their oldest slot
-            pairs[at[store]] = np.concatenate([pairs[at[store], 1:], newest[store, None]], axis=1)
-        old_f, new_f, new_grad = f[at], new_f[at], new_grad[at]
+        store = moved & (sy > _EPS * -(step[picked] * slope[picked]))
+        if store.any():  # the stored rows drop their oldest slot
+            rows = _every_row(at[store], len(ended))
+            stored = _every_row(np.flatnonzero(store), len(at))
+            newest = s[stored], y[stored], 1.0 / sy[stored]
+            for pairs, pair in zip((pairs_s, pairs_y, rho), newest):
+                pairs[:-1, rows] = pairs[1:, rows]
+                pairs[-1, rows] = pair
+        old_f, new_f, new_grad = f[picked], new_f[picked], new_grad[picked]
         scale = np.maximum(np.maximum(np.abs(old_f), np.abs(new_f)), 1.0)
-        iterations[at] += 1
+        iterations[picked] += 1
         done = ~moved | (old_f - new_f <= _LBFGS_OPTIONS["ftol"] * scale) | (
             np.abs(new_grad).max(axis=-1) <= _LBFGS_OPTIONS["gtol"]
-        ) | (iterations[at] == max_iterations)
-        moves, stops = at[moved], at[done]
+        ) | (iterations[picked] == max_iterations)
+        moves, stops = _every_row(at[moved], len(ended)), at[done]
         x[moves], f[moves], grad[moves] = trial[moves], new_f[moved], new_grad[moved]
         if stops.size:
             out_f[alive[stops]], out_x[alive[stops]] = f[stops], x[stops]
             keep = np.ones(len(alive), dtype=bool)
             keep[stops] = False
-            alive, x, f, grad, pairs_s, pairs_y, rho = (
-                part[keep] for part in (alive, x, f, grad, pairs_s, pairs_y, rho)
+            alive, x, f, grad, iterations, direction, slope, step, ended = (
+                part[keep] for part in
+                (alive, x, f, grad, iterations, direction, slope, step, ended)
             )
-            iterations, direction, slope, step, ended = (
-                part[keep] for part in (iterations, direction, slope, step, ended)
-            )
+            pairs_s, pairs_y, rho = (pairs[:, keep] for pairs in (pairs_s, pairs_y, rho))
         if ended.any():  # the next iteration's unit step
             fresh = slice(None) if ended.all() else ended
-            direction[fresh] = -_two_loop(grad[fresh], pairs_s[fresh], pairs_y[fresh], rho[fresh])
+            direction[fresh] = -_two_loop(grad[fresh], pairs_s[:, fresh], pairs_y[:, fresh],
+                                          rho[:, fresh])
             slope[fresh], step[fresh] = _rowdot(grad[fresh], direction[fresh]), 1.0
     return out_f, out_x
 

@@ -100,7 +100,7 @@ def _spectral_logs(evals):
     evals log2 evals of each spectrum): one log2 serves a spectrum's
     entropy and its log-matrix."""
     logs = np.log2(np.where(evals > 0, evals, 1.0))
-    return logs, -(evals * logs).sum(axis=-1)
+    return logs, -np.add.reduce(evals * logs, axis=-1)
 
 
 def binary_entropy(x):
@@ -131,7 +131,8 @@ def _hermitian_eigh(rho, vectors=True):
     Raises ``ValueError`` unless every matrix is square, Hermitian to
     HERMITICITY_TOL and has no eigenvalue below EIGENVALUE_FLOOR.
     Returns the eigenvalues clamped at zero and, with ``vectors``, the
-    eigenvectors.  Real input stays real.
+    eigenvectors.  Real input stays real.  A 1 x 1 matrix is its own
+    spectrum, with eigenvector 1: the bits LAPACK returns for it.
     """
     rho = np.asarray(rho)
     rho = rho.astype(np.result_type(rho, float), copy=False)
@@ -140,21 +141,26 @@ def _hermitian_eigh(rho, vectors=True):
     # an entry that is not finite fails here, before its halving or inf - inf
     # can warn; halved first, as in _state_checks, and doubled as a Python
     # float, which overflows to inf quietly
-    if np.isfinite(rho).all():
+    if np.logical_and.reduce(np.isfinite(rho), axis=None):
         half = rho / 2
         herm = half.conj().swapaxes(-1, -2)
-        asym = 2.0 * float(np.abs(half - herm).max())
+        asym = 2.0 * float(np.maximum.reduce(np.abs(half - herm), axis=None))
     else:
         asym = np.nan
     # written so that NaN fails each test
     if not asym <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3g})")
-    if vectors:
-        evals, vecs = np.linalg.eigh(half + herm)
+    rho = half + herm
+    del half, herm  # the eigendecomposition's own arrays take their place
+    if rho.shape[-1] == 1:  # ?heevd and ?syevd return A(1, 1) and 1 at once
+        evals, vecs = rho.real[..., 0], np.ones_like(rho)
+    elif vectors:
+        evals, vecs = np.linalg.eigh(rho)
     else:
-        evals = np.linalg.eigvalsh(half + herm)
-    if not evals.min() >= EIGENVALUE_FLOOR:
-        raise ValueError(f"negative eigenvalue {evals.min():.3g}")
+        evals = np.linalg.eigvalsh(rho)
+    low = np.minimum.reduce(evals, axis=None)
+    if not low >= EIGENVALUE_FLOOR:
+        raise ValueError(f"negative eigenvalue {low:.3g}")
     evals = np.maximum(evals, 0.0)
     return (evals, vecs) if vectors else evals
 

@@ -413,6 +413,27 @@ def test_search_rows_lie_under_the_degradable_bounds(tmp_path, quantity):
         assert (rates[antidegradable] == 0.0).all()
 
 
+@pytest.mark.parametrize("quantity, steps", [
+    ("single_ci", 11), ("repetition_rate(2)", 11), ("zdiag_rate(2)", 9),
+    ("zdiag_rate(3)", 7), ("chi3_rate", 7),
+])
+def test_printed_rates_are_monotone_under_degradation(tmp_path, quantity, steps):
+    # for p <= p' <= 1/2 and q <= q' <= 1/2 the channel at (p', q') is the
+    # one at (p, q) followed by more dephasing and more erasure, so by
+    # data processing no code gains there: every printed rate is
+    # non-increasing in p and in q.  A rise flags a search that missed a
+    # basin; the searches' rounding noise has risen by at most 5.8e-15
+    out = tmp_path / "rows.csv"
+    grid = f"0:0.5:{steps}"
+    assert main(["sweep", "--quantity", quantity, "--p-range", grid, "--q-range", grid,
+                 "--out", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    assert header == ["p", "q", "value"] and len(rows) == steps**2
+    rates = np.array([float(row[2]) for row in rows]).reshape(steps, steps)  # p-major
+    assert np.diff(rates, axis=0).max() <= 1e-12
+    assert np.diff(rates, axis=1).max() <= 1e-12
+
+
 def test_optimize_writes_the_schmidt_form(tmp_path, monkeypatch):
     # two codes that differ by a unitary on the reference are written alike
     rng = np.random.default_rng(47)

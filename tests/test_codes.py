@@ -157,6 +157,22 @@ def test_zdiag_ci_is_invariant_under_xor_relabelling_and_use_permutations(case, 
     assert abs(_zdiag_ci_fast(coeffs[permuted], p, q, n) - value) <= 1e-12
 
 
+def test_zdiag_ci_fast_takes_exactly_one_point():
+    from dephrasure.codes import _zdiag_ci_fast
+
+    coeffs = np.array([0.6, 0.0, 0.0, 0.8])
+    one = _zdiag_ci_fast(coeffs, 0.1, 0.3, 2)
+    assert type(one) is float
+    for p, q in (([0.1], 0.3), (0.1, np.array([0.3]))):
+        assert np.float64(_zdiag_ci_fast(coeffs, p, q, 2)).tobytes() == np.float64(one).tobytes()
+    # two points are refused as numpy refuses a size-2 array as one scalar,
+    # not valued at the first
+    size_1 = r"^can only convert an array of size 1 to a Python scalar$"
+    for p, q in (([0.1, 0.2], 0.3), (0.1, [0.3, 0.35])):
+        with pytest.raises(ValueError, match=size_1):
+            _zdiag_ci_fast(coeffs, p, q, 2)
+
+
 def test_optimize_zdiag_beats_repetition():
     value, coeffs = optimize_zdiag(0.11, 0.33, 2, seed=0)
     rep, _ = repetition_ci_opt(0.11, 0.33, 2)
@@ -936,6 +952,86 @@ def test_zero_weight_groups_are_skipped_row_by_row(monkeypatch):
             (count, math.comb(n, k), 2**k, 2 ** (n - k), 2 ** (n - k))
             for k, count in enumerate(weighing) if count
         ]
+
+
+def _block_sizes(n, ref_dim, groups):
+    """The sizes of the block sides and input parts of the groups erasing
+    k uses, k in ``groups``: a side is 2^n-dim (the Gram side) where
+    ref_dim > 2^k, else ref_dim 2^(n-k); an input part 2^(n-k)."""
+    return {2**n if ref_dim > 2**k else ref_dim * 2 ** (n - k) for k in groups} | {
+        2 ** (n - k) for k in groups
+    }
+
+
+def test_size_merged_engines_keep_each_rows_bits_where_groups_drop_out(monkeypatch):
+    from dephrasure import codes
+
+    eigh, shapes = codes._hermitian_eigh, []
+
+    def recorded(stack, *args, **kwargs):
+        shapes.append(stack.shape)
+        return eigh(stack, *args, **kwargs)
+
+    monkeypatch.setattr(codes, "_hermitian_eigh", recorded)
+    rng = np.random.default_rng(79)
+    # the weighted groups at each q, as in the theta_n test above: q = 1
+    # keeps the all-erased group alone, whose 1 x 1 input parts take the
+    # closed form inside _hermitian_eigh
+    kept = {0.0: [0], 1e-200: [0, 1], 1e-120: [0, 1, 2], 0.33: None, 1.0: None}
+    q = np.array(list(kept))
+    for n, ref_dim in ((1, 2), (2, 4), (3, 4), (3, 8), (4, 2)):
+        groups = [range(n + 1) if ks is None else [k for k in ks if k <= n] for ks in kept.values()]
+        groups[-1] = [n]
+        size = ref_dim * 2**n
+        amps = rng.standard_normal((2 * len(q), size)) + 1j * rng.standard_normal(
+            (2 * len(q), size)
+        )
+        amps /= np.linalg.norm(amps, axis=1)[:, None]
+        owner = rng.permutation(np.arange(len(amps)) % len(q))
+        p = np.full(len(q), 0.2)
+        everyone = set().union(*groups)
+        shapes.clear()
+        values, grads = codes._ci_gradient(n, ref_dim, p, q)(amps, owner)
+        assert len(shapes) == len(_block_sizes(n, ref_dim, everyone))
+        assert {shape[-1] for shape in shapes} == _block_sizes(n, ref_dim, everyone)
+        shapes.clear()
+        evaluated = codes._ci_evaluator(n, ref_dim, p, q)(amps, owner)
+        assert len(shapes) == len(_block_sizes(n, ref_dim, everyone))
+        for row, at, value, grad, evaluated_value in zip(amps, owner, values, grads, evaluated):
+            want = len(_block_sizes(n, ref_dim, groups[at]))
+            shapes.clear()
+            (one_value,), (one_grad,) = codes._ci_gradient(n, ref_dim, 0.2, q[at])(row[None])
+            assert len(shapes) == want
+            assert one_value == value
+            assert np.array_equal(one_grad, grad)
+            shapes.clear()
+            assert multiletter_ci(CodeState(n, ref_dim, row), 0.2, q[at]) == evaluated_value
+            assert len(shapes) == want
+
+
+def test_ci_row_bytes_bounds_what_a_row_holds_with_every_group_staged():
+    import tracemalloc
+
+    from dephrasure import codes
+
+    # a call stages every group's block sides and input parts before its
+    # eigendecompositions; the objectives size their blocks of rows by
+    # this bound
+    rng = np.random.default_rng(83)
+    rows = 16
+    for n, ref_dim in ((2, 4), (3, 4), (3, 8), (4, 2)):
+        size = ref_dim * 2**n
+        amps = rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size))
+        amps /= np.linalg.norm(amps, axis=1)[:, None]
+        value_and_grad = codes._ci_gradient(n, ref_dim, 0.11, 0.33)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            value_and_grad(amps)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows * codes._ci_row_bytes(n, ref_dim)
 
 
 def test_zdiag_evaluator_matches_the_general_block_engine():
